@@ -86,18 +86,6 @@ def check(baseline_path: str, fresh_path: str, factor: float) -> list[str]:
             f"healthy baselines"
         )
         return []
-    base_analytic = baseline.get("params", {}).get("analytic", False)
-    fresh_analytic = fresh.get("params", {}).get("analytic", False)
-    if base_analytic != fresh_analytic:
-        # the analytic kernel mode trades calendar events for replay
-        # arithmetic — its timings are a different regime, never
-        # compared to exact-mode baselines
-        print(
-            f"perf-guard: analytic modes differ (baseline "
-            f"{base_analytic!r}, fresh {fresh_analytic!r}) — skipping "
-            f"{fresh_path}"
-        )
-        return []
     problems = []
     for key in keys:
         base = baseline.get("timings_s", {}).get(key)

@@ -50,7 +50,6 @@ def small_plan():
         CONFIGS,
         collect_workloads(named=WORKLOADS, fuzz_seeds=FUZZ_SEEDS),
         collect_faults(["none"]),
-        ["exact"],
         char_params((256 * KiB, 1 * MiB), char_file_bytes=8 * MiB,
                     ior_file_bytes=64 * MiB),
     )

@@ -48,15 +48,16 @@ checks the failure classes this codebase has actually met:
 ``generator-serve``
     a generator-based serve loop (a function yielding simulation
     events, or delegating with ``yield from``) inside
-    :mod:`repro.storage` / :mod:`repro.hardware`.  The hot service
-    paths are flat callback state machines (``FlatOp`` /
-    ``FastHold``); per-event generator resumes cost roughly half the
-    wall time the flat paths saved, so new serve code must be written
-    flat.  The ``REPRO_NO_FSFAST`` / ``REPRO_NO_FASTHOLD`` escape-
-    hatch implementations stay as generators by design and carry
-    ``# simlint: ignore[generator-serve]``.  Pure data generators
-    (yielding tuples or names, e.g. ``PageCache.coalesce``) are not
-    flagged.
+    :mod:`repro.storage` / :mod:`repro.hardware`.  Every service path
+    there is a flat callback state machine (``FlatOp`` /
+    ``FastHold``), and each behaviour has exactly one implementation;
+    per-event generator resumes cost roughly half the wall time the
+    flat paths save, so serve code must be written flat.  The only
+    generators allowed are long-lived daemons with no flat
+    counterpart (the RAID rebuild, cached-write and flusher
+    processes), each marked ``# simlint: ignore[generator-serve]``.
+    Pure data generators (yielding tuples or names, e.g.
+    ``PageCache.coalesce``) are not flagged.
 
 The first four rules apply only inside the simulation packages
 (:data:`SIM_PACKAGES`, which includes the workload-grammar and
@@ -617,11 +618,11 @@ class _Linter(ast.NodeVisitor):
                 self.flag(
                     fn,
                     "generator-serve",
-                    f"{fn.name}() is a generator-based serve loop: hot "
+                    f"{fn.name}() is a generator-based serve loop: "
                     "service paths must be flat callback state machines "
-                    "(FlatOp/FastHold); keep generators only as the "
-                    "REPRO_NO_FSFAST/REPRO_NO_FASTHOLD escape hatches, "
-                    "marked # simlint: ignore[generator-serve]",
+                    "(FlatOp/FastHold); only a long-lived daemon with no "
+                    "flat counterpart may stay a generator, marked "
+                    "# simlint: ignore[generator-serve]",
                 )
                 return
 

@@ -50,10 +50,10 @@ block orders, comparing results on three surfaces:
   from comparison entirely.
 
 **Differential matrix** (:func:`run_race_matrix`, ``repro race``)
-sweeps kernel modes x sanitizer x perturbations over one workload and
-configuration.  Characterization runs unperturbed once per cell and
-its per-level table hashes must agree across every cell (the existing
-mode-determinism contract); the perturbation axis applies only to the
+sweeps sanitizer x perturbations over one workload and configuration.
+Characterization runs unperturbed once per cell and its per-level
+table hashes must agree across every cell (the sanitizer only
+observes); the perturbation axis applies only to the
 evaluation run, executed with ``phase_fastpath=False`` — the replay
 accelerator's steadiness heuristic is deliberately timing-sensitive,
 so perturbing under it measures the heuristic, not the model.  On a
@@ -79,7 +79,6 @@ from .simlint import (
 
 __all__ = [
     "RACE_RULES",
-    "KERNEL_MODES",
     "lint_race_source",
     "lint_race_paths",
     "split_surfaces",
@@ -94,9 +93,6 @@ RACE_RULES: tuple[str, ...] = (
     "unordered-callback-iter",
     "seq-dependent-branch",
 )
-
-#: kernel execution modes the differential matrix can sweep
-KERNEL_MODES: tuple[str, ...] = ("exact", "analytic", "no_fasthold", "no_fsfast")
 
 #: attribute names that expose the scheduler's insertion counters
 _SEQ_NAMES = frozenset({"_seq", "seq", "_order"})
@@ -536,44 +532,8 @@ def diff_conserved(a: Any, b: Any, _path: str = "$", _out: Optional[list[str]] =
 
 
 # ----------------------------------------------------------------------
-# layer 3: the differential mode matrix
+# layer 3: the differential matrix
 # ----------------------------------------------------------------------
-class _KernelMode:
-    """Context manager flipping the kernel escape hatches for one cell."""
-
-    def __init__(self, mode: str):
-        if mode not in KERNEL_MODES:
-            raise ValueError(f"unknown kernel mode {mode!r}; one of {KERNEL_MODES}")
-        self.mode = mode
-        self._saved: tuple[bool, bool, bool, bool] = (True, True, True, False)
-
-    def __enter__(self) -> "_KernelMode":
-        from ..simengine import analytic as _analytic
-        from ..simengine import resources as _kernel
-
-        self._saved = (
-            _kernel.FAST_HOLD,
-            _kernel.QUANTUM_COALESCE,
-            _kernel.FS_FAST,
-            _analytic.ANALYTIC,
-        )
-        _kernel.FAST_HOLD = self.mode != "no_fasthold"
-        _kernel.FS_FAST = self.mode != "no_fsfast"
-        _analytic.ANALYTIC = self.mode == "analytic"
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        from ..simengine import analytic as _analytic
-        from ..simengine import resources as _kernel
-
-        (
-            _kernel.FAST_HOLD,
-            _kernel.QUANTUM_COALESCE,
-            _kernel.FS_FAST,
-            _analytic.ANALYTIC,
-        ) = self._saved
-
-
 def _table_hashes(methodology: Any, config_name: str) -> dict[str, str]:
     """Per-level ``sha256(csv)[:16]`` of one configuration's tables."""
     tables = methodology.tables[config_name]
@@ -587,7 +547,6 @@ def run_race_matrix(
     app: Any,
     config: Any = None,
     config_name: str = "jbod",
-    modes: Sequence[str] = KERNEL_MODES,
     sanitize: Sequence[bool] = (False, True),
     seeds: Sequence[int] = (0,),
     reverse: bool = True,
@@ -600,7 +559,7 @@ def run_race_matrix(
     max_minimize_runs: int = 48,
     progress: Optional[Callable[[str], None]] = None,
 ) -> dict[str, Any]:
-    """Sweep kernel modes x sanitizer x tie-break perturbations.
+    """Sweep sanitizer x tie-break perturbations.
 
     Per cell: characterize unperturbed (``n_jobs=1``, no cache), hash
     the tables, run the evaluation baseline under a
@@ -649,124 +608,114 @@ def run_race_matrix(
     findings: list[dict[str, Any]] = []
     all_hashes: list[dict[str, str]] = []
 
-    for mode in modes:
-        for san in sanitize:
-            say(f"cell mode={mode} sanitize={san}: characterizing")
-            with _KernelMode(mode):
-                m = Methodology({config_name: config}, **sweep)
-                m.characterize(n_jobs=1)
-                hashes = _table_hashes(m, config_name)
-                all_hashes.append(hashes)
+    for san in sanitize:
+        say(f"cell sanitize={san}: characterizing")
+        m = Methodology({config_name: config}, **sweep)
+        m.characterize(n_jobs=1)
+        hashes = _table_hashes(m, config_name)
+        all_hashes.append(hashes)
 
-                def run_eval(hook: Any = None) -> tuple[Any, dict[str, float]]:
-                    import contextlib
+        def run_eval(hook: Any = None) -> tuple[Any, dict[str, float]]:
+            import contextlib
 
-                    cm = capture(hook) if hook is not None else contextlib.nullcontext()
-                    with cm:
-                        reports = m.evaluate(
-                            app, n_jobs=1, phase_fastpath=False, sanitize=san
-                        )
-                    return split_surfaces(canonicalize(reports))
+            cm = capture(hook) if hook is not None else contextlib.nullcontext()
+            with cm:
+                reports = m.evaluate(app, n_jobs=1, phase_fastpath=False, sanitize=san)
+            return split_surfaces(canonicalize(reports))
 
-                recorder = TieGroupRecorder()
-                base_cons, base_tim = run_eval(recorder)
-                groups = recorder.groups()
-                say(
-                    f"cell mode={mode} sanitize={san}: "
-                    f"{len(groups)} tie group(s), perturbing"
-                )
+        recorder = TieGroupRecorder()
+        base_cons, base_tim = run_eval(recorder)
+        groups = recorder.groups()
+        say(f"cell sanitize={san}: {len(groups)} tie group(s), perturbing")
 
-                plans_by_name: dict[str, dict[Any, tuple[int, ...]]] = {}
-                if reverse:
-                    plans_by_name["reverse"] = reverse_plans(groups)
-                for seed in seeds:
-                    plans_by_name[f"shuffle:{seed}"] = shuffle_plans(groups, seed)
+        plans_by_name: dict[str, dict[Any, tuple[int, ...]]] = {}
+        if reverse:
+            plans_by_name["reverse"] = reverse_plans(groups)
+        for seed in seeds:
+            plans_by_name[f"shuffle:{seed}"] = shuffle_plans(groups, seed)
 
-                perturbations: list[dict[str, Any]] = []
-                for name, plans in plans_by_name.items():
-                    cons, tim = run_eval(Perturber(plans))
-                    identical = cons == base_cons
-                    sens = timing_sensitivity(base_tim, tim)
-                    entry: dict[str, Any] = {
-                        "perturbation": name,
-                        "conserved_identical": identical,
-                        "timing_sensitivity": sens,
-                        "within_tolerance": identical and sens <= tol,
-                    }
-                    if not identical:
-                        detail = diff_conserved(base_cons, cons)
-                        finding: dict[str, Any] = {
-                            "kind": "schedule-race",
-                            "mode": mode,
-                            "sanitize": san,
-                            "perturbation": name,
-                            "detail": detail,
-                        }
-                        if minimize:
-                            keys = sorted(plans)
+        perturbations: list[dict[str, Any]] = []
+        for name, plans in plans_by_name.items():
+            cons, tim = run_eval(Perturber(plans))
+            identical = cons == base_cons
+            sens = timing_sensitivity(base_tim, tim)
+            entry: dict[str, Any] = {
+                "perturbation": name,
+                "conserved_identical": identical,
+                "timing_sensitivity": sens,
+                "within_tolerance": identical and sens <= tol,
+            }
+            if not identical:
+                detail = diff_conserved(base_cons, cons)
+                finding: dict[str, Any] = {
+                    "kind": "schedule-race",
+                    "sanitize": san,
+                    "perturbation": name,
+                    "detail": detail,
+                }
+                if minimize:
+                    keys = sorted(plans)
 
-                            def diverges(subset: list[Any]) -> bool:
-                                sub = {k: plans[k] for k in subset}
-                                c, _t = run_eval(Perturber(sub))
-                                return c != base_cons
+                    def diverges(subset: list[Any]) -> bool:
+                        sub = {k: plans[k] for k in subset}
+                        c, _t = run_eval(Perturber(sub))
+                        return c != base_cons
 
-                            minimal, runs, reduced = minimize_flips(
-                                keys, diverges, max_runs=max_minimize_runs
+                    minimal, runs, reduced = minimize_flips(
+                        keys, diverges, max_runs=max_minimize_runs
+                    )
+                    finding["flip_groups"] = [list(k) for k in minimal]
+                    finding["minimize_runs"] = runs
+                    finding["minimal"] = reduced
+                    # localize: diff the pop streams of baseline
+                    # vs the minimal flip set
+                    base_pops = PopRecorder({})
+                    run_eval(base_pops)
+                    flip_pops = PopRecorder({k: plans[k] for k in minimal})
+                    run_eval(flip_pops)
+                    first = next(
+                        (
+                            {"index": i, "baseline": list(b), "flipped": list(g)}
+                            for i, (b, g) in enumerate(
+                                zip(base_pops.pops, flip_pops.pops)
                             )
-                            finding["flip_groups"] = [list(k) for k in minimal]
-                            finding["minimize_runs"] = runs
-                            finding["minimal"] = reduced
-                            # localize: diff the pop streams of baseline
-                            # vs the minimal flip set
-                            base_pops = PopRecorder({})
-                            run_eval(base_pops)
-                            flip_pops = PopRecorder({k: plans[k] for k in minimal})
-                            run_eval(flip_pops)
-                            first = next(
-                                (
-                                    {"index": i, "baseline": list(b), "flipped": list(g)}
-                                    for i, (b, g) in enumerate(
-                                        zip(base_pops.pops, flip_pops.pops)
-                                    )
-                                    if b != g
-                                ),
-                                None,
-                            )
-                            finding["first_divergence"] = first
-                        findings.append(finding)
-                        entry["finding"] = len(findings) - 1
-                    elif sens > tol:
-                        findings.append(
-                            {
-                                "kind": "timing-sensitivity",
-                                "mode": mode,
-                                "sanitize": san,
-                                "perturbation": name,
-                                "timing_sensitivity": sens,
-                                "tolerance": tol,
-                            }
-                        )
-                        entry["finding"] = len(findings) - 1
-                    perturbations.append(entry)
-
-                cells.append(
+                            if b != g
+                        ),
+                        None,
+                    )
+                    finding["first_divergence"] = first
+                findings.append(finding)
+                entry["finding"] = len(findings) - 1
+            elif sens > tol:
+                findings.append(
                     {
-                        "mode": mode,
+                        "kind": "timing-sensitivity",
                         "sanitize": san,
-                        "tables": hashes,
-                        "tie_groups": len(groups),
-                        "perturbations": perturbations,
+                        "perturbation": name,
+                        "timing_sensitivity": sens,
+                        "tolerance": tol,
                     }
                 )
+                entry["finding"] = len(findings) - 1
+            perturbations.append(entry)
+
+        cells.append(
+            {
+                "sanitize": san,
+                "tables": hashes,
+                "tie_groups": len(groups),
+                "perturbations": perturbations,
+            }
+        )
 
     tables_identical = all(h == all_hashes[0] for h in all_hashes[1:])
     if not tables_identical:
         findings.append(
             {
-                "kind": "mode-divergence",
+                "kind": "table-divergence",
                 "detail": [
                     "characterization table hashes differ across cells; "
-                    "the mode-determinism contract is broken"
+                    "the sanitizer changed what it observes"
                 ],
             }
         )
@@ -779,7 +728,6 @@ def run_race_matrix(
         },
         "config": config_name,
         "params": {
-            "modes": list(modes),
             "sanitize": [bool(s) for s in sanitize],
             "seeds": list(seeds),
             "reverse": bool(reverse),
@@ -815,7 +763,7 @@ def render_report(report: dict[str, Any]) -> str:
     for level, digest in sorted(mp.get("tables", {}).items()):
         lines.append(f"    {level:<10} {digest}")
     for cell in report["cells"]:
-        tag = f"mode={cell['mode']} sanitize={cell['sanitize']}"
+        tag = f"sanitize={cell['sanitize']}"
         lines.append(f"  cell {tag}: {cell['tie_groups']} tie group(s)")
         for p in cell["perturbations"]:
             verdict = "ok" if p["within_tolerance"] else "DIVERGED"

@@ -19,8 +19,8 @@ Subcommands mirror the methodology's phases:
 * ``lint`` — run the simlint static checks (determinism, units,
   resource-release safety, schedule-race rules; see
   :mod:`repro.analysis.simlint` and :mod:`repro.analysis.simrace`).
-* ``race`` — the differential schedule-race matrix: kernel modes x
-  sanitizer x seeded tie-break perturbations over one workload,
+* ``race`` — the differential schedule-race matrix: sanitizer x
+  seeded tie-break perturbations over one workload,
   byte-comparing conserved results (see
   :func:`repro.analysis.simrace.run_race_matrix`).
 * ``list`` — show the available cluster configurations and workloads.
@@ -40,7 +40,8 @@ and print a degraded-mode report per configuration.
 
 ``characterize``/``evaluate``/``predict`` accept ``--jobs`` (worker
 processes; also the ``REPRO_JOBS`` environment variable) and
-``--cache`` (on-disk characterization cache directory).
+``--cache`` (on-disk characterization cache directory).  An unusable
+worker count exits 2 with a one-line error.
 """
 
 from __future__ import annotations
@@ -261,25 +262,20 @@ def cmd_race(args) -> int:
     """Differential schedule-race matrix (see repro.analysis.simrace)."""
     import json
 
-    from .analysis.simrace import KERNEL_MODES, render_report, run_race_matrix
+    from .analysis.simrace import render_report, run_race_matrix
 
     app = _app(args)
     name, cfg = next(iter(_configs([args.config]).items()))
     kw: dict = {}
     if args.quick:
-        # CI-sized: two modes, no sanitizer axis, small sweep — the
-        # full matrix at paper scale is `repro race` with no flags
+        # CI-sized: no sanitizer axis, small sweep — the full matrix at
+        # paper scale is `repro race` with no flags
         kw.update(
-            modes=("exact", "analytic"),
             sanitize=(False,),
             block_sizes=(256 * KiB, 1 * MiB),
             char_file_bytes=8 * MiB,
             ior_file_bytes=64 * MiB,
         )
-    else:
-        kw.update(modes=KERNEL_MODES, sanitize=(False, True))
-    if args.modes:
-        kw["modes"] = tuple(args.modes)
     report = run_race_matrix(
         app,
         config=cfg,
@@ -514,7 +510,6 @@ def cmd_sweep(args) -> int:
                     fuzz_seeds=args.fuzz_seeds,
                 ),
                 collect_faults(args.faults),
-                args.modes,
                 char,
                 phase_fastpath=not args.no_phase_fastpath,
                 sanitize=args.sanitize,
@@ -561,6 +556,22 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def perf_outputs(args) -> dict[str, Path]:
+    """Where ``repro perf`` writes each JSON file.
+
+    ``--eval-out``/``--kernel-out``/``--profile-out`` default to fixed
+    names in the directory of ``--out``, so one run's files land
+    together and never in the working directory by accident.
+    """
+    out = Path(args.out)
+    return {
+        "out": out,
+        "eval": Path(args.eval_out or out.parent / "BENCH_evaluate.json"),
+        "kernel": Path(args.kernel_out or out.parent / "BENCH_kernel.json"),
+        "profile": Path(args.profile_out or out.parent / "PROFILE_perf.json"),
+    }
+
+
 def cmd_perf(args) -> int:
     """Benchmark the methodology pipeline itself (serial/parallel/cached)."""
     import json
@@ -586,6 +597,9 @@ def cmd_perf(args) -> int:
         )
     configs = _configs(args.configs)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    outputs = perf_outputs(args)
+    for path in outputs.values():
+        path.parent.mkdir(parents=True, exist_ok=True)
 
     try:
         # the CPUs this process may actually use (cgroup/affinity aware)
@@ -600,12 +614,10 @@ def cmd_perf(args) -> int:
     }
 
     from .analysis.sanitizer import sanitize_enabled
-    from .simengine import analytic as _analytic
     from .simengine.bench import kernel_microbench
 
     common_params = {
         "sanitize": sanitize_enabled(),
-        "analytic": bool(_analytic.ANALYTIC),
         "faults": None,
     }
 
@@ -625,7 +637,7 @@ def cmd_perf(args) -> int:
         "events": kb["events"],
         "events_per_s": kb["events_per_s"],
     }
-    kernel_out = Path(args.kernel_out)
+    kernel_out = outputs["kernel"]
     kernel_out.write_text(json.dumps(kernel_result, indent=2) + "\n")
     print(f"  -> wrote {kernel_out}", file=sys.stderr)
 
@@ -705,7 +717,7 @@ def cmd_perf(args) -> int:
         },
         "tables_identical": identical,
     }
-    out = Path(args.out)
+    out = outputs["out"]
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"  -> wrote {out}", file=sys.stderr)
     print(json.dumps(result, indent=2))
@@ -805,7 +817,7 @@ def cmd_perf(args) -> int:
         "per_app": per_app,
         "tables_identical": eval_identical,
     }
-    eval_out = Path(args.eval_out)
+    eval_out = outputs["eval"]
     eval_out.write_text(json.dumps(eval_result, indent=2) + "\n")
     print(f"  -> wrote {eval_out}", file=sys.stderr)
     print(json.dumps(eval_result, indent=2))
@@ -854,7 +866,7 @@ def cmd_perf(args) -> int:
             "total_tt_s": round(st.total_tt, 4),
             "top_cumulative": rows,
         }
-        prof_out = Path(args.profile_out)
+        prof_out = outputs["profile"]
         prof_out.write_text(json.dumps(prof_result, indent=2) + "\n")
         print(f"  -> wrote {prof_out} (top {len(rows)} by cumulative time)",
               file=sys.stderr)
@@ -898,10 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "FILE (JSON; see repro.faults.FaultSchedule) "
                              "during evaluation and print a degraded-mode "
                              "report per configuration")
-        sp.add_argument("--analytic", action="store_true",
-                        help="enable the analytic fast-forward kernel mode "
-                             "(slice rings + vectorized scatter costs; "
-                             "bit-identical tables, also REPRO_ANALYTIC=1)")
 
     c = sub.add_parser("characterize", help="phase 1: build performance tables")
     common(c)
@@ -963,15 +971,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="small sweep suitable for CI (seconds, not minutes)")
     pf.add_argument("--out", default="BENCH_characterize.json",
                     help="JSON results file (default: BENCH_characterize.json)")
-    pf.add_argument("--eval-out", default="BENCH_evaluate.json",
-                    help="evaluation-benchmark JSON file (default: BENCH_evaluate.json)")
-    pf.add_argument("--kernel-out", default="BENCH_kernel.json",
-                    help="kernel-microbenchmark JSON file (default: BENCH_kernel.json)")
+    pf.add_argument("--eval-out", default=None,
+                    help="evaluation-benchmark JSON file (default: "
+                         "BENCH_evaluate.json beside --out)")
+    pf.add_argument("--kernel-out", default=None,
+                    help="kernel-microbenchmark JSON file (default: "
+                         "BENCH_kernel.json beside --out)")
     pf.add_argument("--profile", action="store_true",
                     help="additionally cProfile a serial characterization run "
                          "and write the top-25 functions by cumulative time")
-    pf.add_argument("--profile-out", default="PROFILE_perf.json",
-                    help="profile JSON file (default: PROFILE_perf.json)")
+    pf.add_argument("--profile-out", default=None,
+                    help="profile JSON file (default: PROFILE_perf.json "
+                         "beside --out)")
     pf.add_argument("--eval-repeat", type=int, default=3,
                     help="repeats per full/instrumented evaluation timing, "
                          "best wall kept (default: 3; the within-run metrics-"
@@ -985,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser(
         "sweep",
         help="crash-safe parameter-space sweep: config x workload x "
-             "fault x mode, resumable from its write-ahead result log",
+             "fault, resumable from its write-ahead result log",
     )
     sw.add_argument("rundir", metavar="RUNDIR",
                     help="run directory (manifest + append-only results + "
@@ -1010,9 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="FILE|none",
                     help="fault axis: 'none' and/or fault-schedule JSON "
                          "files (default: none)")
-    sw.add_argument("--modes", nargs="+", default=["exact"],
-                    choices=["exact", "analytic"],
-                    help="kernel-mode axis (default: exact)")
     sw.add_argument("--quick", action="store_true",
                     help="small characterization sweep per config (CI-sized)")
     sw.add_argument("--block-step", type=int, default=3,
@@ -1086,18 +1094,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     rc = sub.add_parser(
         "race",
-        help="differential schedule-race matrix: kernel modes x sanitizer "
-             "x seeded tie-break perturbations",
+        help="differential schedule-race matrix: sanitizer x seeded "
+             "tie-break perturbations",
     )
     workload(rc)
     rc.add_argument("--config", default="jbod",
                     help="cluster configuration for the matrix (default: jbod)")
     rc.add_argument("--quick", action="store_true",
-                    help="CI-sized cells: exact+analytic modes, no sanitizer "
-                         "axis, small characterization sweep")
-    rc.add_argument("--modes", nargs="+", default=None,
-                    choices=["exact", "analytic", "no_fasthold", "no_fsfast"],
-                    help="override the kernel-mode axis")
+                    help="CI-sized cells: no sanitizer axis, small "
+                         "characterization sweep")
     rc.add_argument("--seeds", nargs="+", type=int, default=[0],
                     help="seeds for the shuffled tie-break plans (default: 0)")
     rc.add_argument("--tol", type=float, default=0.02,
@@ -1108,8 +1113,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _jobs_error(args) -> str | None:
+    """Why the requested worker count is unusable, or ``None``."""
+    if not hasattr(args, "jobs"):
+        return None
+    if args.command == "sweep":
+        if args.jobs is not None and args.jobs < 1:
+            return f"--jobs must be >= 1, got {args.jobs}"
+        return None
+    if args.jobs is not None and args.jobs < 0:
+        return f"--jobs must be >= 0, got {args.jobs}"
+    from .core.parallel import resolve_jobs
+
+    try:
+        resolve_jobs(args.jobs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    error = _jobs_error(args)
+    if error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        raise SystemExit(2)
     if getattr(args, "no_phase_fastpath", False):
         import os
 
@@ -1120,14 +1148,6 @@ def main(argv: list[str] | None = None) -> int:
 
         # propagate to worker processes spawned by run_tasks
         os.environ["REPRO_SANITIZE"] = "1"
-    if getattr(args, "analytic", False):
-        import os
-
-        from .simengine import analytic
-
-        # flip the live flag for this process and propagate to workers
-        analytic.ANALYTIC = True
-        os.environ["REPRO_ANALYTIC"] = "1"
     return args.func(args)
 
 

@@ -54,13 +54,14 @@ def resolve_jobs(n_jobs: Optional[int] = None) -> int:
     """Effective worker count for a fan-out (see module docstring)."""
     if n_jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            try:
-                n_jobs = int(env)
-            except ValueError:
-                raise ValueError(f"REPRO_JOBS must be an integer, got {env!r}")
-        else:
+        if not env:
             return 1
+        try:
+            n_jobs = int(env)
+        except ValueError:
+            n_jobs = -1
+        if n_jobs < 0:
+            raise ValueError(f"REPRO_JOBS must be a non-negative integer, got {env!r}")
     if n_jobs == 0:
         return os.cpu_count() or 1
     if n_jobs < 0:

@@ -27,15 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..simengine import Environment, Event, Resource, hold_quantum
-from ..simengine import analytic as _analytic
-from ..simengine import resources as _kernel
-from ..simengine.resources import FastHold
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+from ..simengine import Environment, Event, Resource
+from ..simengine.resources import FastHold
 
 __all__ = ["DiskSpec", "Disk", "READ", "WRITE"]
 
@@ -84,11 +79,10 @@ class DiskStats:
 
 
 class _FastServe(FastHold):
-    """State-machine serve path — the callback twin of ``Disk._serve``.
-
-    Same calendar entries, same float-operation order on the stats and
-    the cost model; no Process/generator per request.
-    """
+    """One request on the disk head: queue for the head, charge the cost
+    model and the stats at the grant, then hold the head in quanta so
+    that equal-priority competitors queued behind a huge bulk transfer
+    are not starved (they interleave at quantum granularity)."""
 
     __slots__ = ("disk", "op", "offset", "nbytes", "count", "stride")
 
@@ -228,13 +222,15 @@ class Disk:
             return t
         if (
             count > 8
-            and _np is not None
-            and _analytic.ANALYTIC
             and stride > nbytes
             and offset >= 0
             and offset + stride * (count - 1) + nbytes <= self.spec.capacity_bytes
         ):
             return self._scatter_time_vec(op, offset, nbytes, count, stride)
+        return self._scatter_time(op, offset, nbytes, count, stride)
+
+    def _scatter_time(self, op, offset, nbytes, count, stride):
+        """Scatter cost, one operation at a time (wrapping the capacity)."""
         t = 0.0
         off = offset
         for _ in range(count):
@@ -243,7 +239,7 @@ class Disk:
         return t
 
     def _scatter_time_vec(self, op, offset, nbytes, count, stride):
-        """Vectorized scatter cost — bit-identical to the scalar loop.
+        """Vectorized scatter cost — bit-identical to :meth:`_scatter_time`.
 
         Only reached for a forward constant-gap scatter that never
         wraps the capacity: there the seek distance is the same for
@@ -326,42 +322,7 @@ class Disk:
         priority: int = 0,
     ) -> Event:
         """Serve a (possibly bulk) request; the event fires at completion."""
-        if _kernel.FAST_HOLD:
-            return _FastServe(self, op, offset, nbytes, count, stride, priority).result
-        return self.env.process(
-            self._serve(op, offset, nbytes, count, stride, priority),
-            name=f"{self.name}.{op}",
-        )
-
-    def _serve(self, op, offset, nbytes, count, stride, priority):  # simlint: ignore[generator-serve]
-        stride_ = nbytes if stride is None else stride
-        total_bytes = nbytes * count
-        req = self.head.request(priority, order_key=offset)
-        yield req
-        reqs = [req]
-        try:
-            total = self.service_time(op, offset, nbytes, count, stride_)
-            self.stats.busy_s += total
-            if op == READ:
-                self.stats.reads += count
-                self.stats.bytes_read += total_bytes
-            else:
-                self.stats.writes += count
-                self.stats.bytes_written += total_bytes
-            # Hold the head in quanta so that equal-priority competitors
-            # queued behind a huge bulk transfer are not starved forever
-            # (they interleave at quantum granularity).
-            yield from hold_quantum(
-                self.env, [self.head], reqs, total, self.QUANTUM_S, priority, order_key=offset
-            )
-        finally:
-            # skip the release when the generator is being closed after
-            # the environment was abandoned or reset (e.g. a background
-            # flush still in flight when the program finished): the
-            # slot is no longer held then
-            if reqs[0] in self.head.users:
-                self.head.release(reqs[0])
-        return total_bytes
+        return _FastServe(self, op, offset, nbytes, count, stride, priority).result
 
     def mark_measurement(self) -> None:
         """Start the utilization measurement interval *now*.

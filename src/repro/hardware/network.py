@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..simengine import Environment, Event, Resource, hold_quantum
-from ..simengine import resources as _kernel
+from ..simengine import Environment, Event, Resource
 from ..simengine.core import Timeout, Wake
 from ..simengine.resources import FastHold
 
@@ -48,7 +47,8 @@ TEN_GIGABIT = LinkSpec(raw_bandwidth_Bps=1250.0 * 1000 * 1000, latency_s=30e-6)
 
 
 class _FastSend(FastHold):
-    """State-machine twin of ``Link._send`` (same entries, no process)."""
+    """One transfer across a link: wait out an outage, hold the channel
+    for the serialisation time, then pay the tail message's latency."""
 
     __slots__ = ("link", "nbytes", "count")
 
@@ -63,7 +63,7 @@ class _FastSend(FastHold):
         env = self.env
         if env._now < link._down_until:
             # ride out the outage; re-check on wake (it may have been
-            # extended), exactly like the generator's while loop
+            # extended meanwhile)
             Wake(env, link._down_until).callbacks.append(self._start)
             return
         self._acquire()
@@ -87,8 +87,13 @@ class _FastSend(FastHold):
 
 
 class _FastRoute(FastHold):
-    """State-machine twin of ``Network._route``: uplink + downlink held
-    concurrently, released in reverse order, latency is the max."""
+    """One transfer across the fabric: the sender's uplink and the
+    receiver's downlink are acquired in that fixed order (the two
+    resource sets are disjoint, so no deadlock cycle can form), held
+    concurrently, released in reverse order; latency is the max.  A
+    flapped link delays the transfer until it is back up (TCP rides out
+    short outages by retransmitting; payload accounting of those
+    retransmits lives at the RPC layer, see storage.nfs)."""
 
     __slots__ = ("up", "down", "nbytes", "count")
 
@@ -203,35 +208,7 @@ class Link:
         """Move ``count`` messages of ``nbytes`` each across the link."""
         if nbytes < 0 or count < 1:
             raise ValueError("invalid transfer geometry")
-        if _kernel.FAST_HOLD:
-            return _FastSend(self, nbytes, count, priority, order_key).result
-        return self.env.process(
-            self._send(nbytes, count, priority, order_key), name=f"{self.name}.xfer"
-        )
-
-    def _send(self, nbytes, count, priority, order_key=None):  # simlint: ignore[generator-serve]
-        while self.env.now < self._down_until:
-            yield self.env.wake_at(self._down_until)
-        req = self.channel.request(priority, order_key)
-        yield req
-        reqs = [req]
-        try:
-            total = self.hold_time(nbytes, count)
-            self.busy_s += total
-            self.bytes_carried += nbytes * count
-            self.messages += count
-            yield from hold_quantum(
-                self.env, [self.channel], reqs, total, self.QUANTUM_S, priority,
-                order_key=order_key,
-            )
-        finally:
-            # held-check: a teardown close (abandoned/reset env) may
-            # arrive while hold_quantum is between release and re-grant
-            if reqs[0] in self.channel.users:
-                self.channel.release(reqs[0])
-        # propagation latency of the tail message (pipelined with the rest)
-        yield self.env.timeout(self.effective_latency_s)
-        return nbytes * count
+        return _FastSend(self, nbytes, count, priority, order_key).result
 
     def mark_measurement(self) -> None:
         """Start the utilization measurement interval *now*."""
@@ -317,57 +294,10 @@ class Network:
             raise KeyError(f"unknown endpoint in transfer {src!r}->{dst!r}")
         if src == dst:
             return self.env.timeout(1e-6 + nbytes * count / (2000.0 * MiB))
-        if _kernel.FAST_HOLD:
-            return _FastRoute(
-                self.uplinks[src], self.downlinks[dst], nbytes, count, priority,
-                order_key=order_key,
-            ).result
-        return self.env.process(
-            self._route(src, dst, nbytes, count, priority, order_key)
-        )
-
-    def _route(self, src, dst, nbytes, count, priority, order_key=None):  # simlint: ignore[generator-serve]
-        up = self.uplinks[src]
-        down = self.downlinks[dst]
-        # A flapped link delays the transfer until it is back up (TCP
-        # rides out short outages by retransmitting; payload accounting
-        # of those retransmits lives at the RPC layer, see storage.nfs).
-        while self.env.now < up._down_until or self.env.now < down._down_until:
-            yield self.env.wake_at(max(up._down_until, down._down_until))
-        # Acquire uplink first, downlink second (fixed order; the two
-        # resource sets are disjoint so no deadlock cycle can form).
-        up_req = up.channel.request(priority, order_key)
-        yield up_req
-        down_req = down.channel.request(priority, order_key)
-        yield down_req
-        reqs = [up_req, down_req]
-        try:
-            total = up.hold_time(nbytes, count)
-            up.busy_s += total
-            down.busy_s += total
-            up.bytes_carried += nbytes * count
-            down.bytes_carried += nbytes * count
-            up.messages += count
-            down.messages += count
-            # Competitors interleave at quantum granularity.
-            yield from hold_quantum(
-                self.env,
-                [up.channel, down.channel],
-                reqs,
-                total,
-                Link.QUANTUM_S,
-                priority,
-                order_key=order_key,
-            )
-        finally:
-            if reqs[1] in down.channel.users:
-                down.channel.release(reqs[1])
-            if reqs[0] in up.channel.users:
-                up.channel.release(reqs[0])
-        yield self.env.timeout(
-            max(up.effective_latency_s, down.effective_latency_s)
-        )
-        return nbytes * count
+        return _FastRoute(
+            self.uplinks[src], self.downlinks[dst], nbytes, count, priority,
+            order_key=order_key,
+        ).result
 
     # -- fault injection -------------------------------------------------
     def flap(self, endpoint: str, duration_s: float, direction: str = "both") -> None:

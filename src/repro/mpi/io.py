@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..simengine import Event, FlatOp, Timeout, Wake
-from ..simengine import resources as _kernel
 from ..storage.base import IORequest
 from .sim import RankContext
 
@@ -87,8 +86,8 @@ class MPIFile:
 
         ``parts`` is an iterable of ``(offset, nbytes, count, stride)``
         tuples, executed in order.  Semantically identical to calling
-        :meth:`write_at` per part, but the whole batch runs inside one
-        process, and once the parts' phases are steady a run of
+        :meth:`write_at` per part, but the whole batch runs as one
+        operation, and once the parts' phases are steady a run of
         consecutive extrapolated parts collapses into a single calendar
         entry — the per-part trace timestamps replay the sequential
         addition chain, so traces are unchanged.
@@ -119,28 +118,6 @@ class MPIFile:
             self.fs.state_token(self.inode, req),
         )
 
-    def _independent_body(self, req: IORequest):
-        """The fully simulated service of one independent request."""
-        if req.op == "read" and self.hints.ds_read:
-            from ..iolib.sieving import plan_sieve, should_sieve
-
-            if should_sieve(req, self.hints.ds_buffer_bytes):
-                # data sieving: dense covering reads + in-memory extract
-                plan = plan_sieve(req, self.hints.ds_buffer_bytes)
-                san = self.env.sanitizer
-                if san is not None:
-                    san.note_overfetch(
-                        req.op,
-                        sum(s.total_bytes for s in plan.requests) - req.total_bytes,
-                    )
-                for sub in plan.requests:
-                    yield self.fs.submit_direct(self.inode, sub)
-                yield self.env.timeout(
-                    self.ctx.node.memcpy_time(plan.fetched_bytes)
-                )
-                return
-        yield self.fs.submit_direct(self.inode, req)
-
     def _phase_group(self, key: tuple) -> tuple:
         """Group tying this phase to its siblings on other ranks.
 
@@ -166,79 +143,10 @@ class MPIFile:
         return (kind, epoch)
 
     def _independent(self, req: IORequest) -> Event:
-        if _kernel.FS_FAST:
-            return _FlatIndependent(self, req).result
-
-        def _op():
-            t0 = self.env.now
-            replay = self.ctx.world.replay
-            key = self._phase_key(req)
-            group = self._phase_group(key)
-            scope = self._phase_scope(key[1])
-            steady = replay.steady(key, group, scope)
-            if steady is not None:
-                # verified-steady phase: charge the known duration and
-                # apply the state side effects analytically
-                self.fs.absorb(self.inode, req)
-                if steady > 0.0:
-                    yield self.env.timeout(steady)
-                self._trace(req, t0, collective=False)
-                return req.total_bytes
-            yield from self._independent_body(req)
-            replay.observe(key, self.env.now - t0, group, scope)
-            self._trace(req, t0, collective=False)
-            return req.total_bytes
-
-        return self.env.process(_op(), name=f"mpiio.r{self.ctx.rank}.{req.op}")
+        return _FlatIndependent(self, req).result
 
     def _independent_multi(self, reqs: list[IORequest]) -> Event:
-        if _kernel.FS_FAST:
-            return _FlatIndependentMulti(self, reqs).result
-
-        def _op():
-            replay = self.ctx.world.replay
-            total = 0
-            i = 0
-            n = len(reqs)
-            while i < n:
-                req = reqs[i]
-                key = self._phase_key(req)
-                scope = self._phase_scope(key[1])
-                steady = replay.steady(key, self._phase_group(key), scope)
-                if steady is None:
-                    t0 = self.env.now
-                    yield from self._independent_body(req)
-                    # observe under the pre-execution key: that is the
-                    # state steady() will be consulted with next time
-                    replay.observe(key, self.env.now - t0, self._phase_group(key), scope)
-                    self._trace(req, t0, collective=False)
-                    total += req.total_bytes
-                    i += 1
-                    continue
-                # Coalesce the run of consecutive steady parts into one
-                # calendar entry; per-part trace times replay the
-                # sequential timeout chain exactly.
-                run = [(req, steady)]
-                i += 1
-                while i < n:
-                    key = self._phase_key(reqs[i])
-                    s = replay.steady(key, self._phase_group(key), self._phase_scope(key[1]))
-                    if s is None:
-                        break
-                    run.append((reqs[i], s))
-                    i += 1
-                end = self.env.now
-                for r, s in run:
-                    self.fs.absorb(self.inode, r)
-                    start = end
-                    end = end + s
-                    self._trace(r, start, collective=False, t_end=end)
-                    total += r.total_bytes
-                if end > self.env.now:
-                    yield self.env.wake_at(end)
-            return total
-
-        return self.env.process(_op(), name=f"mpiio.r{self.ctx.rank}.multi")
+        return _FlatIndependentMulti(self, reqs).result
 
     # ------------------------------------------------------------------
     # collective operations (two-phase I/O)
@@ -380,7 +288,10 @@ class MPIFile:
 
 
 class _FlatIndependentBase(FlatOp):
-    """Shared flat service of one request (the ``_independent_body``)."""
+    """The fully simulated service of one independent request, shared
+    by the single and batched operations: the direct filesystem path,
+    or data sieving (dense covering reads plus an in-memory extract)
+    for sparse reads under ``ds_read``."""
 
     __slots__ = ("f", "_bk", "_subs", "_si", "_plan")
 
@@ -423,7 +334,9 @@ class _FlatIndependentBase(FlatOp):
 
 
 class _FlatIndependent(_FlatIndependentBase):
-    """Flat counterpart of :meth:`MPIFile._independent`."""
+    """One independent request: a verified-steady phase is charged its
+    known duration (state applied through ``absorb``); any other is
+    simulated and observed by the phase replay."""
 
     __slots__ = ("req", "t0", "key", "group", "scope")
 
@@ -466,7 +379,8 @@ class _FlatIndependent(_FlatIndependentBase):
 
 
 class _FlatIndependentMulti(_FlatIndependentBase):
-    """Flat counterpart of :meth:`MPIFile._independent_multi`."""
+    """A batch of independent requests (:meth:`MPIFile.write_at_multi`),
+    served in order like :class:`_FlatIndependent`."""
 
     __slots__ = ("reqs", "i", "total", "t0", "_cur", "_key", "_scope")
 
@@ -561,8 +475,8 @@ def _collective_key(path: str, op: str, epoch: int, reqs: dict[int, IORequest]) 
 def _io_domains(world, mfile: MPIFile, op: str, active: dict[int, IORequest]):
     """The aggregator file domains of one two-phase call.
 
-    Shared between the simulated I/O phase and the analytic absorb
-    path so both mutate identical filesystem state.  Returns
+    Shared between the simulated I/O phase and the phase-replay
+    absorb path so both mutate identical filesystem state.  Returns
     ``(aggs, [(fs, domain_request), ...], total_bytes)``.
     """
     from ..iolib.aggregation import select_aggregators

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel used by every substrate in repro."""
 
 from .core import AllOf, AnyOf, Environment, Event, FlatOp, Process, SimulationError, Timeout, Wake
-from .resources import Container, PriorityResource, Request, Resource, Store, hold_quantum
+from .resources import Container, PriorityResource, Request, Resource, Store
 from .rng import RngRegistry
 from .schedule import Perturber, TieGroupRecorder, capture, minimize_flips
 
@@ -21,7 +21,6 @@ __all__ = [
     "Resource",
     "Store",
     "RngRegistry",
-    "hold_quantum",
     "Perturber",
     "TieGroupRecorder",
     "capture",

@@ -2,9 +2,9 @@
 
 Synthetic scenarios exercising the calendar and resource machinery in
 isolation — no cluster model, no filesystems — so a regression in the
-kernel hot path (heap handling, event dispatch, the FastHold rotation,
-analytic ring adoption) shows up directly as events/second instead of
-being diluted by model code.  ``repro perf`` runs these and emits the
+kernel hot path (heap handling, event dispatch, the FastHold rotation)
+shows up directly as events/second instead of being diluted by model
+code.  ``repro perf`` runs these and emits the
 results as ``BENCH_kernel.json`` for ``scripts/perf_guard.py`` to gate.
 
 Scenario mix:
@@ -15,18 +15,17 @@ Scenario mix:
   FIFO :class:`Resource`: grant/queue bookkeeping.
 * ``contended_rotation`` — several ``FastHold`` holders time-slicing
   one capacity-1 resource: the quantum round-robin that dominates
-  contended cluster runs (and the adoption surface of the analytic
-  slice rings when ``REPRO_ANALYTIC=1``).
+  contended cluster runs.
 * ``uncontended_hold`` — many holders each alone on a private
   resource: the coalesced-wake path (one entry per hold instead of
   one per quantum).
 * ``coupled_rotation`` — holders split over two capacity-1 uplinks
-  all contending for one shared pivot: the two-level rotation the
-  coupled analytic rings collapse (``REPRO_ANALYTIC=1``).
+  all contending for one shared pivot: the two-level rotation of
+  client uplinks feeding one server downlink.
 * ``fs_serve`` — a stream of cached reads/writes through a real
   :class:`~repro.storage.localfs.LocalFS`: the flat filesystem
   state machines (the one scenario that touches model code, because
-  the fs fast path is what it gates).
+  the flat filesystem path is what it gates).
 
 Each scenario reports wall seconds, simulated events (calendar entries
 consumed, from the environment's sequence counter) and events/second.
@@ -136,7 +135,7 @@ def _coupled_rotation(holders: int, rounds: int, uplinks: int = 2) -> Environmen
 def _fs_serve(ops: int) -> Environment:
     # imported here, not at module top: the kernel package must stay
     # importable without the model layers, and every other scenario is
-    # pure-kernel — only the fs fast-path gate needs a real filesystem
+    # pure-kernel — only the filesystem gate needs a real filesystem
     from ..hardware import Node, NodeSpec, RAIDArray, RAIDConfig, RAIDLevel
     from ..hardware.disk import DiskSpec
     from ..storage.base import IORequest, KiB, MiB

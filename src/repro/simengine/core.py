@@ -1,11 +1,13 @@
 """Discrete-event simulation kernel.
 
-Everything in :mod:`repro` runs on this kernel: disks, networks,
-filesystems and MPI ranks are *processes* (Python generators) that
-yield events to an :class:`Environment`.  The design follows the
-classic process-interaction style (as popularised by SimPy) but is
-self-contained, deterministic, and tuned for the access patterns this
-project needs:
+Everything in :mod:`repro` runs on this kernel: MPI ranks and daemons
+are *processes* (Python generators) that yield events to an
+:class:`Environment`; disks, links and filesystem operations are flat
+callback state machines (:class:`FlatOp`,
+:class:`~repro.simengine.resources.FastHold`) on the same calendar.
+The design follows the classic process-interaction style (as
+popularised by SimPy) but is self-contained, deterministic, and tuned
+for the access patterns this project needs:
 
 * a binary-heap event calendar keyed on ``(time, priority, seq)`` so
   same-time events fire in schedule order — simulations are exactly
@@ -177,11 +179,10 @@ class Initialize(Event):
 class Hop(Event):
     """Internal: a pre-triggered bare event with one fixed callback.
 
-    The fast serve paths (:mod:`repro.simengine.resources`,
-    :mod:`repro.hardware`) use hops to reproduce, entry for entry, the
-    calendar inserts that the generator-based paths make through
-    ``Initialize`` / combinator triggering — one heap entry, one
-    callback, no generator frame behind it.
+    The flat serve paths (:class:`FlatOp`,
+    :class:`~repro.simengine.resources.FastHold`) step through their
+    state machines on hops — one heap entry, one callback, no generator
+    frame behind it.
     """
 
     __slots__ = ()
@@ -290,30 +291,28 @@ class Process(Event):
 
 
 class FlatOp:
-    """Callback-driven replica of a generator process: the filesystem
-    counterpart of :class:`~repro.simengine.resources.FastHold`.
+    """A flat, callback-driven service operation: the filesystem and
+    MPI-IO counterpart of :class:`~repro.simengine.resources.FastHold`.
 
-    A generator service path costs a :class:`Process` object, a frame
-    and a ``send()`` round trip per event.  A ``FlatOp`` drives the
-    same protocol flat: construction pushes a priority-0 :class:`Hop`
-    exactly where ``Initialize`` would sit, each ``yield ev`` becomes
-    one :meth:`_await` (append one callback, or continue synchronously
-    when the target is already processed — mirroring
-    ``Process._resume``'s immediate-continue loop), and the terminal
-    :meth:`_finish` triggers :attr:`result` at priority 1 exactly where
-    ``Process.succeed`` lands.  Since every calendar entry the
-    generator path inserts has a counterpart inserted at the same
-    moment with the same ``(time, priority)``, sequence numbers match
-    and the simulation is bit-identical between the two paths.
+    An operation is a chain of bound-method callbacks instead of a
+    generator process, so it costs no :class:`Process` object, frame or
+    ``send()`` round trip per event.
 
-    ``yield from`` sub-flows have no calendar footprint of their own;
-    their flat counterparts are plain helper objects that call a
-    continuation when done and route failures to :meth:`_fail`.
+    **Calendar protocol**: construction pushes one priority-0
+    :class:`Hop` that runs :meth:`_start`.  Each wait is one
+    :meth:`_await`: it appends one callback to a pending event, or
+    continues synchronously — with no calendar entry — when the target
+    was already processed.  The terminal :meth:`_finish` triggers
+    :attr:`result` at priority 1.  The golden calendar digests of the
+    kernel determinism suite pin this sequence entry for entry.
 
-    Subclasses implement ``_start(event)`` (the process's first
-    segment) and may override ``_cleanup()`` to mirror a generator's
-    ``finally`` block — it runs once if a yielded event fails, before
-    the failure propagates to :attr:`result`.
+    Sub-steps with no calendar footprint of their own are plain helper
+    objects that call a continuation when done and route failures to
+    :meth:`_fail`.
+
+    Subclasses implement ``_start(event)`` (the first step) and may
+    override ``_cleanup()`` — it runs once if an awaited event fails,
+    before the failure propagates to :attr:`result`.
     """
 
     __slots__ = ("env", "result", "_k")
@@ -327,14 +326,14 @@ class FlatOp:
         raise NotImplementedError
 
     def _await(self, ev: Event, k: Callable[[Any], None]) -> None:
-        """Wait for ``ev``, then call ``k(ev.value)`` — one ``yield``."""
+        """Wait for ``ev``, then call ``k(ev.value)``."""
         callbacks = ev.callbacks
         if callbacks is not None:
             self._k = k
             callbacks.append(self._on)
         elif ev._ok:
-            # target already processed: continue immediately, exactly
-            # like Process._resume's inner loop (no calendar entry)
+            # target already processed: continue immediately (no
+            # calendar entry), like Process._resume's inner loop
             k(ev._value)
         else:
             self._fail(ev._value)
@@ -346,7 +345,7 @@ class FlatOp:
             self._fail(ev._value)
 
     def _cleanup(self) -> None:
-        """Failure-path mirror of the generator's ``finally`` block."""
+        """Release what the operation holds when an awaited event fails."""
 
     def _fail(self, exc: BaseException) -> None:
         self._cleanup()

@@ -15,10 +15,8 @@ FIFO) and deterministic.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from . import analytic as _analytic
 from .core import Environment, Event, Hop, SimulationError, Timeout, Wake
 
 __all__ = [
@@ -27,25 +25,8 @@ __all__ = [
     "PriorityResource",
     "Container",
     "Store",
-    "hold_quantum",
     "FastHold",
 ]
-
-#: escape hatch: set REPRO_NO_FASTPATH=1 to force the classic
-#: one-event-per-quantum resource holds (useful when bisecting)
-QUANTUM_COALESCE = os.environ.get("REPRO_NO_FASTPATH", "") in ("", "0")
-
-#: escape hatch: set REPRO_NO_FASTHOLD=1 to serve disk/network requests
-#: through the classic generator processes instead of the callback
-#: state machines (:class:`FastHold`); orthogonal to REPRO_NO_FASTPATH
-FAST_HOLD = os.environ.get("REPRO_NO_FASTHOLD", "") in ("", "0")
-
-#: escape hatch: set REPRO_NO_FSFAST=1 to serve filesystem and MPI-IO
-#: requests through the classic generator processes instead of the flat
-#: :class:`~repro.simengine.core.FlatOp` state machines; orthogonal to
-#: the other two hatches
-FS_FAST = os.environ.get("REPRO_NO_FSFAST", "") in ("", "0")
-
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
@@ -54,7 +35,7 @@ class Request(Event):
     :meth:`Resource.release`.
     """
 
-    __slots__ = ("resource", "priority", "_order", "_released", "fh", "t_arrival", "order_key")
+    __slots__ = ("resource", "priority", "_order", "_released", "t_arrival", "order_key")
 
     def __init__(self, resource: "Resource", priority: int = 0, order_key=None):
         super().__init__(resource.env)
@@ -63,9 +44,6 @@ class Request(Event):
         resource._order += 1
         self._order = resource._order
         self._released = False
-        # back-pointer set by FastHold re-acquires; lets the analytic
-        # slice rings recognise steady rotation members in the queue
-        self.fh = None
         self.t_arrival = resource.env._now
         # semantic tie-break among waiters that arrived at the *same*
         # sim-time: requests carrying a key are ordered by it instead of
@@ -108,11 +86,6 @@ class Resource:
         self.queue: list[Request] = []
         self._order = 0
         self._arrival_watchers: list[Event] = []
-        # synchronous callbacks run at the top of request(), before any
-        # state is read — analytic slice rings use these to dissolve
-        # exactly when a foreign request is about to observe the
-        # resource (empty except while a ring is live)
-        self._request_hooks: list = []
 
     @property
     def count(self) -> int:
@@ -125,9 +98,6 @@ class Resource:
         ``order_key`` (optional, orderable) breaks ties among waiters
         that arrive at the same sim-time; see :class:`Request`.
         """
-        if self._request_hooks:
-            for cb in self._request_hooks[:]:
-                cb()
         req = Request(self, priority, order_key)
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(req)
@@ -166,7 +136,6 @@ class Resource:
         self.queue.clear()
         self._order = 0
         self._arrival_watchers.clear()
-        self._request_hooks.clear()
 
     def release(self, req: Request) -> None:
         """Give the slot back and wake the next waiter.
@@ -238,12 +207,6 @@ class Resource:
         )
 
 
-# plain FIFO resources are the only ring-eligible kind; the analytic
-# module checks exact type identity without importing this module
-_analytic._RESOURCE_CLS = Resource
-_analytic._REQUEST_CLS = Request
-
-
 class PriorityResource(Resource):
     """Resource whose queue is ordered by (priority, arrival order)."""
 
@@ -256,110 +219,39 @@ class PriorityResource(Resource):
         return queue.pop(best)
 
 
-def hold_quantum(
-    env: Environment,
-    resources: list[Resource],
-    reqs: list[Request],
-    total: float,
-    quantum: float,
-    priority: int = 0,
-    order_key=None,
-) -> Generator:
-    """Hold granted slots for ``total`` seconds, yielding to competitors
-    at ``quantum`` boundaries.
-
-    Semantically this is the classic fairness loop — sleep one quantum,
-    then release/re-acquire whenever somebody is queued — but
-    uncontended stretches are covered by a *single* calendar entry
-    instead of one event per quantum: the holder sleeps on
-    ``AnyOf(wake-at-completion, arrival-watcher)`` and, if contention
-    appears mid-sleep, rejoins the quantum grid at the first boundary
-    after the arrival.  Boundary times replay the per-quantum float
-    additions, so resulting timestamps are identical to the sliced
-    path.
-
-    ``reqs`` is mutated in place as slots are released/re-acquired, so
-    a caller's ``finally`` block always releases the current requests.
-    Multiple resources (e.g. a sender's uplink plus a receiver's
-    downlink) release in reverse list order and re-acquire in list
-    order.  Use as ``yield from hold_quantum(...)`` inside a process.
-    """
-    remaining = total
-    while remaining > 0:
-        if remaining <= quantum:
-            yield env.timeout(remaining)
-            return
-        if any(r.queue for r in resources) or not QUANTUM_COALESCE:
-            yield env.timeout(quantum)
-            remaining -= quantum
-        else:
-            # Replay the per-quantum addition chain to the exact time
-            # the sliced loop would finish, then sleep there in one go.
-            start = env.now
-            end = start
-            rem = remaining
-            while rem > 0:
-                step = rem if rem < quantum else quantum
-                end += step
-                rem -= step
-            watchers = [r.watch_arrival() for r in resources]
-            wake = env.wake_at(end)
-            yield env.any_of([wake] + watchers)
-            for r, w in zip(resources, watchers):
-                r.unwatch_arrival(w)
-            if wake.callbacks is None:  # processed: hold ran to completion
-                return
-            # Contention arrived mid-sleep: rejoin the quantum grid at
-            # the first boundary after the arrival.
-            t_arr = env.now
-            b = start
-            rem = remaining
-            while rem > 0 and b <= t_arr:
-                step = rem if rem < quantum else quantum
-                b += step
-                rem -= step
-            remaining = rem
-            yield env.wake_at(b)
-        if remaining > 0 and any(r.queue for r in resources):
-            for i in range(len(resources) - 1, -1, -1):
-                resources[i].release(reqs[i])
-            for i, r in enumerate(resources):
-                # the re-acquired request replaces reqs[i] in place, so
-                # the *caller's* try/finally releases it — guaranteed
-                # release lives one frame up
-                req = r.request(priority, order_key)  # simlint: ignore[resource-release]
-                yield req
-                reqs[i] = req
-
-
 class FastHold:
-    """Callback-driven replica of ``request → hold_quantum → release``.
+    """A flat state machine that acquires resources, holds them for a
+    service time in quanta, releases them and triggers :attr:`result`.
 
-    The generator serve paths (``Disk._serve``, ``Link._send``,
-    ``Network._route``) spend most of their cost on kernel plumbing: a
-    :class:`~repro.simengine.core.Process` object, a generator frame,
-    and a ``send()`` round trip per event.  This class drives the same
-    protocol as a flat state machine — each ``yield`` of the generator
-    corresponds to one bound-method callback here.
+    Every model component that occupies a contention point (a disk
+    head, a link, an uplink/downlink pair) is one of these — a chain of
+    bound-method callbacks instead of a generator process, so a request
+    costs no :class:`~repro.simengine.core.Process`, frame or ``send()``
+    round trip.
 
-    **Bit-identity invariant**: every calendar entry the generator path
-    inserts has a counterpart inserted *at the same moment* with the
-    same ``(time, priority)`` — construction pushes a priority-0
-    :class:`~repro.simengine.core.Hop` exactly where ``Initialize``
-    would sit; the request grant, quantum boundaries, coalesced-sleep
-    combinator resume and completion each consume one sequence number
-    exactly where the slow path consumes one.  Since sequence numbers
-    are assigned in the same order, the heap holds identical keys and
-    the simulation is bit-identical between the two paths (the kernel
-    determinism suite byte-compares the resulting tables).
+    **Calendar protocol**: construction pushes one priority-0
+    :class:`~repro.simengine.core.Hop` that runs :meth:`_start`.
+    Resources are then requested in list order, one grant at a time.
+    The hold sleeps one quantum at a time while any held resource has
+    waiters, and at each boundary with waiters it releases every slot
+    (reverse list order) and re-requests them (list order), so
+    equal-priority competitors interleave at quantum granularity.  An
+    uncontended stretch is covered by a single :class:`Wake` at the
+    time the per-quantum additions would reach (so timestamps equal the
+    sliced ones), raced against arrival watchers; whichever fires first
+    resumes the hold through one priority-1 ``Hop``, and an arrival
+    rejoins the quantum grid at the first boundary after it.
+    Completion releases the slots and ``_done`` triggers the result at
+    priority 1.  The golden calendar digests of the kernel determinism
+    suite pin this sequence entry for entry.
 
     Subclasses implement:
 
-    * ``_start(event)`` — runs where the process's first segment would
-      (priority-0 hop); usually ends in :meth:`_acquire`;
+    * ``_start(event)`` — the first step (priority-0 hop); usually ends
+      in :meth:`_acquire`;
     * ``_granted()`` — runs at the grant of the last resource; must
-      compute the hold time, apply the accounting the generator path
-      applies there, and call :meth:`_begin_hold`;
+      compute the hold time, apply the component's accounting, and call
+      :meth:`_begin_hold`;
     * ``_done()`` — runs after all resources are released at
       completion; typically triggers the result event.
     """
@@ -386,9 +278,6 @@ class FastHold:
         self.order_key = order_key
         self.reqs: list[Request] = []
         self.result = Event(env)
-        self._wake = None
-        self._hold_start = -1.0
-        # where the generator path creates Initialize(env, process)
         Hop(env, self._start, priority=0)
 
     # -- subclass hooks --------------------------------------------------
@@ -403,8 +292,7 @@ class FastHold:
 
     # -- acquisition -----------------------------------------------------
     def _acquire(self) -> None:
-        """Acquire ``resources`` in list order, one grant at a time —
-        the fixed-order chain of ``yield req`` in the generator paths."""
+        """Acquire ``resources`` in list order, one grant at a time."""
         self._acq_i = 0
         self.reqs = []
         self._acquire_next()
@@ -423,7 +311,7 @@ class FastHold:
         self._acq_i += 1
         self._acquire_next()
 
-    # -- the hold loop (mirrors hold_quantum statement for statement) ----
+    # -- the quantum hold loop --------------------------------------------
     def _begin_hold(self, total: float, quantum: float) -> None:
         self.remaining = total
         self.quantum = quantum
@@ -445,16 +333,9 @@ class FastHold:
             if r.queue:
                 contended = True
                 break
-        if contended or not QUANTUM_COALESCE:
-            if contended and _analytic.ANALYTIC and _analytic.try_adopt(self, remaining):
-                return
+        if contended:
             self.remaining = remaining - quantum
-            # record the in-flight slice so a late ring adoption (see
-            # analytic.try_adopt_late) can identify and defuse it; the
-            # coalesced branch below reuses the same slots
-            self._hold_start = env._now
-            wake = self._wake = Timeout(env, quantum)
-            wake.callbacks.append(self._after_sleep)
+            Timeout(env, quantum).callbacks.append(self._after_sleep)
             return
         # Replay the per-quantum addition chain to the exact time the
         # sliced loop would finish, then sleep there in one go.
@@ -474,9 +355,9 @@ class FastHold:
             w.callbacks.append(cb)
 
     def _coalesce_fired(self, ev: Event) -> None:
-        # mirror of AnyOf._on_child: schedule the resume (one priority-1
-        # entry, where AnyOf.succeed would insert itself), then prune
-        # the shared callback from the other chained events
+        # the first of wake/watchers to fire schedules the resume (one
+        # priority-1 entry), then the shared callback is pruned from
+        # the others
         Hop(self.env, self._after_coalesce)
         cb = self._coalesce_fired
         wake = self._wake
@@ -516,7 +397,7 @@ class FastHold:
         Wake(env, b).callbacks.append(self._after_sleep)
 
     def _after_sleep(self, ev: Event) -> None:
-        # hold_quantum loop bottom: yield slots to queued competitors
+        # quantum boundary: yield slots to queued competitors
         if self.remaining > 0:
             resources = self.resources
             for r in resources:
@@ -536,15 +417,8 @@ class FastHold:
             self._hold_step()
             return
         req = resources[i].request(self.priority, self.order_key)  # simlint: ignore[resource-release]
-        req.fh = self
         self.reqs[i] = req
         req.callbacks.append(self._on_regrant)
-        if not req.triggered and _analytic.ANALYTIC:
-            # a stalled re-acquire is the last deferred hop of a
-            # rotation boundary — the first instant a two-level steady
-            # window is fully observable (the new holder's _hold_step
-            # ran one grant-callback too early to see this queue entry)
-            _analytic.try_adopt_late(resources[i])
 
     def _on_regrant(self, req: Event) -> None:
         self._acq_i += 1
@@ -554,8 +428,8 @@ class FastHold:
         self._release_and_done()
 
     def _release_and_done(self) -> None:
-        # the callers' ``finally``: release in reverse list order,
-        # guarded against a slot already gone (teardown mid-hold)
+        # release in reverse list order, guarded against a slot already
+        # gone (teardown mid-hold)
         resources = self.resources
         reqs = self.reqs
         for i in range(len(resources) - 1, -1, -1):

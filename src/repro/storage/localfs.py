@@ -28,7 +28,6 @@ import bisect
 from dataclasses import dataclass, field
 
 from ..simengine import Environment, Event, FlatOp, Resource, Timeout
-from ..simengine import resources as _kernel
 from ..hardware.node import Node
 from ..hardware.raid import RAIDArray
 from .base import IORequest, KiB, MiB
@@ -136,26 +135,7 @@ class LocalFS:
     # ------------------------------------------------------------------
     def create(self, path: str) -> Event:
         """Create (or truncate) a file; value is the :class:`Inode`."""
-        if _kernel.FS_FAST:
-            return _LocalCreate(self, path).result
-        return self.env.process(self._create(path), name=f"{self.name}.create")
-
-    def _create(self, path):  # simlint: ignore[generator-serve]
-        yield self.env.timeout(self.spec.create_s)
-        yield self.array.submit(
-            "write", self._journal_offset(), self.spec.journal_write_bytes
-        )
-        inode = self._inodes.get(path)
-        if inode is None:
-            inode = Inode(self._next_fileid, path)
-            self._next_fileid += 1
-            self._inodes[path] = inode
-            self._by_id[inode.fileid] = inode
-        else:
-            inode.size = 0
-            self.cache.drop_file(inode.fileid)
-        self.stats.creates += 1
-        return inode
+        return _LocalCreate(self, path).result
 
     def open(self, path: str, create: bool = False) -> Event:
         """Open an existing file; value is the :class:`Inode`."""
@@ -163,16 +143,7 @@ class LocalFS:
             if create:
                 return self.create(path)
             raise FileNotFoundError(path)
-        inode = self._inodes[path]
-        if _kernel.FS_FAST:
-            return _LocalOpen(self, inode).result
-
-        def _op():  # simlint: ignore[generator-serve]
-            yield self.env.timeout(self.spec.open_s)
-            self.stats.opens += 1
-            return inode
-
-        return self.env.process(_op(), name=f"{self.name}.open")
+        return _LocalOpen(self, self._inodes[path]).result
 
     def close(self, inode: Inode) -> Event:
         return self.env.timeout(self.spec.close_s, value=inode)
@@ -181,20 +152,7 @@ class LocalFS:
         inode = self._inodes.get(path)
         if inode is None:
             raise FileNotFoundError(path)
-        if _kernel.FS_FAST:
-            return _LocalUnlink(self, path, inode).result
-
-        def _op():  # simlint: ignore[generator-serve]
-            yield self.env.timeout(self.spec.unlink_s)
-            yield self.array.submit(
-                "write", self._journal_offset(), self.spec.journal_write_bytes
-            )
-            self.cache.drop_file(inode.fileid)
-            del self._inodes[path]
-            del self._by_id[inode.fileid]
-            return None
-
-        return self.env.process(_op(), name=f"{self.name}.unlink")
+        return _LocalUnlink(self, path, inode).result
 
     def stat(self, path: str) -> Inode:
         if path not in self._inodes:
@@ -214,13 +172,9 @@ class LocalFS:
         """Serve a data request; the event fires when it is *accepted*
         (writes: resident in cache under write-back; reads: data
         available in the caller's buffer)."""
-        if _kernel.FS_FAST:
-            if req.op == "write":
-                return _LocalWrite(self, inode, req).result
-            return _LocalRead(self, inode, req).result
         if req.op == "write":
-            return self.env.process(self._write(inode, req), name=f"{self.name}.write")
-        return self.env.process(self._read(inode, req), name=f"{self.name}.read")
+            return _LocalWrite(self, inode, req).result
+        return _LocalRead(self, inode, req).result
 
     def submit_direct(self, inode: Inode, req: IORequest) -> Event:
         """MPI-IO access path; on a local filesystem it is the normal
@@ -243,22 +197,7 @@ class LocalFS:
         """
         if req.op != "write":
             raise ValueError("submit_serialized_write is write-only")
-        if _kernel.FS_FAST:
-            return _LocalSerializedWrite(self, inode, req, per_op_s).result
-
-        def _op():  # simlint: ignore[generator-serve]
-            lock = self._ilock(inode)
-            grant = lock.request()
-            yield grant
-            try:
-                yield self.env.timeout(req.count * per_op_s)
-                yield self.submit(inode, req)
-            finally:
-                if grant in lock.users:
-                    lock.release(grant)
-            return req.total_bytes
-
-        return self.env.process(_op(), name=f"{self.name}.syncwrite")
+        return _LocalSerializedWrite(self, inode, req, per_op_s).result
 
     def _ilock(self, inode: Inode) -> Resource:
         lock = self._inode_locks.get(inode.fileid)
@@ -345,13 +284,11 @@ class LocalFS:
 
     def fsync(self, inode: Inode) -> Event:
         """Flush the file's dirty segments to the device."""
-        if _kernel.FS_FAST:
-            return _LocalFsync(self, inode).result
-        return self.env.process(self._fsync(inode), name=f"{self.name}.fsync")
+        return _LocalFsync(self, inode).result
 
     def sync(self) -> Event:
         """Flush everything dirty and drain the array's cache."""
-        return self.env.process(self._sync_all(), name=f"{self.name}.sync")
+        return _LocalSync(self).result
 
     # -- write -------------------------------------------------------------
     def _dirty_plan(self, req: IORequest) -> tuple[list[tuple[int, int]], int]:
@@ -379,120 +316,6 @@ class LocalFS:
         rem = (req.count - n) * req.nbytes
         return [(s, req.nbytes) for s in segs], rem
 
-    def _write(self, inode, req: IORequest):  # simlint: ignore[generator-serve]
-        spec = self.spec
-        total = req.total_bytes
-        # CPU: syscalls + copy into the cache
-        yield self.env.timeout(req.count * spec.syscall_s + self.node.memcpy_time(total))
-        end = req.offset + req.span
-        self._ensure_allocation(inode, end)
-        self.stats.writes += req.count
-        self.stats.bytes_written += total
-
-        plan, overflow = self._dirty_plan(req)
-        if self.cache.spec.write_back:
-            i = 0
-            while i < len(plan):
-                # absorb the throttle-free, flush-free prefix in one call
-                i += self.cache.insert_dirty_run(inode.fileid, plan, i)
-                if i >= len(plan):
-                    break
-                seg, dirty = plan[i]
-                if self.cache.need_throttle:
-                    yield from self._throttle()
-                victims = self.cache.insert(inode.fileid, seg, dirty)
-                if victims:
-                    yield from self._flush_entries(victims)
-                i += 1
-        else:
-            for seg, dirty in plan:
-                if self.cache.need_throttle:
-                    yield from self._throttle()
-                victims = self.cache.insert(inode.fileid, seg, 0)
-                yield from self._flush_entries([(inode.fileid, seg, dirty)])
-                if victims:
-                    yield from self._flush_entries(victims)
-        if overflow:
-            # Stream far larger than the cache: the excess hits the
-            # device directly at the pattern's natural rate.
-            nb = max(req.nbytes, spec.min_io_bytes)
-            dev = inode.device_offset(0)
-            yield self.array.submit("write", dev, nb, max(overflow // nb, 1), 7919 * nb, cached=False)
-        if self.cache.need_background_flush:
-            self._kick_flusher()
-        inode.size = max(inode.size, end)
-        return total
-
-    # -- read --------------------------------------------------------------
-    def _read(self, inode, req: IORequest):  # simlint: ignore[generator-serve]
-        spec = self.spec
-        total = req.total_bytes
-        yield self.env.timeout(req.count * spec.syscall_s + self.node.memcpy_time(total))
-        self.stats.reads += req.count
-        self.stats.bytes_read += total
-
-        if req.offset >= inode.size:
-            # read at/past EOF (e.g. a never-written file): POSIX
-            # returns short/zero without touching the device
-            return total
-        if self.cache.file_fully_resident(inode.fileid, max(inode.size, 1)):
-            span = min(req.span, max(inode.size - req.offset, 0))
-            self.cache.touch_run(inode.fileid, self.cache.segments_of(req.offset, span))
-            return total
-        if req.is_dense:
-            yield from self._cached_read(inode, req)
-        else:
-            # Sparse cold reads: page-granular device I/O per operation.
-            nb = max(req.nbytes, spec.min_io_bytes)
-            dev = inode.device_offset(min(req.offset, max(inode.size - 1, 0)))
-            stride = req.effective_stride if req.stride != -1 else 7919 * spec.min_io_bytes
-            self.cache.stats.misses += req.count
-            yield self.array.submit("read", dev, nb, req.count, stride)
-        return total
-
-    def _cached_read(self, inode, req: IORequest):  # simlint: ignore[generator-serve]
-        sb = self.cache.spec.segment_bytes
-        span = min(req.span, max(inode.size - req.offset, 0))
-        segs = list(self.cache.segments_of(req.offset, span))
-        miss_run: list[int] = []
-        for seg in segs:
-            if self.cache.touch(inode.fileid, seg):
-                if miss_run:
-                    yield from self._fill(inode, miss_run)
-                    miss_run = []
-            else:
-                miss_run.append(seg)
-        if miss_run:
-            # sequential tail: extend by the readahead window
-            ra_extra = self.spec.readahead_bytes // sb
-            last = miss_run[-1]
-            file_last_seg = max((inode.size - 1) // sb, 0)
-            for k in range(1, ra_extra + 1):
-                if last + k <= file_last_seg:
-                    miss_run.append(last + k)
-            yield from self._fill(inode, miss_run)
-
-    def _fill(self, inode, segs: list[int]):  # simlint: ignore[generator-serve]
-        """Read missing segments from the device and make them resident."""
-        sb = self.cache.spec.segment_bytes
-        for fileid, first, nsegs, _d in PageCache.coalesce(
-            (inode.fileid, s, 0) for s in segs
-        ):
-            off = first * sb
-            length = min(nsegs * sb, max(inode.size - off, sb))
-            self._ensure_allocation(inode, off + length)
-            dev = inode.device_offset(off)
-            yield self.array.submit("read", dev, length)
-            s, end = first, first + nsegs
-            while s < end:
-                s += self.cache.insert_clean_run(fileid, s, end - s)
-                if s >= end:
-                    break
-                victims = self.cache.insert(fileid, s, 0)
-                s += 1
-                if victims:
-                    yield from self._flush_entries(victims)
-
     # -- write-back machinery ------------------------------------------------
     def _journal_offset(self) -> int:
         # fixed journal region at the tail of the device
@@ -510,89 +333,21 @@ class LocalFS:
         self._alloc_cursor = start + length
         inode.extents.append((have, start, length))
 
-    def _flush_entries(self, entries):  # simlint: ignore[generator-serve]
-        """Write dirty cache entries to the device and mark them clean.
-
-        Runs that are densely dirty flush as one sequential write;
-        sparse runs flush as scattered page-sized writes.
-        """
-        sb = self.cache.spec.segment_bytes
-        for fileid, first, nsegs, dirty in PageCache.coalesce(entries):
-            inode = self._by_id.get(fileid)
-            if inode is None:
-                for s in range(first, first + nsegs):
-                    self.cache.mark_clean(fileid, s)
-                continue
-            off = first * sb
-            self._ensure_allocation(inode, off + nsegs * sb)
-            dev = inode.device_offset(off)
-            density = dirty / (nsegs * sb)
-            if density >= self.spec.dense_flush_threshold:
-                yield self.array.submit("write", dev, nsegs * sb, cached=False)
-            else:
-                nb = self.spec.min_io_bytes
-                nops = max(dirty // nb, 1)
-                scatter = max((nsegs * sb) // nops, nb)
-                yield self.array.submit("write", dev, nb, nops, scatter, cached=False)
-            for s in range(first, first + nsegs):
-                self.cache.mark_clean(fileid, s)
-            self.stats.flush_runs += 1
-
     def _kick_flusher(self) -> None:
         if not self._flusher_running:
             self._flusher_running = True
-            if _kernel.FS_FAST:
-                _LocalFlusher(self)
-            else:
-                self.env.process(self._flusher(), name=f"{self.name}.flusher")
-
-    def _flusher(self):  # simlint: ignore[generator-serve]
-        while self.cache.need_background_flush:
-            batch = self.cache.dirty_segments(limit=self.FLUSH_BATCH_SEGS)
-            if not batch:
-                break
-            yield from self._flush_entries(batch)
-            waiters, self._flush_waiters = self._flush_waiters, []
-            for w in waiters:
-                w.succeed()
-        self._flusher_running = False
-        waiters, self._flush_waiters = self._flush_waiters, []
-        for w in waiters:
-            w.succeed()
-
-    def _throttle(self):  # simlint: ignore[generator-serve]
-        """Block the writer until the flusher drains below the dirty limit."""
-        while self.cache.need_throttle:
-            self._kick_flusher()
-            ev = self.env.event()
-            self._flush_waiters.append(ev)
-            yield ev
-
-    def _fsync(self, inode):  # simlint: ignore[generator-serve]
-        yield self.env.timeout(self.spec.syscall_s)
-        entries = self.cache.dirty_segments(limit=None, fileid=inode.fileid)
-        yield from self._flush_entries(entries)
-        yield self.array.submit(
-            "write", self._journal_offset(), self.spec.journal_write_bytes
-        )
-        return None
-
-    def _sync_all(self):  # simlint: ignore[generator-serve]
-        entries = self.cache.dirty_segments(limit=None)
-        yield from self._flush_entries(entries)
-        yield self.array.flush()
-        return None
-
+            _LocalFlusher(self)
 
 # ----------------------------------------------------------------------
-# flat service paths (REPRO_NO_FSFAST falls back to the generators)
+# service paths: flat state machines on the kernel calendar
 # ----------------------------------------------------------------------
 class _FlatFlush:
-    """Flat counterpart of :meth:`LocalFS._flush_entries`.
+    """Write dirty cache entries to the device and mark them clean.
 
-    Sub-flows have no calendar footprint of their own (they replace a
-    ``yield from``): they borrow the parent op's :meth:`FlatOp._await`
-    and call ``k()`` when the flow completes.
+    Runs that are densely dirty flush as one sequential write; sparse
+    runs flush as scattered page-sized writes.  Like the other
+    sub-steps below it has no calendar footprint of its own: it borrows
+    the parent op's :meth:`FlatOp._await` and calls ``k()`` when done.
     """
 
     __slots__ = ("fs", "op", "runs", "i", "k")
@@ -643,7 +398,7 @@ class _FlatFlush:
 
 
 class _FlatThrottle:
-    """Flat counterpart of :meth:`LocalFS._throttle`."""
+    """Block the writer until the flusher drains below the dirty limit."""
 
     __slots__ = ("fs", "op", "k")
 
@@ -665,7 +420,7 @@ class _FlatThrottle:
 
 
 class _FlatFill:
-    """Flat counterpart of :meth:`LocalFS._fill`."""
+    """Read missing segments from the device and make them resident."""
 
     __slots__ = ("fs", "op", "inode", "runs", "i", "s", "k")
 
@@ -712,7 +467,10 @@ class _FlatFill:
 
 
 class _LocalWrite(FlatOp):
-    """Flat counterpart of :meth:`LocalFS._write`."""
+    """A write: syscall and copy CPU, then dirty the page cache —
+    throttling on the dirty limit and flushing evicted victims — and
+    send any overflow of a stream far larger than the cache straight to
+    the device at the pattern's natural rate."""
 
     __slots__ = ("fs", "inode", "req", "total", "_plan", "_overflow", "_i", "_stage", "_victims")
 
@@ -810,7 +568,10 @@ class _LocalWrite(FlatOp):
 
 
 class _LocalRead(FlatOp):
-    """Flat counterpart of :meth:`LocalFS._read` (incl. ``_cached_read``)."""
+    """A read: syscall and copy CPU, then serve from a fully resident
+    file, or fill missing runs (dense reads, extended by the readahead
+    window at the tail), or issue page-granular device reads per
+    operation (sparse cold reads)."""
 
     __slots__ = ("fs", "inode", "req", "total", "_segs", "_si", "_miss")
 
@@ -895,7 +656,9 @@ class _LocalRead(FlatOp):
 
 
 class _LocalFlusher(FlatOp):
-    """Flat counterpart of the background :meth:`LocalFS._flusher`."""
+    """The background flusher: write back dirty batches while the cache
+    is above its background threshold, waking throttled writers after
+    each batch."""
 
     __slots__ = ("fs",)
 
@@ -929,7 +692,8 @@ class _LocalFlusher(FlatOp):
 
 
 class _LocalFsync(FlatOp):
-    """Flat counterpart of :meth:`LocalFS._fsync`."""
+    """fsync: flush the file's dirty segments, then write a journal
+    record."""
 
     __slots__ = ("fs", "inode")
 
@@ -958,7 +722,7 @@ class _LocalFsync(FlatOp):
 
 
 class _LocalCreate(FlatOp):
-    """Flat counterpart of :meth:`LocalFS._create`."""
+    """create: CPU, a journal write, then a new (or truncated) inode."""
 
     __slots__ = ("fs", "path")
 
@@ -993,7 +757,7 @@ class _LocalCreate(FlatOp):
 
 
 class _LocalOpen(FlatOp):
-    """Flat counterpart of the one-yield open op."""
+    """open: CPU, then the existing inode."""
 
     __slots__ = ("fs", "inode")
 
@@ -1011,7 +775,7 @@ class _LocalOpen(FlatOp):
 
 
 class _LocalUnlink(FlatOp):
-    """Flat counterpart of the unlink op."""
+    """unlink: CPU, a journal write, then drop the inode and its cache."""
 
     __slots__ = ("fs", "path", "inode")
 
@@ -1040,7 +804,8 @@ class _LocalUnlink(FlatOp):
 
 
 class _LocalSerializedWrite(FlatOp):
-    """Flat counterpart of :meth:`LocalFS.submit_serialized_write`."""
+    """:meth:`LocalFS.submit_serialized_write`: per-op service time and
+    the write itself, under the per-inode mutex."""
 
     __slots__ = ("fs", "inode", "req", "per_op_s", "_lock", "_grant")
 
@@ -1074,5 +839,24 @@ class _LocalSerializedWrite(FlatOp):
             self._lock.release(grant)
 
     def _cleanup(self):
-        # the generator's ``finally``
         self._release()
+
+
+class _LocalSync(FlatOp):
+    """sync: flush everything dirty, then drain the array's cache."""
+
+    __slots__ = ("fs",)
+
+    def __init__(self, fs):
+        self.fs = fs
+        super().__init__(fs.env)
+
+    def _start(self, event):
+        fs = self.fs
+        _FlatFlush(fs, self, fs.cache.dirty_segments(limit=None), self._flushed)
+
+    def _flushed(self, _v=None):
+        self._await(self.fs.array.flush(), self._drained)
+
+    def _drained(self, _v):
+        self._finish(None)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..simengine import Environment, Event, FlatOp, Resource, Timeout, Wake
-from ..simengine import resources as _kernel
 from ..hardware.network import Network
 from ..hardware.node import Node
 from .base import IORequest, KiB, MiB
@@ -119,36 +118,14 @@ class NFSServer:
         return self.env.now < self.stall_until
 
     def service_op(self, work_event_factory, rpc_count: int = 1) -> Event:
-        """Thread-pool service as an event (see :meth:`service`)."""
-        if _kernel.FS_FAST:
-            return _ServerService(self, work_event_factory, rpc_count).result
-        return self.env.process(self.service(work_event_factory, rpc_count))
-
-    def service(self, work_event_factory, rpc_count: int = 1):  # simlint: ignore[generator-serve]
         """Hold a server thread while performing backend work.
 
         ``work_event_factory`` is a zero-argument callable returning the
         backend event (e.g. a LocalFS submit) — created *after* the
-        thread is granted, as real nfsd threads do.  Returns the backend
-        event's value.
+        thread is granted, as real nfsd threads do.  The returned event
+        fires with the backend event's value.
         """
-        result = None
-        req = self.threads.request()
-        yield req
-        try:
-            if self.env.now < self.stall_until:
-                # stalled: the granted thread sits on the wedged
-                # backend until service resumes
-                yield self.env.wake_at(self.stall_until)
-            yield self.env.timeout(self.spec.server_rpc_cpu_s * rpc_count)
-            ev = work_event_factory()
-            if ev is not None:
-                result = yield ev
-        finally:
-            if req in self.threads.users:
-                self.threads.release(req)
-        self.stats.rpcs += rpc_count
-        return result
+        return _ServerService(self, work_event_factory, rpc_count).result
 
     def reset(self) -> None:
         """Forget thread-pool, stall and statistics state (warm reuse)."""
@@ -195,9 +172,7 @@ class NFSMount:
 
     def close(self, inode: Inode) -> Event:
         """Close-to-open consistency: flush dirty data, then COMMIT."""
-        if _kernel.FS_FAST:
-            return _FlatCommit(self, inode, close=True).result
-        return self.env.process(self._close(inode), name=f"{self.name}.close")
+        return _FlatCommit(self, inode, close=True).result
 
     def unlink(self, path: str) -> Event:
         def _inval():
@@ -208,9 +183,7 @@ class NFSMount:
         return self._meta_op(_inval)
 
     def _meta_op(self, backend_factory) -> Event:
-        if _kernel.FS_FAST:
-            return _FlatMetaRpc(self, backend_factory).result
-        return self.env.process(self._meta_rpc(backend_factory))
+        return _FlatMetaRpc(self, backend_factory).result
 
     def stat(self, path: str) -> Inode:
         return self.server.export.stat(path)
@@ -219,21 +192,15 @@ class NFSMount:
         return self.server.export.exists(path)
 
     def fsync(self, inode: Inode) -> Event:
-        if _kernel.FS_FAST:
-            return _FlatCommit(self, inode, close=False).result
-        return self.env.process(self._commit(inode), name=f"{self.name}.fsync")
+        return _FlatCommit(self, inode, close=False).result
 
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
     def submit(self, inode: Inode, req: IORequest) -> Event:
-        if _kernel.FS_FAST:
-            if req.op == "write":
-                return _NFSWrite(self, inode, req).result
-            return _NFSRead(self, inode, req).result
         if req.op == "write":
-            return self.env.process(self._write(inode, req), name=f"{self.name}.write")
-        return self.env.process(self._read(inode, req), name=f"{self.name}.read")
+            return _NFSWrite(self, inode, req).result
+        return _NFSRead(self, inode, req).result
 
     def submit_direct(self, inode: Inode, req: IORequest) -> Event:
         """Uncached, synchronous access — how MPI-IO (ROMIO) drives NFS.
@@ -249,9 +216,7 @@ class NFSMount:
           which is the behaviour behind the paper's NAS BT-IO *simple*
           results.
         """
-        if _kernel.FS_FAST:
-            return _FlatDirect(self, inode, req).result
-        return self.env.process(self._direct(inode, req), name=f"{self.name}.direct")
+        return _FlatDirect(self, inode, req).result
 
     def absorb(self, inode: Inode, req: IORequest) -> int:
         """Apply a direct request's state side effects analytically.
@@ -287,362 +252,16 @@ class NFSMount:
         self.cache.reset()
         self.stats = NFSStats()
 
-    def _direct(self, inode: Inode, req: IORequest):  # simlint: ignore[generator-serve]
-        spec = self.spec
-        total = req.total_bytes
-        san = self.env.sanitizer
-        if san is not None:
-            san.account_fs(self, req.op, total)
-        yield self.env.timeout(
-            req.count * spec.client_rpc_cpu_s + self.node.memcpy_time(total)
-        )
-        if req.op == "write":
-            self.stats.bytes_sent += total
-        else:
-            self.stats.bytes_received += total
-
-        if req.is_dense:
-            chunk = spec.wsize if req.op == "write" else spec.rsize
-            nrpc = max((total + chunk - 1) // chunk, 1)
-
-            def server_window(w, idx):
-                sub = IORequest(req.op, req.offset + idx * chunk, chunk, count=w)
-                return self.server.export.submit(inode, sub)
-
-            if req.op == "write":
-                yield from self._stream(nrpc, chunk, 8, server_window)
-                inode.size = max(inode.size, req.offset + req.span)
-            else:
-                yield from self._stream(nrpc, 8, chunk, server_window)
-            return total
-
-        # Sparse: strictly synchronous per-operation round trips.  With
-        # no pipelining the total is the sum of the per-stage times, so
-        # each stage is charged once in bulk.
-        yield self.env.timeout(req.count * 2 * self.network.spec.latency_s)
-        send_payload = req.nbytes if req.op == "write" else 8
-        reply_payload = 8 if req.op == "write" else req.nbytes
-        yield self.network.transfer(
-            self.node.name,
-            self.server.node.name,
-            send_payload + spec.rpc_header_bytes,
-            count=req.count,
-        )
-        if self.server.stalled:
-            yield from self._retransmit_while_stalled(send_payload, req.count)
-        if req.op == "write":
-            backend = lambda: self.server.export.submit_serialized_write(
-                inode, req, self.spec.server_small_op_s
-            )
-        else:
-            backend = lambda: self.server.export.submit(inode, req)
-        yield self.env.process(self.server.service(backend, rpc_count=req.count))
-        yield self.network.transfer(
-            self.server.node.name,
-            self.node.name,
-            reply_payload + spec.rpc_header_bytes,
-            count=req.count,
-        )
-        self.stats.rpcs += req.count
-        if req.op == "write":
-            inode.size = max(inode.size, req.offset + req.span)
-        return total
-
-    # -- RPC plumbing -------------------------------------------------------
-    def _retransmit_while_stalled(self, payload_bytes: int, count: int = 1):  # simlint: ignore[generator-serve]
-        """Client-side RPC timeout handling against a stalled server.
-
-        Called after a request hit the wire while the server is wedged
-        (``server.stall_until``): wait ``timeo``, re-send the request
-        bytes, back off exponentially; after ``retrans`` unanswered
-        re-sends log a *major timeout* and start over (hard-mount
-        semantics — bounded slowdown, never a hang).  The loop never
-        sleeps past the stall window, so the reply path resumes as soon
-        as the server does.
-
-        Jitter (±10% of each backoff step) comes from the seeded
-        ``env.rng`` streams installed by the fault injector; with no
-        registry installed the backoff is exact — either way the run
-        is deterministic for a fixed seed.
-        """
-        spec = self.spec
-        stall_end = self.server.stall_until
-        delay = spec.timeo_s
-        attempt = 0
-        rng = self.env.rng
-        while self.env.now + delay < stall_end:
-            yield self.env.timeout(delay)
-            wire = (payload_bytes + spec.rpc_header_bytes) * count
-            yield self.network.transfer(
-                self.node.name,
-                self.server.node.name,
-                payload_bytes + spec.rpc_header_bytes,
-                count=count,
-            )
-            self.stats.retransmits += count
-            san = self.env.sanitizer
-            if san is not None:
-                san.note_retransmit(wire)
-            attempt += 1
-            if attempt >= spec.retrans:
-                self.stats.major_timeouts += 1
-                attempt = 0
-                delay = spec.timeo_s
-            else:
-                delay *= 2.0
-            if rng is not None:
-                jitter = rng.stream(f"nfs.retrans.{self.name}").random()
-                delay *= 0.9 + 0.2 * float(jitter)
-
-    def _meta_rpc(self, backend_factory):  # simlint: ignore[generator-serve]
-        yield self.env.timeout(self.spec.getattr_s + self.spec.client_rpc_cpu_s)
-        yield self.network.transfer(
-            self.node.name, self.server.node.name, self.spec.rpc_header_bytes
-        )
-        if self.server.stalled:
-            yield from self._retransmit_while_stalled(0)
-        result = yield self.env.process(self.server.service(backend_factory))
-        yield self.network.transfer(
-            self.server.node.name, self.node.name, self.spec.rpc_header_bytes
-        )
-        self.stats.rpcs += 1
-        return result
-
-    def _stream(self, count, send_bytes_per_rpc, reply_bytes_per_rpc, server_window_factory):  # simlint: ignore[generator-serve]
-        """Pipelined RPC stream: windows of RPCs move over the network
-        while the server digests earlier windows; fires when all replies
-        are in."""
-        window = max(self.spec.slot_table, count // 64)
-        done: list[Event] = []
-        sent = 0
-        while sent < count:
-            w = min(window, count - sent)
-            yield self.network.transfer(
-                self.node.name,
-                self.server.node.name,
-                send_bytes_per_rpc + self.spec.rpc_header_bytes,
-                count=w,
-            )
-            if self.server.stalled:
-                yield from self._retransmit_while_stalled(send_bytes_per_rpc, w)
-            done.append(
-                self.env.process(
-                    self._server_window(w, sent, reply_bytes_per_rpc, server_window_factory)
-                )
-            )
-            sent += w
-        if done:
-            yield self.env.all_of(done)
-        self.stats.rpcs += count
-
-    def _server_window(self, w, start_index, reply_bytes_per_rpc, server_window_factory):  # simlint: ignore[generator-serve]
-        yield self.env.process(
-            self.server.service(lambda: server_window_factory(w, start_index), rpc_count=w)
-        )
-        yield self.network.transfer(
-            self.server.node.name,
-            self.node.name,
-            reply_bytes_per_rpc + self.spec.rpc_header_bytes,
-            count=w,
-        )
-
-    # -- write ---------------------------------------------------------------
-    def _write(self, inode: Inode, req: IORequest):  # simlint: ignore[generator-serve]
-        spec = self.spec
-        total = req.total_bytes
-        yield self.env.timeout(
-            req.count * spec.client_rpc_cpu_s + self.node.memcpy_time(total)
-        )
-        self.stats.bytes_sent += total
-
-        sb = self.cache.spec.segment_bytes
-        if req.is_dense:
-            # Absorb into the client cache; write-back flushes in wsize
-            # chunks.  Evicted dirty victims flush synchronously.
-            end = req.offset + req.span
-            plan = [
-                (seg, min(end, (seg + 1) * sb) - max(req.offset, seg * sb))
-                for seg in self.cache.segments_of(req.offset, req.span)
-            ]
-            i = 0
-            while i < len(plan):
-                # absorb the throttle-free, flush-free prefix in one call
-                i += self.cache.insert_dirty_run(inode.fileid, plan, i)
-                if i >= len(plan):
-                    break
-                seg, dirty = plan[i]
-                if self.cache.need_throttle:
-                    yield from self._flush_some(inode)
-                victims = self.cache.insert(inode.fileid, seg, dirty)
-                if victims:
-                    yield from self._flush_victims(victims)
-                i += 1
-            inode_end = req.offset + req.span
-            if inode_end > inode.size:
-                inode.size = inode_end  # size pushed at next flush/commit
-            return total
-        # Sparse stream: one WRITE RPC per operation, pipelined.
-        stride = req.effective_stride if req.stride != -1 else 7919 * 4096
-
-        def server_window(w, idx):
-            sub = IORequest(
-                "write", req.offset + idx * stride, req.nbytes, count=w, stride=req.stride
-            )
-            return self.server.export.submit(inode, sub)
-
-        yield from self._stream(req.count, req.nbytes, 8, server_window)
-        end = req.offset + req.span
-        inode.size = max(inode.size, end)
-        return total
-
-    def _flush_victims(self, victims):  # simlint: ignore[generator-serve]
-        yield from self._push_entries(victims)
-
-    def _flush_some(self, inode):  # simlint: ignore[generator-serve]
-        """Drain roughly a quarter of the dirty set (throttling writers)."""
-        batch = self.cache.dirty_segments(limit=max(self.cache.spec.nsegments // 4, 8))
-        yield from self._push_entries(batch)
-
-    def _push_entries(self, entries):  # simlint: ignore[generator-serve]
-        """Send dirty cache runs to the server as wsize-chunked streams."""
-        sb = self.cache.spec.segment_bytes
-        for fileid, first, nsegs, dirty in PageCache.coalesce(entries):
-            inode = self._inode_by_id(fileid)
-            run_bytes = nsegs * sb
-            density = dirty / run_bytes
-            if inode is None:
-                for s in range(first, first + nsegs):
-                    self.cache.mark_clean(fileid, s)
-                continue
-            if density >= 0.5:
-                nrpc = max(run_bytes // self.spec.wsize, 1)
-
-                def server_window(w, idx, _inode=inode, _first=first):
-                    sub = IORequest(
-                        "write",
-                        _first * sb + idx * self.spec.wsize,
-                        self.spec.wsize,
-                        count=w,
-                    )
-                    return self.server.export.submit(_inode, sub)
-
-                yield from self._stream(nrpc, self.spec.wsize, 8, server_window)
-            else:
-                # sparsely dirty run: page-sized WRITE RPCs
-                nb = 4 * KiB
-                nrpc = max(dirty // nb, 1)
-                scatter = max(run_bytes // nrpc, nb)
-
-                def server_window(w, idx, _inode=inode, _first=first, _sc=scatter):
-                    sub = IORequest(
-                        "write", _first * sb + idx * _sc, nb, count=w, stride=_sc
-                    )
-                    return self.server.export.submit(_inode, sub)
-
-                yield from self._stream(nrpc, nb, 8, server_window)
-            for s in range(first, first + nsegs):
-                self.cache.mark_clean(fileid, s)
-
     def _inode_by_id(self, fileid):
         return self.server.export._by_id.get(fileid)
 
-    # -- read ----------------------------------------------------------------
-    def _read(self, inode: Inode, req: IORequest):  # simlint: ignore[generator-serve]
-        spec = self.spec
-        total = req.total_bytes
-        yield self.env.timeout(
-            req.count * spec.client_rpc_cpu_s + self.node.memcpy_time(total)
-        )
-        self.stats.bytes_received += total
-
-        if self.cache.file_fully_resident(inode.fileid, max(inode.size, 1)):
-            span = min(req.span, max(inode.size - req.offset, 0))
-            self.cache.touch_run(inode.fileid, self.cache.segments_of(req.offset, span))
-            return total
-        if req.is_dense:
-            yield from self._dense_read(inode, req)
-            return total
-        # Sparse cold reads: one READ RPC per op.
-        stride = req.effective_stride if req.stride != -1 else 7919 * 4096
-
-        def server_window(w, idx):
-            sub = IORequest(
-                "read", req.offset + idx * stride, req.nbytes, count=w, stride=req.stride
-            )
-            return self.server.export.submit(inode, sub)
-
-        yield from self._stream(req.count, 8, req.nbytes, server_window)
-        return total
-
-    def _dense_read(self, inode: Inode, req: IORequest):  # simlint: ignore[generator-serve]
-        sb = self.cache.spec.segment_bytes
-        span = min(req.span, max(inode.size - req.offset, 0))
-        miss_run: list[int] = []
-        for seg in self.cache.segments_of(req.offset, span):
-            if self.cache.touch(inode.fileid, seg):
-                if miss_run:
-                    yield from self._fetch(inode, miss_run)
-                    miss_run = []
-            else:
-                miss_run.append(seg)
-        if miss_run:
-            yield from self._fetch(inode, miss_run)
-
-    def _fetch(self, inode: Inode, segs: list[int]):  # simlint: ignore[generator-serve]
-        """READ-RPC a run of segments from the server into the cache."""
-        sb = self.cache.spec.segment_bytes
-        for fileid, first, nsegs, _d in PageCache.coalesce((inode.fileid, s, 0) for s in segs):
-            run_bytes = min(nsegs * sb, max(inode.size - first * sb, sb))
-            nrpc = max(run_bytes // self.spec.rsize, 1)
-
-            def server_window(w, idx, _first=first):
-                sub = IORequest(
-                    "read", _first * sb + idx * self.spec.rsize, self.spec.rsize, count=w
-                )
-                return self.server.export.submit(inode, sub)
-
-            yield from self._stream(nrpc, 8, self.spec.rsize, server_window)
-            s, end = first, first + nsegs
-            while s < end:
-                s += self.cache.insert_clean_run(fileid, s, end - s)
-                if s >= end:
-                    break
-                victims = self.cache.insert(fileid, s, 0)
-                s += 1
-                if victims:
-                    yield from self._push_entries(victims)
-
-    # -- consistency ----------------------------------------------------------
-    def _close(self, inode: Inode):  # simlint: ignore[generator-serve]
-        yield from self._commit(inode)
-        yield self.env.timeout(self.spec.client_rpc_cpu_s)
-        return inode
-
-    def _commit(self, inode: Inode):  # simlint: ignore[generator-serve]
-        entries = self.cache.dirty_segments(limit=None, fileid=inode.fileid)
-        if entries:
-            yield from self._push_entries(entries)
-        yield self.network.transfer(
-            self.node.name, self.server.node.name, self.spec.rpc_header_bytes
-        )
-        if self.spec.commit_durable:
-            yield self.env.process(
-                self.server.service(lambda: self.server.export.fsync(inode))
-            )
-        else:
-            yield self.env.process(self.server.service(lambda: None))
-        yield self.network.transfer(
-            self.server.node.name, self.node.name, self.spec.rpc_header_bytes
-        )
-        self.stats.commits += 1
-        return None
-
 
 # ----------------------------------------------------------------------
-# flat service paths (REPRO_NO_FSFAST falls back to the generators)
+# service paths: flat state machines on the kernel calendar
 # ----------------------------------------------------------------------
 class _ServerService(FlatOp):
-    """Flat counterpart of :meth:`NFSServer.service`."""
+    """:meth:`NFSServer.service_op`: a granted thread sits out a stall,
+    pays the per-RPC CPU, then runs the backend work."""
 
     __slots__ = ("srv", "factory", "rpc_count", "_req")
 
@@ -689,12 +308,26 @@ class _ServerService(FlatOp):
             self.srv.threads.release(req)
 
     def _cleanup(self):
-        # the generator's ``finally``
         self._release()
 
 
 class _FlatRetransmit:
-    """Flat counterpart of :meth:`NFSMount._retransmit_while_stalled`."""
+    """Client-side RPC timeout handling against a stalled server.
+
+    Runs after a request hit the wire while the server is wedged
+    (``server.stall_until``): wait ``timeo``, re-send the request bytes,
+    back off exponentially; after ``retrans`` unanswered re-sends log a
+    *major timeout* and start over (hard-mount semantics — bounded
+    slowdown, never a hang).  The loop never sleeps past the stall
+    window, so the reply path resumes as soon as the server does.
+
+    Jitter (±10% of each backoff step) comes from the seeded ``env.rng``
+    streams installed by the fault injector; with no registry installed
+    the backoff is exact — either way the run is deterministic for a
+    fixed seed.  Like the other sub-steps below it has no calendar
+    footprint of its own: it borrows the parent op's
+    :meth:`FlatOp._await` and calls ``k()`` when done.
+    """
 
     __slots__ = ("m", "op", "payload", "count", "k", "delay", "attempt", "stall_end", "_wire")
 
@@ -752,7 +385,8 @@ class _FlatRetransmit:
 
 
 class _FlatServerWindow(FlatOp):
-    """Flat counterpart of :meth:`NFSMount._server_window`."""
+    """One window of a stream, server side: thread-pool service of ``w``
+    RPCs, then their replies over the network."""
 
     __slots__ = ("m", "w", "start_index", "reply_b", "factory")
 
@@ -790,7 +424,9 @@ class _FlatServerWindow(FlatOp):
 
 
 class _FlatStream:
-    """Flat counterpart of :meth:`NFSMount._stream`."""
+    """Pipelined RPC stream: windows of RPCs move over the network while
+    the server digests earlier windows; continues when all replies are
+    in."""
 
     __slots__ = ("m", "op", "count", "send_b", "reply_b", "factory", "k", "window", "sent", "done", "_w")
 
@@ -848,7 +484,8 @@ class _FlatStream:
 
 
 class _FlatPush:
-    """Flat counterpart of :meth:`NFSMount._push_entries`."""
+    """Send dirty cache runs to the server as wsize-chunked streams
+    (page-sized WRITE RPCs for sparsely dirty runs)."""
 
     __slots__ = ("m", "op", "runs", "i", "k")
 
@@ -912,8 +549,8 @@ class _FlatPush:
         self._next()
 
 
-class _FlatFetch(object):
-    """Flat counterpart of :meth:`NFSMount._fetch`."""
+class _FlatFetch:
+    """READ-RPC a run of segments from the server into the cache."""
 
     __slots__ = ("m", "op", "inode", "runs", "i", "s", "k")
 
@@ -965,7 +602,10 @@ class _FlatFetch(object):
 
 
 class _FlatDirect(FlatOp):
-    """Flat counterpart of :meth:`NFSMount._direct`."""
+    """:meth:`NFSMount.submit_direct`: dense requests pipeline their
+    chunks in one stream; sparse requests pay strictly synchronous
+    per-operation round trips, each stage charged once in bulk (with no
+    pipelining the total is the sum of the per-stage times)."""
 
     __slots__ = ("m", "inode", "req", "total")
 
@@ -1087,7 +727,8 @@ class _FlatDirect(FlatOp):
 
 
 class _FlatMetaRpc(FlatOp):
-    """Flat counterpart of :meth:`NFSMount._meta_rpc`."""
+    """A metadata RPC: client CPU, request, thread-pool service of the
+    backend operation, reply."""
 
     __slots__ = ("m", "factory", "_result")
 
@@ -1136,7 +777,10 @@ class _FlatMetaRpc(FlatOp):
 
 
 class _NFSWrite(FlatOp):
-    """Flat counterpart of :meth:`NFSMount._write`."""
+    """A cached write.  Dense writes are absorbed into the client cache
+    (write-back flushes in wsize chunks; evicted dirty victims and a
+    quarter of the dirty set under throttling flush synchronously);
+    sparse writes stream one WRITE RPC per operation."""
 
     __slots__ = ("m", "inode", "req", "total", "_segs", "_si", "_stage")
 
@@ -1227,7 +871,9 @@ class _NFSWrite(FlatOp):
 
 
 class _NFSRead(FlatOp):
-    """Flat counterpart of :meth:`NFSMount._read` (incl. ``_dense_read``)."""
+    """A cached read: served from a fully resident file, or fetching
+    missing runs (dense reads), or one READ RPC per operation (sparse
+    cold reads)."""
 
     __slots__ = ("m", "inode", "req", "total", "_segs", "_si", "_miss")
 
@@ -1306,7 +952,8 @@ class _NFSRead(FlatOp):
 
 
 class _FlatCommit(FlatOp):
-    """Flat counterpart of :meth:`NFSMount._commit` / ``_close``."""
+    """fsync / close: push the file's dirty runs, then a COMMIT round
+    trip (a durable export fsyncs server-side); close adds client CPU."""
 
     __slots__ = ("m", "inode", "close")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..simengine import Environment, Event, FlatOp
-from ..simengine import resources as _kernel
 from .base import IORequest
 from .localfs import Inode, LocalFS
 from .nfs import NFSMount
@@ -112,26 +111,10 @@ class VFS:
     # -- convenience ----------------------------------------------------
     def open(self, path: str, create: bool = False) -> Event:
         """Open (optionally creating); event value is a :class:`FileHandle`."""
-        fs = self.resolve(path)
-        if _kernel.FS_FAST:
-            return _VFSOpen(self, fs, path, create=create).result
-
-        def _op():  # simlint: ignore[generator-serve]
-            inode = yield fs.open(path, create=create)
-            return FileHandle(self, fs, inode, path)
-
-        return self.env.process(_op(), name=f"{self.name}.open")
+        return _VFSOpen(self, self.resolve(path), path, create=create).result
 
     def create(self, path: str) -> Event:
-        fs = self.resolve(path)
-        if _kernel.FS_FAST:
-            return _VFSOpen(self, fs, path, create=None).result
-
-        def _op():  # simlint: ignore[generator-serve]
-            inode = yield fs.create(path)
-            return FileHandle(self, fs, inode, path)
-
-        return self.env.process(_op(), name=f"{self.name}.create")
+        return _VFSOpen(self, self.resolve(path), path, create=None).result
 
     def unlink(self, path: str) -> Event:
         return self.resolve(path).unlink(path)
@@ -147,8 +130,9 @@ class VFS:
 
 
 class _VFSOpen(FlatOp):
-    """Flat counterpart of the :meth:`VFS.open` / :meth:`VFS.create`
-    wrapper processes (``create=None`` means the create path)."""
+    """:meth:`VFS.open` / :meth:`VFS.create`: resolve the inode on the
+    mounted filesystem and wrap it in a :class:`FileHandle`
+    (``create=None`` means the create path)."""
 
     __slots__ = ("vfs", "fs", "path", "create")
 

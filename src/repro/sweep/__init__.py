@@ -1,4 +1,4 @@
-"""Crash-safe fleet sweeps: config × workload × fault × mode.
+"""Crash-safe fleet sweeps: config × workload × fault.
 
 The sweep subsystem scales the single-evaluation methodology to whole
 parameter-space campaigns without giving up its determinism:
@@ -19,7 +19,6 @@ parameter-space campaigns without giving up its determinism:
 
 from .orchestrate import DEFAULT_PARAMS, SweepOutcome, run_sweep
 from .plan import (
-    MODES,
     TASK_SCHEMA,
     PlanError,
     SweepTask,
@@ -49,7 +48,6 @@ __all__ = [
     "DEFAULT_PARAMS",
     "SweepOutcome",
     "run_sweep",
-    "MODES",
     "TASK_SCHEMA",
     "PlanError",
     "SweepTask",

@@ -138,7 +138,7 @@ def run_sweep(
                     progress(
                         f"[{len(store.results)}/{total}] {task['config']}"
                         f" x {task['workload_label']}"
-                        f" [{task['fault_label']}/{task['mode']}] ok"
+                        f" [{task['fault_label']}] ok"
                     )
 
                 def on_quarantine(fp: str, task: dict, failures: list) -> None:

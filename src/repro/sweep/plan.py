@@ -1,6 +1,6 @@
-"""Sweep plan enumeration: config × workload × fault × mode combos.
+"""Sweep plan enumeration: config × workload × fault combos.
 
-A plan is the cross product of four axes, flattened into self-
+A plan is the cross product of three axes, flattened into self-
 contained task payloads and deduplicated by content fingerprint:
 
 * **configs** — named cluster configurations (``jbod``/``raid5``/...);
@@ -9,12 +9,11 @@ contained task payloads and deduplicated by content fingerprint:
   *inlined* into the payload, so a run directory is resumable after
   the original spec files move or disappear;
 * **faults** — ``none`` and/or fault-schedule JSON files (inlined the
-  same way);
-* **modes** — ``exact`` / ``analytic`` kernel modes.
+  same way).
 
 The task fingerprint covers the *content* of each axis — the
 :class:`~repro.clusters.builder.SystemConfig` object, the compiled
-workload fingerprint, the normalised fault schedule, the mode and the
+workload fingerprint, the normalised fault schedule and the
 characterization sweep parameters — so two descriptor spellings of
 the same combination (a fuzz seed and its checked-in spec file, a
 schedule listed twice) collapse into one task, exactly like the
@@ -37,7 +36,6 @@ from ..fingerprint import fingerprint, workload_fingerprint
 
 __all__ = [
     "TASK_SCHEMA",
-    "MODES",
     "PlanError",
     "SweepTask",
     "resolve_config",
@@ -47,11 +45,6 @@ __all__ = [
 ]
 
 TASK_SCHEMA = "repro.sweep-task/1"
-
-#: kernel-mode axis values (``analytic`` flips the slice-ring fast
-#: forward; tables and evaluation results are bit-identical either
-#: way, which makes the mode axis a free cross-check)
-MODES = ("exact", "analytic")
 
 
 class PlanError(ValueError):
@@ -219,7 +212,6 @@ def build_plan(
     configs: Sequence[str],
     workloads: Sequence[dict],
     faults: Sequence[tuple[str, Optional[dict]]],
-    modes: Sequence[str],
     char: dict,
     phase_fastpath: bool = True,
     sanitize: bool = False,
@@ -237,44 +229,38 @@ def build_plan(
     """
     if not configs:
         raise PlanError("no configurations")
-    for mode in modes:
-        if mode not in MODES:
-            raise PlanError(f"unknown mode {mode!r} (want one of {MODES})")
     config_objs = {name: resolve_config(name) for name in configs}
     wl_fps = [workload_fingerprint(descriptor_app(d)) for d in workloads]
 
     tasks: dict[str, SweepTask] = {}
     dropped = 0
-    for mode in modes:
-        for (fault_label, fault_dict) in faults:
-            for desc, wl_fp in zip(workloads, wl_fps):
-                for name in configs:
-                    fp = fingerprint(
-                        TASK_SCHEMA,
-                        config_objs[name],
-                        wl_fp,
-                        fault_dict,
-                        mode,
-                        phase_fastpath,
-                        sanitize,
-                        char,
-                    )
-                    if fp in tasks:
-                        dropped += 1
-                        continue
-                    payload = {
-                        "schema": TASK_SCHEMA,
-                        "config": name,
-                        "workload": desc,
-                        "workload_label": descriptor_label(desc),
-                        "faults": fault_dict,
-                        "fault_label": fault_label,
-                        "mode": mode,
-                        "phase_fastpath": phase_fastpath,
-                        "sanitize": sanitize,
-                        "char": char,
-                    }
-                    tasks[fp] = SweepTask(fp=fp, payload=payload)
+    for (fault_label, fault_dict) in faults:
+        for desc, wl_fp in zip(workloads, wl_fps):
+            for name in configs:
+                fp = fingerprint(
+                    TASK_SCHEMA,
+                    config_objs[name],
+                    wl_fp,
+                    fault_dict,
+                    phase_fastpath,
+                    sanitize,
+                    char,
+                )
+                if fp in tasks:
+                    dropped += 1
+                    continue
+                payload = {
+                    "schema": TASK_SCHEMA,
+                    "config": name,
+                    "workload": desc,
+                    "workload_label": descriptor_label(desc),
+                    "faults": fault_dict,
+                    "fault_label": fault_label,
+                    "phase_fastpath": phase_fastpath,
+                    "sanitize": sanitize,
+                    "char": char,
+                }
+                tasks[fp] = SweepTask(fp=fp, payload=payload)
     if dropped:
         import logging
 

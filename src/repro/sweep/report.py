@@ -144,7 +144,6 @@ def _task_factors(task: dict, result: dict) -> dict[str, float]:
             result.get("bytes_read", 0) + result.get("bytes_written", 0)
         ),
         "faulted": 0.0 if task.get("faults") is None else 1.0,
-        "analytic": 1.0 if task.get("mode") == "analytic" else 0.0,
     }
 
 

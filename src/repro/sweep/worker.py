@@ -94,27 +94,20 @@ def run_sweep_task(payload: dict, cache_root: Optional[str] = None) -> dict:
 
         faults = FaultSchedule.from_dict(faults)
 
-    from ..simengine import analytic as _analytic
-
-    prev_analytic = _analytic.ANALYTIC
-    _analytic.ANALYTIC = task.get("mode", "exact") == "analytic"
-    try:
-        m = Methodology(
-            {name: config},
-            block_sizes=tuple(char["block_sizes"]),
-            char_file_bytes=char.get("char_file_bytes"),
-            ior_nprocs=char.get("ior_nprocs", 8),
-            ior_file_bytes=char.get("ior_file_bytes"),
-        )
-        m.characterize(n_jobs=1, cache=cache_root)
-        report = m.evaluate_single(
-            name,
-            app,
-            n_jobs=1,
-            phase_fastpath=bool(task.get("phase_fastpath", True)),
-            sanitize=bool(task.get("sanitize", False)),
-            faults=faults,
-        )
-    finally:
-        _analytic.ANALYTIC = prev_analytic
+    m = Methodology(
+        {name: config},
+        block_sizes=tuple(char["block_sizes"]),
+        char_file_bytes=char.get("char_file_bytes"),
+        ior_nprocs=char.get("ior_nprocs", 8),
+        ior_file_bytes=char.get("ior_file_bytes"),
+    )
+    m.characterize(n_jobs=1, cache=cache_root)
+    report = m.evaluate_single(
+        name,
+        app,
+        n_jobs=1,
+        phase_fastpath=bool(task.get("phase_fastpath", True)),
+        sanitize=bool(task.get("sanitize", False)),
+        faults=faults,
+    )
     return {"task": task, "result": result_payload(report, app)}

@@ -1,5 +1,7 @@
 """CLI tests (fast paths only; heavy runs are exercised in benchmarks/)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -125,3 +127,47 @@ def test_evaluate_missing_spec_fails_cleanly():
     with pytest.raises(SystemExit, match="cannot load workload spec"):
         main(["evaluate", "--workload", "/does/not/exist.yaml",
               "--configs", "jbod", "--block-step", "9", "--ior-gib", "1"])
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["characterize", "--configs", "jbod", "--jobs", "-1"], None),
+        (["sweep", "run", "--workloads", "btio:S:4", "--jobs", "0"], None),
+        (["characterize", "--configs", "jbod"], "many"),
+        (["evaluate", "btio", "--configs", "jbod"], "-2"),
+    ],
+)
+def test_bad_jobs_exit_2_with_one_error_line(argv, env, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_JOBS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("repro: error: ")
+    assert ("REPRO_JOBS" if env else "--jobs") in err[0]
+
+
+def test_perf_outputs_default_beside_out(tmp_path):
+    from repro.cli import perf_outputs
+
+    out = tmp_path / "run" / "bench.json"
+    args = build_parser().parse_args(["perf", "--out", str(out)])
+    paths = perf_outputs(args)
+    assert paths == {
+        "out": out,
+        "eval": out.parent / "BENCH_evaluate.json",
+        "kernel": out.parent / "BENCH_kernel.json",
+        "profile": out.parent / "PROFILE_perf.json",
+    }
+    # an explicit path still wins
+    args = build_parser().parse_args(
+        ["perf", "--out", str(out), "--eval-out", str(tmp_path / "e.json")]
+    )
+    assert perf_outputs(args)["eval"] == tmp_path / "e.json"
+    # the default --out keeps every file together in the working directory
+    args = build_parser().parse_args(["perf"])
+    assert {p.parent for p in perf_outputs(args).values()} == {Path(".")}

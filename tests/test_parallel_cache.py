@@ -251,21 +251,6 @@ def test_save_load_tables_round_trip(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# simengine fast-path equivalence
-# ----------------------------------------------------------------------
-def test_characterization_identical_with_fastpath_disabled(monkeypatch):
-    """The quantum-coalescing fast path must not change any table."""
-    from repro.simengine import resources
-
-    fast = small_methodology()
-    fast.characterize()
-    monkeypatch.setattr(resources, "QUANTUM_COALESCE", False)
-    slow = small_methodology()
-    slow.characterize()
-    assert table_csvs(fast) == table_csvs(slow)
-
-
-# ----------------------------------------------------------------------
 # worker-crash recovery
 # ----------------------------------------------------------------------
 _PARENT_PID = __import__("os").getpid()

@@ -8,15 +8,13 @@ Three layers under test, mirroring the module:
 * dynamic — the tie-group recorder finds the synthetic race, a seeded
   reversal reproduces the divergence, and delta-debugging reduces it
   to a single irreducible flip group;
-* differential — a quick exact-mode race matrix over BT-IO comes back
-  clean with identical table hashes.
+* differential — a quick race matrix over BT-IO comes back clean with
+  identical table hashes.
 
-The last two classes pin tie-order fixes this detector surfaced: the
-disk head serving same-arrival cohorts by offset (issue-order
-invariance), and the analytic ring rebuild stamping replacement
-requests with their rotate-out boundary and order key so a keyed
-foreign arrival at the dissolve instant cannot overtake members the
-exact rotation serves first.
+The last two classes pin tie-order behaviour this detector surfaced:
+the disk head serving same-arrival cohorts by offset (issue-order
+invariance), and a keyed foreign request arriving mid-rotation queuing
+behind the members the rotation re-admits first.
 """
 
 import textwrap
@@ -30,7 +28,6 @@ from repro.analysis.simrace import (
 )
 from repro.hardware.disk import READ, Disk, DiskSpec
 from repro.simengine import Environment
-from repro.simengine import analytic as _analytic
 from repro.simengine.core import Timeout
 from repro.simengine.resources import FastHold, Resource
 from repro.simengine.schedule import (
@@ -280,7 +277,6 @@ def test_quick_race_matrix_is_clean():
     app = BTIOApplication(BTIOConfig(clazz="S", nprocs=4))
     report = run_race_matrix(
         app,
-        modes=("exact",),
         sanitize=(False,),
         seeds=(0,),
         block_sizes=(256 * KiB, 1 * MiB),
@@ -320,7 +316,7 @@ def test_disk_head_is_issue_order_invariant():
 
 
 # ---------------------------------------------------------------------------
-# pinned fix: analytic ring rebuild preserves arrival stamps and keys
+# pinned fix: a keyed foreign request does not jump a rotation cohort
 # ---------------------------------------------------------------------------
 
 
@@ -346,47 +342,41 @@ class _KeyedHold(FastHold):
         self.result.succeed(None)
 
 
-def _ring_grant_log(analytic_on):
+def _rotation_grant_log():
     """Three keyed holds rotate on one resource; a keyed foreign request
-    lands mid-slice, dissolving the analytic ring.  The rebuilt queue
-    must reproduce the exact rotation's arrival stamps and order keys,
-    or the foreign request overtakes the freshly re-queued member."""
-    prev = _analytic.ANALYTIC
-    _analytic.ANALYTIC = analytic_on
-    try:
-        env = Environment()
-        res = Resource(env, capacity=1)
-        log = []
-        for key, label, total in (
-            (10, "A", 0.203),
-            (20, "B", 0.205),
-            (30, "C", 0.207),
-        ):
-            _KeyedHold(env, [res], total, 0.02, key, label, log)
+    lands mid-slice.  Its key sorts before a member's, but it arrived
+    later than the members already queued, so it must wait its turn."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+    for key, label, total in (
+        (10, "A", 0.203),
+        (20, "B", 0.205),
+        (30, "C", 0.207),
+    ):
+        _KeyedHold(env, [res], total, 0.02, key, label, log)
 
-        def arrive(ev):
-            req = res.request(order_key=15)
+    def arrive(ev):
+        req = res.request(order_key=15)
 
-            def got(_):
-                log.append((round(env._now, 9), "foreign"))
-                Timeout(env, 0.005).callbacks.append(lambda e: res.release(req))
+        def got(_):
+            log.append((round(env._now, 9), "foreign"))
+            Timeout(env, 0.005).callbacks.append(lambda e: res.release(req))
 
-            if req.triggered:
-                got(req)
-            else:
-                req.callbacks.append(got)
+        if req.triggered:
+            got(req)
+        else:
+            req.callbacks.append(got)
 
-        Timeout(env, 0.07).callbacks.append(arrive)
-        env.run()
-        return log
-    finally:
-        _analytic.ANALYTIC = prev
+    Timeout(env, 0.07).callbacks.append(arrive)
+    env.run()
+    return log
 
 
-def test_ring_rebuild_matches_exact_rotation():
-    exact = _ring_grant_log(False)
-    assert _ring_grant_log(True) == exact
-    # the foreign keyed request queues behind the member that the exact
+def test_keyed_foreign_request_waits_behind_rotation():
+    log = _rotation_grant_log()
+    assert _rotation_grant_log() == log
+    # the foreign keyed request queues behind the member that the
     # rotation re-admitted first — it must not jump the cohort
-    labels = [label for _, label in exact]
+    labels = [label for _, label in log]
     assert labels.index("foreign") > labels.index("C")

@@ -20,7 +20,6 @@ import pytest
 
 from repro.storage.base import KiB, MiB
 from repro.sweep import (
-    MODES,
     PlanError,
     PoolExhaustedError,
     SweepRunner,
@@ -42,12 +41,11 @@ RUNNER_KW = dict(timeout_s=30.0, backoff_base_s=0.01, heartbeat_timeout_s=30.0)
 
 
 def quick_plan(configs=("jbod",), workloads=("madbench:2:4",), faults=("none",),
-               modes=("exact",), fuzz_seeds=()):
+               fuzz_seeds=()):
     return build_plan(
         list(configs),
         collect_workloads(named=list(workloads), fuzz_seeds=list(fuzz_seeds)),
         collect_faults(list(faults)),
-        list(modes),
         QUICK_CHAR,
     )
 
@@ -61,9 +59,8 @@ class TestPlan:
             configs=("jbod", "raid1"),
             workloads=("madbench:2:4", "btio:S:4"),
             faults=("none",),
-            modes=("exact", "analytic"),
         )
-        assert len(plan) == 2 * 2 * 1 * 2
+        assert len(plan) == 2 * 2 * 1
         assert len({t.fp for t in plan}) == len(plan)
         for t in plan:
             assert t.payload["schema"] == "repro.sweep-task/1"
@@ -80,8 +77,7 @@ class TestPlan:
         path = tmp_path / "seed0.json"
         path.write_text(json.dumps(doc))
         wls = collect_workloads(spec_files=[str(path)], fuzz_seeds=[0])
-        plan = build_plan(["jbod"], wls, collect_faults(["none"]), ["exact"],
-                          QUICK_CHAR)
+        plan = build_plan(["jbod"], wls, collect_faults(["none"]), QUICK_CHAR)
         assert len(plan) == 1
 
     def test_config_axis_varies_fastest(self):
@@ -92,16 +88,10 @@ class TestPlan:
     def test_unknown_axis_values_rejected(self):
         with pytest.raises(PlanError, match="unknown configuration"):
             quick_plan(configs=("ramdisk",))
-        with pytest.raises(PlanError, match="unknown mode"):
-            quick_plan(modes=("approximate",))
         with pytest.raises(PlanError, match="no workloads"):
-            build_plan(["jbod"], collect_workloads(), collect_faults([]),
-                       ["exact"], QUICK_CHAR)
+            build_plan(["jbod"], collect_workloads(), collect_faults([]), QUICK_CHAR)
         with pytest.raises(PlanError, match="unknown workload kind"):
             collect_workloads(named=["iozone:1"])
-
-    def test_mode_axis_constant(self):
-        assert MODES == ("exact", "analytic")
 
 
 # ----------------------------------------------------------------------
@@ -230,12 +220,6 @@ class TestWorker:
         assert "used" in r
         # no wall clocks, no paths
         assert "wall_s" not in r
-
-    def test_exact_and_analytic_modes_agree(self, tmp_path):
-        exact, analytic = quick_plan(modes=("exact", "analytic"))
-        a = run_sweep_task(exact.payload, cache_root=str(tmp_path / "c"))
-        b = run_sweep_task(analytic.payload, cache_root=str(tmp_path / "c"))
-        assert a["result"] == b["result"]
 
     def test_faulted_task_carries_degraded_summary(self, tmp_path):
         from repro.faults import FaultSchedule, FaultSpec
