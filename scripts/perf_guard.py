@@ -90,8 +90,13 @@ def check(baseline_path: str, fresh_path: str, factor: float) -> list[str]:
     for key in keys:
         base = baseline.get("timings_s", {}).get(key)
         now = fresh.get("timings_s", {}).get(key)
-        if base is None or now is None:
-            print(f"perf-guard: {key}: missing in baseline or fresh run — skipping")
+        if base is None:
+            print(f"perf-guard: {key}: not in baseline — skipping")
+            continue
+        if now is None:
+            # a guarded timing that silently vanished would stop gating
+            print(f"perf-guard: {key}: in baseline but missing in fresh run FAIL")
+            problems.append(f"{key}: guarded timing missing from {fresh_path}")
             continue
         ratio = now / base if base > 0 else float("inf")
         verdict = "FAIL" if ratio > factor else "ok"

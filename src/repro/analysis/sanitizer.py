@@ -8,10 +8,10 @@ simulation runs and at teardown:
 
 * **event-time monotonicity** — no event is *scheduled* before the
   current clock (checked at insert: every calendar entry, whether from
-  ``Timeout``/``Wake``/``Initialize`` construction, ``succeed``/
-  ``fail`` triggering or the batch ``schedule_many`` path, funnels
-  through ``Environment._push``, which the sanitizer interposes) and
-  the calendar never pops one scheduled before the clock;
+  ``Timeout``/``Wake``/``Initialize`` construction or ``succeed``/
+  ``fail`` triggering, funnels through ``Environment._push``, which
+  the sanitizer interposes) and the calendar never pops one scheduled
+  before the clock;
 * **deterministic tie-breaking** — heap pop keys ``(time, priority,
   seq)`` strictly increase whenever no new event was scheduled since
   the previous pop (a callback may legitimately insert an
@@ -26,9 +26,9 @@ simulation runs and at teardown:
   compute-local filesystems), corrected for two known, explicitly
   accounted re-shapings: collective file domains cover only the union
   of the requests (overlap gap) and data sieving over-fetches;
-* **resource-leak detection** — once the calendar is empty (run end,
-  ``System.reset``), no disk head, link channel, NFS server thread or
-  inode lock may still be held or queued.
+* **resource-leak detection** — once the calendar is empty at run
+  end, no disk head, link channel, NFS server thread or inode lock may
+  still be held or queued.
 
 Violations are *recorded* (and surfaced through the run report, see
 :mod:`repro.obs.runreport`) rather than raised mid-run — except
@@ -151,9 +151,9 @@ class SimSanitizer:
 
     # -- attach / detach ---------------------------------------------------
     def attach(self) -> "SimSanitizer":
-        """Install the step/reset interceptors and the hook handle.
+        """Install the step/push interceptors and the hook handle.
 
-        Chains through any instance-level ``step``/``reset``/``_push``
+        Chains through any instance-level ``step``/``_push``
         already installed on the environment (e.g. a
         :class:`~repro.simengine.schedule.RaceProbe` attached at
         creation), so instrumentation layers compose instead of
@@ -163,7 +163,7 @@ class SimSanitizer:
         if getattr(env, "sanitizer", None) is not None:
             raise SanitizerError("a sanitizer is already attached to this environment")
         self._prev_overrides = {
-            attr: env.__dict__.get(attr) for attr in ("step", "reset", "_push")
+            attr: env.__dict__.get(attr) for attr in ("step", "_push")
         }
         prev_push = self._prev_overrides["_push"]
         self._push_down = prev_push or (
@@ -171,16 +171,10 @@ class SimSanitizer:
         )
         prev_step = self._prev_overrides["step"]
         self._step_down = prev_step or (lambda: Environment.step(env))
-        prev_reset = self._prev_overrides["reset"]
-        self._reset_down = prev_reset or (
-            lambda initial_time=0.0: Environment.reset(env, initial_time)
-        )
         env.sanitizer = self
         env.step = self._checked_step  # type: ignore[method-assign]
-        env.reset = self._checked_reset  # type: ignore[method-assign]
         # the single scheduling funnel: interposing here observes every
-        # calendar insert (schedule_many detects the instance override
-        # and routes each entry through it)
+        # calendar insert
         env._push = self._checked_push  # type: ignore[method-assign]
         self._attached = True
         self._rebaseline()
@@ -192,7 +186,7 @@ class SimSanitizer:
         instance overrides are restored, not dropped)."""
         self.env.__dict__.pop("sanitizer", None)
         prev = getattr(self, "_prev_overrides", None) or {}
-        for attr in ("step", "reset", "_push"):
+        for attr in ("step", "_push"):
             restored = prev.get(attr)
             if restored is not None:
                 self.env.__dict__[attr] = restored
@@ -257,11 +251,6 @@ class SimSanitizer:
             self._last_seq = env._seq
             self.events_checked += 1
         self._step_down()
-
-    def _checked_reset(self, initial_time: float = 0.0) -> None:
-        self.check_leaks(stage="reset")
-        self._reset_down(initial_time)
-        self._rebaseline()
 
     # -- hooks called by instrumented layers --------------------------------
     def resource_misuse(self, message: str) -> None:
@@ -362,7 +351,7 @@ class SimSanitizer:
                 for name, link in links.items():
                     yield f"{label}:{name}:{direction}", link.busy_s, link.channel
 
-    def check_leaks(self, stage: str = "finish") -> None:
+    def check_leaks(self) -> None:
         """Flag held or queued slots once the calendar is drained.
 
         Only meaningful on an empty calendar: an in-flight background
@@ -375,13 +364,13 @@ class SimSanitizer:
                 self._record(
                     "leak",
                     f"{name}: {len(resource.users)} slot(s) still held at "
-                    f"{stage} with an empty calendar",
+                    "finish with an empty calendar",
                 )
             if resource.queue:
                 self._record(
                     "leak",
                     f"{name}: {len(resource.queue)} request(s) still queued "
-                    f"at {stage} with an empty calendar",
+                    "at finish with an empty calendar",
                 )
 
     def check_utilization(self) -> None:
@@ -428,7 +417,7 @@ class SimSanitizer:
     # -- reporting ----------------------------------------------------------
     def finish(self) -> dict[str, Any]:
         """Run the end-of-run checks and return the report dict."""
-        self.check_leaks(stage="finish")
+        self.check_leaks()
         self.check_utilization()
         self.check_conservation()
         return self.report()

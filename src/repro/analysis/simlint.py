@@ -2,8 +2,8 @@
 
 The methodology's verdicts are only sound if every simulated run is
 deterministic and dimensionally consistent — and PRs 1-3 reuse results
-aggressively (fingerprint-keyed table cache, phase extrapolation,
-warm-started systems), so a single hidden nondeterminism or unit slip
+aggressively (fingerprint-keyed table cache, phase extrapolation),
+so a single hidden nondeterminism or unit slip
 silently corrupts cached tables and extrapolated phases.  simlint
 checks the failure classes this codebase has actually met:
 

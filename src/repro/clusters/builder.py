@@ -129,24 +129,12 @@ class System:
         self.server_node.vfs = server_vfs
 
         #: replay settings applied to worlds built over this system
-        #: (None = per-world :meth:`ReplaySettings.from_env` default)
+        #: (None = the :class:`ReplaySettings` defaults)
         self.replay_settings = None
         #: accelerator of the most recent world (its stats outlive the run)
         self.last_replay = None
         #: MPI-IO layer counters of the most recent world
         self.last_iostats = None
-        #: busy-counter baseline for interval utilization queries —
-        #: re-captured on every :meth:`reset`, so a warm-started
-        #: system reports per-run utilization, not lifetime totals
-        self.counters_baseline = None
-        self.rebaseline()
-
-    def rebaseline(self) -> None:
-        """Capture the current busy counters as the utilization
-        baseline (see :func:`repro.core.utilization.capture_utilization`)."""
-        from ..core.utilization import capture_utilization
-
-        self.counters_baseline = capture_utilization(self)
 
     # -- convenience -----------------------------------------------------
     def world(self, nprocs: int, placement: str = "block", tracer=None, io_hints=None):
@@ -160,36 +148,6 @@ class System:
         self.last_replay = w.replay
         self.last_iostats = w.iostats
         return w
-
-    def reset(self) -> None:
-        """Return every mutable component to its just-built state.
-
-        Warm-start support: evaluating N workloads on one configuration
-        reuses a single built topology instead of reconstructing nodes,
-        networks, disks and filesystems per run.  After ``reset()`` the
-        system is indistinguishable from a fresh :func:`build_system`
-        of the same config (same simulated timings, same determinism),
-        just without the construction cost.
-        """
-        self.env.reset()
-        # drop any fault-injection RNG registry installed on the
-        # environment (instance attribute shadowing the class default)
-        self.env.__dict__.pop("rng", None)
-        self.export.reset()
-        self.nfs_server.reset()
-        self.server_node.reset()
-        for node in self.compute:
-            node.reset()
-        for lfs in self.local_fs.values():
-            lfs.reset()
-        for mount in self.nfs_mounts.values():
-            mount.reset()
-        self.cluster.comm_network.reset()
-        if not self.cluster.shared_network:
-            self.cluster.data_network.reset()
-        self.last_replay = None
-        self.last_iostats = None
-        self.rebaseline()
 
     def node(self, name: str) -> Node:
         return self.cluster.node(name)
@@ -206,24 +164,3 @@ def build_system(env: Environment, config: SystemConfig) -> System:
     """Build a system from its configuration (the main factory)."""
     return System(env, config)
 
-
-#: per-process pool of built systems, keyed by config fingerprint
-_WARM_SYSTEMS: dict[str, System] = {}
-
-
-def warm_system(config: SystemConfig) -> System:
-    """A reset, ready-to-run system for ``config``, reusing a
-    previously built topology for the same configuration when one
-    exists in this process.
-
-    The pooled system owns its :class:`Environment`; callers must not
-    share it across concurrent runs (the evaluation workers are
-    separate processes, so each keeps its own pool).
-    """
-    key = config.fingerprint()
-    system = _WARM_SYSTEMS.get(key)
-    if system is None:
-        system = _WARM_SYSTEMS[key] = build_system(Environment(), config)
-    else:
-        system.reset()
-    return system

@@ -64,10 +64,8 @@ def _evaluate_unit(task) -> EvaluationReport:
     """Worker: run the application on one configuration."""
     import time as _time
 
-    (name, config, app, access, tables, phase_fastpath, warm_start,
+    (name, config, app, access, tables, phase_fastpath,
      instrument, keep_events, window_s, sanitize, faults) = task
-    from dataclasses import replace as _replace
-    from ..clusters.builder import warm_system
     from .replay import ReplaySettings
 
     if faults is not None:
@@ -84,24 +82,15 @@ def _evaluate_unit(task) -> EvaluationReport:
         # each fault window against the same simulated-time span of
         # this baseline, cancelling the workload's own phase mix
         ref_system = build_system(Environment(), config)
-        ref_system.replay_settings = _replace(
-            ReplaySettings.from_env(), enabled=False
-        )
+        ref_system.replay_settings = ReplaySettings(enabled=False)
         ref_run = app.run(ref_system)
         reference = (list(ref_run.tracer.events), ref_system.env.now)
-    if warm_start:
-        # reuse this worker's previously built topology for the config
-        system = warm_system(config)
-    else:
-        system = build_system(Environment(), config)
-    settings = ReplaySettings.from_env()
-    if phase_fastpath is not None:
-        settings = _replace(settings, enabled=bool(phase_fastpath))
-    if faults is not None:
-        # the accelerator extrapolates repeated phases from healthy
-        # occurrences, which would paper over mid-run degradation
-        settings = _replace(settings, enabled=False)
-    system.replay_settings = settings
+    system = build_system(Environment(), config)
+    # with faults, the accelerator would extrapolate repeated phases
+    # from healthy occurrences and paper over mid-run degradation
+    system.replay_settings = ReplaySettings(
+        enabled=phase_fastpath and faults is None
+    )
     registry = None
     if instrument:
         from ..obs.metrics import MetricsRegistry
@@ -359,8 +348,7 @@ class Methodology:
         names: Optional[Sequence[str]] = None,
         access: AccessType = AccessType.GLOBAL,
         n_jobs: Optional[int] = None,
-        phase_fastpath: Optional[bool] = None,
-        warm_start: bool = False,
+        phase_fastpath: bool = True,
         instrument: bool = False,
         keep_events: bool = False,
         window_s: Optional[float] = None,
@@ -374,12 +362,8 @@ class Methodology:
         fans the runs out over worker processes exactly like
         :meth:`characterize`; reports come back keyed in input order.
 
-        ``phase_fastpath`` forces the phase-replay accelerator on or
-        off for every run (``None`` keeps the environment default, see
-        ``REPRO_NO_PHASE_FASTPATH``).  ``warm_start=True`` reuses one
-        built system per configuration within each worker process
-        (reset between runs) instead of rebuilding the topology — the
-        results are identical either way.
+        ``phase_fastpath=False`` turns the phase-replay accelerator
+        off for every run (full replay).
 
         ``instrument=True`` attaches a
         :class:`~repro.obs.metrics.MetricsRegistry` to each run:
@@ -415,7 +399,7 @@ class Methodology:
                 faults = FaultSchedule.from_dict(faults)
         tasks = [
             (name, self.configs[name], app, access, self.tables[name],
-             phase_fastpath, warm_start, instrument, keep_events, window_s,
+             phase_fastpath, instrument, keep_events, window_s,
              sanitize, faults)
             for name in names
         ]

@@ -29,15 +29,15 @@ Phases whose occurrences keep disagreeing past ``max_warmup``
 (contention drift, throttling oscillation) fall back to full replay —
 correctness degrades to speed, never the other way around.
 
-Escape hatches: the ``REPRO_NO_PHASE_FASTPATH`` environment variable
-(or ``--no-phase-fastpath`` on the CLI) disables extrapolation
-globally; ``ReplaySettings(exact=True)`` only extrapolates phases
-whose observed timings repeat bit-for-bit.
+``ReplaySettings(enabled=False)`` (``phase_fastpath=False`` on
+:meth:`~repro.core.methodology.Methodology.evaluate`,
+``--no-phase-fastpath`` on the CLI) disables extrapolation;
+``ReplaySettings(exact=True)`` only extrapolates phases whose observed
+timings repeat bit-for-bit.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,20 +45,14 @@ __all__ = [
     "ReplaySettings",
     "ReplayStats",
     "PhaseReplayAccelerator",
-    "phase_fastpath_enabled",
 ]
-
-
-def phase_fastpath_enabled() -> bool:
-    """The environment-level default for phase extrapolation."""
-    return os.environ.get("REPRO_NO_PHASE_FASTPATH", "") in ("", "0")
 
 
 @dataclass(frozen=True)
 class ReplaySettings:
     """Knobs of the phase-replay accelerator."""
 
-    #: extrapolate at all (the escape hatch flips this off)
+    #: extrapolate at all (full replay when off)
     enabled: bool = True
     #: minimum fully simulated occurrences per phase (the paper's K)
     warmup: int = 2
@@ -83,21 +77,6 @@ class ReplaySettings:
     rel_tol: float = 0.02
     #: require bit-identical occurrence timings before extrapolating
     exact: bool = False
-
-    @staticmethod
-    def from_env() -> "ReplaySettings":
-        """Settings honouring the ``REPRO_*`` environment knobs."""
-        kw = {}
-        if not phase_fastpath_enabled():
-            kw["enabled"] = False
-        w = os.environ.get("REPRO_PHASE_WARMUP", "").strip()
-        if w:
-            kw["warmup"] = max(int(w), 1)
-            kw["max_warmup"] = max(int(w) * 4, kw["warmup"])
-        t = os.environ.get("REPRO_PHASE_TOL", "").strip()
-        if t:
-            kw["rel_tol"] = float(t)
-        return ReplaySettings(**kw)
 
 
 @dataclass
@@ -227,7 +206,7 @@ class PhaseReplayAccelerator:
     """
 
     def __init__(self, settings: Optional[ReplaySettings] = None):
-        self.settings = settings or ReplaySettings.from_env()
+        self.settings = settings or ReplaySettings()
         self._phases: dict[tuple, _PhaseState] = {}
         self._groups: dict[tuple, _GroupState] = {}
         #: scope key -> groups whose phases run concurrently (same

@@ -14,13 +14,11 @@ a run where nothing is busy is limited by the application itself
 paper draws for BT-IO full ("limited by computing and/or
 communication") vs simple ("limited by I/O").
 
-Busy counters are cumulative over a system's lifetime, so utilization
-over an *interval* needs the counter values at the interval's start:
-:func:`capture_utilization` takes that baseline and
-:func:`snapshot_utilization` diffs against it.  A freshly built or
-:meth:`~repro.clusters.builder.System.reset` system carries its own
-zero baseline, so warm-started systems report per-run busy fractions,
-not lifetime totals.
+Busy counters are cumulative over a system's lifetime, which starts
+at t=0 with every counter at zero, so a whole-run query needs no
+baseline.  Utilization over a later *interval* needs the counter
+values at the interval's start: :func:`capture_utilization` takes
+that baseline and :func:`snapshot_utilization` diffs against it.
 """
 
 from __future__ import annotations
@@ -209,18 +207,13 @@ def snapshot_utilization(
     ``baseline`` — a :func:`capture_utilization` snapshot taken at the
     interval's start — is diffed against the live counters, so only
     busy seconds accrued *within* the interval count.  When omitted,
-    the system's own baseline (captured at build and on every
-    :meth:`~repro.clusters.builder.System.reset`) is used, which makes
-    warm-started systems report per-run utilization rather than
-    lifetime totals.
+    the interval is the system's whole life since t=0.
 
     ``since_s`` additionally shifts the interval start forward — use
     it only to subtract setup time the system spent *idle*; for a
     busy prelude, capture a baseline at the boundary instead.
     """
     env = system.env
-    if baseline is None:
-        baseline = getattr(system, "counters_baseline", None)
     base_busy = baseline.busy if baseline is not None else {}
     start = max(since_s, baseline.t_s if baseline is not None else 0.0)
     interval = max(env.now - start, 1e-12)

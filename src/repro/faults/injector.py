@@ -55,7 +55,7 @@ class FaultInjector:
     def arm(self) -> "FaultInjector":
         """Install the RNG registry and schedule the injection processes.
 
-        Call once, after the system is built/reset and before the
+        Call once, after the system is built and before the
         application starts; entries are scheduled in time order so
         same-time faults fire in schedule order.
         """

@@ -224,18 +224,6 @@ class Link:
             return 0.0
         return (self.busy_s - self._mark_busy) / elapsed
 
-    def reset(self) -> None:
-        """Clear channel occupancy and traffic counters (warm reuse)."""
-        self.channel.reset()
-        self.bytes_carried = 0
-        self.messages = 0
-        self.busy_s = 0.0
-        self._down_until = 0.0
-        self._latency_factor = 1.0
-        self._latency_until = 0.0
-        self._mark_t = 0.0
-        self._mark_busy = 0.0
-
 
 class Network:
     """A switched star network connecting named endpoints.
@@ -319,13 +307,6 @@ class Network:
         until = self.env.now + duration_s
         self.uplinks[endpoint].spike_latency_until(factor, until)
         self.downlinks[endpoint].spike_latency_until(factor, until)
-
-    def reset(self) -> None:
-        """Reset every link of the fabric (warm reuse)."""
-        for link in self.uplinks.values():
-            link.reset()
-        for link in self.downlinks.values():
-            link.reset()
 
     def estimate_point_to_point(self, nbytes: int) -> float:
         """Uncontended one-message A→B time (for cost-model callers)."""

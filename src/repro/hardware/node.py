@@ -65,16 +65,6 @@ class Node:
         """In-memory copy cost (used by caches and collective buffering)."""
         return nbytes / self.spec.memcpy_Bps
 
-    def reset(self) -> None:
-        """Reset CPU occupancy and the local array, if any (warm reuse).
-
-        Filesystem mounts reset themselves via the owning
-        :meth:`~repro.clusters.builder.System.reset`.
-        """
-        self.cpu.reset()
-        if self.array is not None:
-            self.array.reset()
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name!r} cores={self.spec.cores} ram={self.spec.ram_bytes // GiB}GiB>"
 

@@ -39,8 +39,7 @@ __all__ = ["RAIDLevel", "RAIDConfig", "RAIDArray", "DataLossError", "RebuildStat
 class DataLossError(RuntimeError):
     """The failure set exceeds the organisation's redundancy.
 
-    A terminal state: every subsequent :meth:`RAIDArray.submit` raises
-    until :meth:`RAIDArray.reset` rebuilds the array from scratch.
+    A terminal state: every subsequent :meth:`RAIDArray.submit` raises.
     """
 
 
@@ -689,21 +688,6 @@ class RAIDArray:
         return self.env.all_of(evs)
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Drop cache/failure state and reset every member (warm reuse)."""
-        for d in self.disks:
-            d.reset()
-        self._failed.clear()
-        self._data_lost = False
-        self._rebuilding.clear()
-        self.rebuild_stats = RebuildStats()
-        self._dirty = 0
-        self._pending_flush.clear()
-        self._space_waiters.clear()
-        self._flusher_running = False
-        self._drained = self.env.event()
-        self._drained.succeed()
-
     @property
     def stats(self):
         """Aggregated member-disk statistics."""

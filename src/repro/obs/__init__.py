@@ -5,8 +5,8 @@ points of inefficiency in the I/O path" (§III-C); this package turns
 the simulator's raw counters into that evidence:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — per-level counter and
-  histogram collection with snapshot/diff semantics (per-run deltas
-  on warm-started systems, not lifetime totals);
+  histogram collection with snapshot/diff semantics (the measured
+  run's deltas, whatever ran on the system before it);
 * :class:`~repro.obs.sampler.UtilizationSampler` — windowed busy-time
   sampling during the simulation, feeding the per-window bottleneck
   attribution of :class:`~repro.core.utilization.UtilizationReport`;

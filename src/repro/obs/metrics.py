@@ -4,8 +4,8 @@ Every component of the simulated I/O path already keeps cumulative
 counters (``DiskStats``, ``Link`` byte counts, ``FSStats``,
 ``CacheStats``, ``NFSStats``); what was missing is a single surface
 that (a) names them uniformly by I/O-path level, (b) diffs them over
-a measured run so warm-started systems report per-run deltas rather
-than lifetime totals, and (c) adds the MPI-IO library level, which
+a measured run so it reports that run's deltas rather than the
+system's lifetime totals, and (c) adds the MPI-IO library level, which
 had no counters at all.
 
 :class:`MetricsRegistry` walks a built
@@ -123,8 +123,7 @@ class CounterSnapshot:
 
     Keys are ``(level, scope, counter)`` — e.g. ``("disk",
     "ionode:disk0", "bytes_written")``.  Two snapshots diff in one
-    dict pass; that cheapness is what makes per-run deltas on warm
-    systems affordable.
+    dict pass, so per-run deltas cost next to nothing.
     """
 
     t_s: float

@@ -23,7 +23,7 @@ enters the simulation.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -163,17 +163,14 @@ class Initialize(Event):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process", _defer: bool = False):
+    def __init__(self, env: "Environment", process: "Process"):
         # Like Timeout, created triggered-and-scheduled in one step.
-        # ``_defer=True`` builds the event without inserting it; the
-        # caller batch-inserts via :meth:`Environment.schedule_many`.
         self.env = env
         self.callbacks = [process._resume]
         self._ok = True
         self._value = None
         self._scheduled = True
-        if not _defer:
-            env._push(env._now, 0, self)
+        env._push(env._now, 0, self)
 
 
 class Hop(Event):
@@ -188,19 +185,14 @@ class Hop(Event):
     __slots__ = ()
 
     def __init__(
-        self,
-        env: "Environment",
-        callback: Callable[["Event"], None],
-        priority: int = 1,
-        _defer: bool = False,
+        self, env: "Environment", callback: Callable[["Event"], None], priority: int = 1
     ):
         self.env = env
         self.callbacks = [callback]
         self._ok = True
         self._value = None
         self._scheduled = True
-        if not _defer:
-            env._push(env._now, priority, self)
+        env._push(env._now, priority, self)
 
 
 class Process(Event):
@@ -214,13 +206,7 @@ class Process(Event):
 
     __slots__ = ("generator", "_target", "name")
 
-    def __init__(
-        self,
-        env: "Environment",
-        generator: Generator,
-        name: str = "",
-        _defer: bool = False,
-    ):
+    def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
         # inlined Event.__init__: processes are created on the serve
@@ -233,8 +219,7 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        if not _defer:
-            Initialize(env, self)
+        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
@@ -451,8 +436,8 @@ class Environment:
     #: active :class:`repro.analysis.sanitizer.SimSanitizer`, if any.
     #: A class-level ``None`` keeps the disabled-mode check on the hot
     #: paths to a single attribute read; an attached sanitizer shadows
-    #: it with an instance attribute (and overrides ``step``/``reset``
-    #: the same way — ``run`` rebinds ``step`` per call, so the
+    #: it with an instance attribute (and overrides ``step`` the same
+    #: way — ``run`` rebinds ``step`` per call, so the
     #: instance override takes effect).
     sanitizer = None
 
@@ -507,22 +492,6 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator, name)
 
-    def process_many(self, generators: Iterable[Generator], name: str = "") -> list[Process]:
-        """Start a burst of processes; calendar entries insert as one batch.
-
-        Equivalent to ``[env.process(g, name) for g in generators]`` —
-        the ``Initialize`` events receive the same consecutive sequence
-        numbers, so pop order (and therefore the simulation) is
-        bit-identical — but a large burst heapifies once instead of
-        sifting per insert (see :meth:`schedule_many`).
-        """
-        procs = [Process(self, g, name, _defer=True) for g in generators]
-        now = self._now
-        self.schedule_many(
-            [(now, 0, Initialize(self, p, _defer=True)) for p in procs]
-        )
-        return procs
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -540,36 +509,6 @@ class Environment:
         """
         self._seq += 1
         heappush(self._queue, (when, priority, self._seq, event))
-
-    def schedule_many(self, entries: list[tuple[float, int, Event]]) -> None:
-        """Batch-insert ``(when, priority, event)`` calendar entries.
-
-        Sequence numbers are assigned in list order — exactly what a
-        loop of single inserts would produce, so the heap holds the
-        same key set and pops in the same order.  Bursts that are large
-        relative to the calendar heapify once (O(n + k)) instead of
-        sifting per entry (O(k log n)).  Events must already be
-        triggered and marked scheduled (``Timeout``-style construction).
-        """
-        if "_push" in self.__dict__:
-            # instrumented (sanitizer): every entry through the funnel
-            for when, priority, event in entries:
-                self._push(when, priority, event)
-            return
-        queue = self._queue
-        seq = self._seq
-        k = len(entries)
-        n = k + len(queue)
-        if k > 8 and 2 * n < k * (n.bit_length() - 1):
-            for when, priority, event in entries:
-                seq += 1
-                queue.append((when, priority, seq, event))
-            heapify(queue)
-        else:
-            for when, priority, event in entries:
-                seq += 1
-                heappush(queue, (when, priority, seq, event))
-        self._seq = seq
 
     def _schedule(self, event: Event, priority: int = 1) -> None:
         if event._scheduled:
@@ -662,16 +601,3 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
-
-    def reset(self, initial_time: float = 0.0) -> None:
-        """Return the environment to a fresh state for warm reuse.
-
-        Drops every pending calendar entry and rewinds the clock.  Any
-        still-alive processes are simply abandoned (their generators are
-        collected); callers are responsible for resetting the mutable
-        state of components built on this environment.
-        """
-        self._now = float(initial_time)
-        self._queue.clear()
-        self._seq = 0
-        self._active_process = None

@@ -130,13 +130,6 @@ class Resource:
         except ValueError:
             pass
 
-    def reset(self) -> None:
-        """Forget all holders, waiters and watchers (warm reuse)."""
-        self.users.clear()
-        self.queue.clear()
-        self._order = 0
-        self._arrival_watchers.clear()
-
     def release(self, req: Request) -> None:
         """Give the slot back and wake the next waiter.
 

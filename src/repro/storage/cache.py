@@ -358,14 +358,6 @@ class PageCache:
                     break
         return out
 
-    def reset(self) -> None:
-        """Empty the cache and zero the statistics (warm reuse)."""
-        self._segs.clear()
-        self._dirty.clear()
-        self._dirty_total = 0
-        self._file_resident.clear()
-        self.stats = CacheStats()
-
     def drop_file(self, fileid: int) -> int:
         """Invalidate every segment of a file (unlink); returns count dropped."""
         keys = [k for k in self._segs if k[0] == fileid]

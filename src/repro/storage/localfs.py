@@ -270,18 +270,6 @@ class LocalFS:
             res = 0 if hits == 0 else (2 if hits == len(probes) else 1)
         return (res, self.cache.need_background_flush, self.cache.need_throttle)
 
-    def reset(self) -> None:
-        """Drop all namespace, cache and allocator state (warm reuse)."""
-        self.cache.reset()
-        self.stats = FSStats()
-        self._inodes.clear()
-        self._by_id.clear()
-        self._next_fileid = 1
-        self._alloc_cursor = 0
-        self._flusher_running = False
-        self._flush_waiters.clear()
-        self._inode_locks.clear()
-
     def fsync(self, inode: Inode) -> Event:
         """Flush the file's dirty segments to the device."""
         return _LocalFsync(self, inode).result

@@ -127,12 +127,6 @@ class NFSServer:
         """
         return _ServerService(self, work_event_factory, rpc_count).result
 
-    def reset(self) -> None:
-        """Forget thread-pool, stall and statistics state (warm reuse)."""
-        self.threads.reset()
-        self.stats = NFSStats()
-        self.stall_until = 0.0
-
 
 class NFSMount:
     """A client mount of an :class:`NFSServer` export on one node."""
@@ -246,11 +240,6 @@ class NFSMount:
         :meth:`~repro.storage.localfs.LocalFS.state_token`).
         """
         return self.server.export.state_token(inode, req)
-
-    def reset(self) -> None:
-        """Drop client-cache and statistics state (warm reuse)."""
-        self.cache.reset()
-        self.stats = NFSStats()
 
     def _inode_by_id(self, fileid):
         return self.server.export._by_id.get(fileid)

@@ -157,6 +157,11 @@ class BTIOConfig:
     def __post_init__(self):
         if self.subtype not in ("full", "simple"):
             raise ValueError(f"subtype must be 'full' or 'simple', got {self.subtype!r}")
+        btio_class(self.clazz)  # raises on an unknown class
+        if self.nprocs < 1 or isqrt(self.nprocs) ** 2 != self.nprocs:
+            raise ValueError(
+                f"BT-IO requires a square process count >= 1, got {self.nprocs}"
+            )
 
 
 @dataclass

@@ -219,23 +219,37 @@ def _loads_yaml(text: str) -> Any:
     return value
 
 
+def _spec_path(source: Union[str, Path]) -> Optional[Path]:
+    """The file ``source`` names, or ``None`` when it is literal text.
+
+    A one-line string naming an existing file is a path.  So is one
+    ending in ``.json``/``.yaml``/``.yml`` whose file does not exist:
+    it raises instead of being parsed as a one-line YAML document.
+    """
+    if isinstance(source, Path):
+        return source
+    if "\n" not in source:
+        if Path(source).is_file():
+            return Path(source)
+        if source.endswith((".json", ".yaml", ".yml")):
+            raise WorkloadSpecError(f"no such spec file: {source}")
+    return None
+
+
 def load_document(source: Union[str, Path]) -> Any:
     """Parse a spec document from a path or literal text.
 
-    A :class:`~pathlib.Path` (or a string naming an existing file) is
-    read first; ``.json`` parses as JSON, anything else through the
-    YAML-subset reader (which also accepts JSON, its syntax being a
-    YAML subset in spirit — a leading ``{`` or ``[`` routes to the
-    JSON parser).
+    A :class:`~pathlib.Path` (or a string naming a file, see
+    :func:`_spec_path`) is read first; ``.json`` parses as JSON,
+    anything else through the YAML-subset reader (which also accepts
+    JSON, its syntax being a YAML subset in spirit — a leading ``{``
+    or ``[`` routes to the JSON parser).
     """
-    text = None
-    name = ""
-    if isinstance(source, Path):
-        text, name = source.read_text(encoding="utf-8"), source.name
-    elif isinstance(source, str) and "\n" not in source and Path(source).is_file():
-        text, name = Path(source).read_text(encoding="utf-8"), Path(source).name
+    path = _spec_path(source)
+    if path is not None:
+        text, name = path.read_text(encoding="utf-8"), path.name
     else:
-        text = str(source)
+        text, name = source, ""
     stripped = text.lstrip()
     if name.endswith(".json") or stripped.startswith(("{", "[")):
         try:
@@ -452,11 +466,8 @@ def load_spec(source: Union[str, Path]):
     :class:`~repro.workloads.apps.SyntheticApplication`."""
     from .apps import SyntheticApplication
 
-    doc = load_document(source)
+    path = _spec_path(source)
+    doc = load_document(path or source)
     spec = compile_spec(doc)
-    default = "workload"
-    if isinstance(source, Path):
-        default = source.stem
-    elif isinstance(source, str) and "\n" not in source and Path(source).is_file():
-        default = Path(source).stem
+    default = path.stem if path is not None else "workload"
     return SyntheticApplication(spec=spec, label=spec_name(doc, default))

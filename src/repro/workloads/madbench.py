@@ -48,6 +48,10 @@ class MadBenchConfig:
             raise ValueError(f"filetype must be 'unique' or 'shared', got {self.filetype!r}")
         if self.iomode not in ("sync",):
             raise ValueError("only IOMODE=SYNC is modelled")
+        if self.nprocs < 1:
+            raise ValueError(f"MADbench2 requires nprocs >= 1, got {self.nprocs}")
+        if self.kpix < 1:
+            raise ValueError(f"MADbench2 requires kpix >= 1, got {self.kpix}")
 
     @property
     def npix(self) -> int:

@@ -116,6 +116,14 @@ class TestYamlSubset:
         with pytest.raises(WorkloadSpecError, match="empty"):
             load_document("# only a comment\n")
 
+    @pytest.mark.parametrize("name", ["missing.json", "missing.yaml", "missing.yml"])
+    def test_missing_spec_file_is_not_inline_yaml(self, tmp_path, name):
+        path = str(tmp_path / name)
+        with pytest.raises(WorkloadSpecError, match="no such spec file"):
+            load_document(path)
+        with pytest.raises(WorkloadSpecError, match="no such spec file"):
+            load_spec(path)
+
 
 # ----------------------------------------------------------------------
 # validation

@@ -1,10 +1,9 @@
-"""Observability subsystem: MetricsRegistry, sampler, warm-run deltas."""
+"""Observability subsystem: MetricsRegistry, sampler, per-run deltas."""
 
 import pytest
 
 from conftest import small_config
-from repro.clusters.builder import build_system, warm_system
-from repro.core.utilization import capture_utilization
+from repro.clusters.builder import build_system
 from repro.obs.metrics import LEVELS, Histogram, IOLibStats, MetricsRegistry
 from repro.obs.sampler import UtilizationSampler
 from repro.simengine import Environment
@@ -68,28 +67,6 @@ def test_registry_levels_and_deltas():
     assert registry.histograms()["iolib"]["write_sizes"]
 
 
-def test_registry_warm_run_reports_per_run_deltas():
-    """A reused (reset) system must report the run's own deltas, not
-    lifetime totals — the tentpole's snapshot/diff requirement."""
-    system = build_system(Environment(), small_config())
-
-    def one_run():
-        registry = MetricsRegistry(system)
-        registry.begin_run(window_s=0.05)
-        run_btio(system, BT_SMALL)
-        registry.end_run()
-        return registry.deltas()
-
-    first = one_run()
-    system.reset()
-    second = one_run()
-    assert set(first) == set(second)
-    for level in first:
-        assert set(first[level]) == set(second[level]), level
-        for key, v in first[level].items():
-            assert second[level][key] == pytest.approx(v), (level, key)
-
-
 def test_registry_utilization_report_windows():
     system = build_system(Environment(), small_config())
     registry = MetricsRegistry(system)
@@ -144,28 +121,3 @@ def test_instrumentation_preserves_run_results():
     registry.end_run()
     assert res_inst.execution_time == res_plain.execution_time
     assert res_inst.io_time == res_plain.io_time
-
-
-def test_warm_pool_two_configs_match_cold_builds():
-    """Satellite regression: alternate two configs on one warm pool;
-    every warm run must be indistinguishable from a cold build (the
-    full per-component reset chain, including busy counters)."""
-    configs = [small_config("jbod"), small_config("raid5")]
-
-    def counters_after_run(system):
-        res = run_btio(system, BT_SMALL)
-        registry = MetricsRegistry(system)
-        snap = registry.snapshot()
-        busy = {n: kb[1] for n, kb in capture_utilization(system).busy.items()}
-        return res.execution_time, snap.values, busy
-
-    cold = [counters_after_run(build_system(Environment(), c)) for c in configs]
-    # two interleaved rounds on the warm pool: the second round reuses
-    # systems that already ran once
-    for round_ in range(2):
-        for c, (cold_t, cold_counters, cold_busy) in zip(configs, cold):
-            warm = warm_system(c)
-            t, counters, busy = counters_after_run(warm)
-            assert t == cold_t, (round_, c.name)
-            assert counters == cold_counters, (round_, c.name)
-            assert busy == cold_busy, (round_, c.name)

@@ -3,26 +3,11 @@
 import csv
 import io
 import json
-import os
-
-import pytest
 
 from repro.cli import main
 
 BT_ARGS = ["btio", "--class", "S", "--nprocs", "4", "--subtype", "full",
            "--block-step", "9", "--ior-gib", "1"]
-
-
-@pytest.fixture(autouse=True)
-def _restore_fastpath_env():
-    """main() exports REPRO_NO_PHASE_FASTPATH for worker processes;
-    keep it from leaking between runs/tests."""
-    prior = os.environ.get("REPRO_NO_PHASE_FASTPATH")
-    yield
-    if prior is None:
-        os.environ.pop("REPRO_NO_PHASE_FASTPATH", None)
-    else:
-        os.environ["REPRO_NO_PHASE_FASTPATH"] = prior
 
 
 def _report(tmp_path, tag, extra=(), configs=("jbod",)):

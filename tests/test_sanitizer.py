@@ -170,17 +170,6 @@ def test_leak_check_skipped_while_calendar_busy(sanitized):
     head.release(req)
 
 
-def test_leak_detected_on_reset(sanitized):
-    system, san = sanitized
-    head = system.server_node.array.disks[0].head
-    head.request()
-    system.env.run()  # drain init + grant events: the calendar is empty
-    system.env.reset()
-    assert "leak" in checks_of(san)
-    # reset rebaselines the ledgers for the next run on the pooled system
-    assert san.iolib_bytes == {"write": 0, "read": 0}
-
-
 # ---------------------------------------------------------------------------
 # utilization and byte conservation
 

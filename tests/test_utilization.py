@@ -91,31 +91,6 @@ def test_busy_prelude_not_overreported():
     assert full.hottest(kind="disk", n=1)[0].busy_s > 0
 
 
-def test_rebaseline_gives_per_run_view():
-    """System.rebaseline() resets the default diffing origin, so a
-    reused (not rebuilt) system reports per-run utilization."""
-    system = build_system(Environment(), small_config())
-    env = system.env
-    _busy_writes(system)
-    system.rebaseline()
-    t1 = env.now
-    env.run(env.timeout(5.0))
-    rep = snapshot_utilization(system)
-    assert rep.interval_s == pytest.approx(env.now - t1)
-    assert all(r.utilization == 0.0 for r in rep.resources)
-
-
-def test_warm_reset_clears_baseline_and_counters():
-    system = build_system(Environment(), small_config())
-    _busy_writes(system)
-    system.reset()
-    assert system.counters_baseline.t_s == 0.0
-    assert all(b == 0.0 for _k, b in system.counters_baseline.busy.values())
-    system.env.run(system.env.timeout(1.0))
-    rep = snapshot_utilization(system)
-    assert all(r.utilization == 0.0 for r in rep.resources)
-
-
 def test_disk_utilization_uses_measured_interval(env):
     """Regression: Disk.utilization divided by env.now including
     pre-run setup time, understating the busy fraction."""
@@ -130,16 +105,6 @@ def test_disk_utilization_uses_measured_interval(env):
     assert disk.utilization > 0.9  # busy nearly the whole interval
     # the old computation would have diluted it under busy/(10+run)
     assert disk.utilization > busy / env.now * 5
-
-
-def test_disk_reset_clears_measurement_mark(env):
-    disk = Disk(env)
-    env.run(disk.submit("write", 0, 1 * MiB, count=4))
-    disk.mark_measurement()
-    disk.reset()
-    assert disk.utilization == 0.0
-    env.run(disk.submit("write", 0, 1 * MiB, count=4))
-    assert disk.utilization > 0.0
 
 
 def test_link_utilization_uses_measured_interval(env):
