@@ -42,6 +42,9 @@ GUARDED_KEYS = {
         "kernel_contended_rotation",
         "kernel_coupled_rotation",
         "kernel_fs_serve",
+        # a full page cache streaming runs through evictions: an O(n)
+        # LRU eviction coming back shows up here first
+        "kernel_cache_churn",
     ),
 }
 

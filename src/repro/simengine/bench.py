@@ -26,6 +26,11 @@ Scenario mix:
   :class:`~repro.storage.localfs.LocalFS`: the flat filesystem
   state machines (the one scenario that touches model code, because
   the flat filesystem path is what it gates).
+* ``cache_churn`` — a full :class:`~repro.storage.cache.PageCache`
+  streaming clean runs, dirty runs (cleaned a few runs later, as the
+  flusher would) and re-reads through its batch methods, so every new
+  segment evicts the LRU one: it gates the O(1) eviction that keeps
+  the characterization's export and client caches cheap.
 
 Each scenario reports wall seconds, simulated events (calendar entries
 consumed, from the environment's sequence counter) and events/second.
@@ -171,6 +176,52 @@ def _fs_serve(ops: int) -> Environment:
     return env
 
 
+def _cache_churn(runs: int) -> Environment:
+    # imported here for the same reason as in _fs_serve
+    from ..storage.cache import CacheSpec, PageCache
+
+    env = Environment()
+    seg = 64 * 1024
+    run_segs = 64
+    # a dirty run is cleaned 8 dirty runs (24 runs) after it was
+    # streamed: before it reaches the LRU end of the 2,048-segment
+    # cache and with at most 512 dirty segments, under the throttle
+    flush_back = 24 * run_segs
+    cache = PageCache(CacheSpec(capacity_bytes=2048 * seg, segment_bytes=seg))
+    dirty_plan = [(k, seg) for k in range(run_segs)]
+    state = {"i": 0}
+
+    def step(_ev: Event) -> None:
+        i = state["i"]
+        if i >= runs:
+            return
+        # single self-rearming chain: no concurrent writer exists
+        state["i"] = i + 1  # simlint: ignore[tie-order-rmw]
+        first = i * run_segs
+        kind = i % 3
+        if kind == 0:
+            # stream a clean run in; the cache is full, so each new
+            # segment evicts the LRU one
+            done = cache.insert_clean_run(1, first, run_segs)
+            for s in range(first + done, first + run_segs):
+                cache.insert(1, s)
+        elif kind == 1:
+            entries = [(first + k, d) for k, d in dirty_plan]
+            done = cache.insert_dirty_run(1, entries)
+            for s, d in entries[done:]:
+                cache.insert(1, s, d)
+            cache.mark_clean_run(1, first - flush_back, run_segs)
+        else:
+            # re-read the previous run (hits) and stream the next
+            # range through the serve-path walk (misses + evictions)
+            cache.touch_run(1, range(first - run_segs, first))
+            cache.touch_or_insert_clean(1, range(first, first + run_segs))
+        Timeout(env, 0.001).callbacks.append(step)
+
+    Timeout(env, 0.001).callbacks.append(step)
+    return env
+
+
 #: scenario name -> zero-arg environment builder (sizes tuned so the
 #: whole suite stays around a second on a laptop-class core)
 _SCENARIOS = {
@@ -180,6 +231,7 @@ _SCENARIOS = {
     "uncontended_hold": lambda: _uncontended_hold(64, 400),
     "coupled_rotation": lambda: _coupled_rotation(8, 1_200),
     "fs_serve": lambda: _fs_serve(4_000),
+    "cache_churn": lambda: _cache_churn(2_000),
 }
 
 

@@ -93,7 +93,12 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, priority)
+        # inlined Environment._schedule: succeed is the hottest trigger
+        if self._scheduled:
+            raise SimulationError(f"{self!r} scheduled twice")
+        self._scheduled = True
+        env = self.env
+        env._push(env._now, priority, self)
         return self
 
     def fail(self, exception: BaseException, priority: int = 1) -> "Event":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from .core import Environment, Event, Hop, SimulationError, Timeout, Wake
+from .core import PENDING, Environment, Event, Hop, SimulationError, Timeout, Wake
 
 __all__ = [
     "Request",
@@ -38,13 +38,18 @@ class Request(Event):
     __slots__ = ("resource", "priority", "_order", "_released", "t_arrival", "order_key")
 
     def __init__(self, resource: "Resource", priority: int = 0, order_key=None):
-        super().__init__(resource.env)
+        # inlined Event.__init__: one request per grant on every hold
+        env = self.env = resource.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._scheduled = False
         self.resource = resource
         self.priority = priority
         resource._order += 1
         self._order = resource._order
         self._released = False
-        self.t_arrival = resource.env._now
+        self.t_arrival = env._now
         # semantic tie-break among waiters that arrived at the *same*
         # sim-time: requests carrying a key are ordered by it instead of
         # by incidental insertion order (e.g. the disk head queues by
@@ -101,7 +106,12 @@ class Resource:
         req = Request(self, priority, order_key)
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(req)
-            req.succeed(req)
+            # the grant, i.e. req.succeed(req) on a fresh request: the
+            # entry still goes through the env._push funnel
+            req._value = req
+            req._scheduled = True
+            env = self.env
+            env._push(env._now, 1, req)
         else:
             self._enqueue(req)
         return req
@@ -158,10 +168,15 @@ class Resource:
         self._grant_next()
 
     def _grant_next(self) -> None:
+        env = self.env
         while self.queue and len(self.users) < self.capacity:
             nxt = self._pop_next()
             self.users.append(nxt)
-            nxt.succeed(nxt)
+            # nxt.succeed(nxt), inlined as in request(): a queued
+            # request is still pending until this grant
+            nxt._value = nxt
+            nxt._scheduled = True
+            env._push(env._now, 1, nxt)
 
     def _pop_next(self) -> Request:
         queue = self.queue

@@ -20,6 +20,7 @@ each node's RAM.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -73,16 +74,24 @@ class CacheStats:
 
 
 class PageCache:
-    """LRU segment cache over (file-id, segment-number) keys."""
+    """LRU segment cache over (file-id, segment-number) keys.
+
+    Recency lives in :class:`collections.OrderedDict` order rather than
+    plain dict order: evicting the LRU entry of a plain dict with
+    ``next(iter(d))`` walks the tombstones that earlier front deletions
+    left behind, while ``popitem(last=False)`` on an OrderedDict is O(1)
+    however long the eviction stream runs.
+    """
 
     def __init__(self, spec: CacheSpec, name: str = "pagecache"):
         self.spec = spec
         self.name = name
         # key -> dirty byte count (0 == clean); order == recency (last = MRU)
-        self._segs: dict[tuple[int, int], int] = {}
-        # dirty keys only, in the same relative order they hold in _segs,
-        # so the flusher's oldest-first walk never scans clean entries
-        self._dirty: dict[tuple[int, int], int] = {}
+        self._segs: OrderedDict[tuple[int, int], int] = OrderedDict()
+        # dirty keys only, with the same byte counts and in the same
+        # relative order they hold in _segs, so the flusher's
+        # oldest-first walk never scans clean entries
+        self._dirty: OrderedDict[tuple[int, int], int] = OrderedDict()
         self._dirty_total = 0
         self._file_resident: dict[int, int] = {}  # fileid -> resident seg count
         self._sb = spec.segment_bytes
@@ -134,12 +143,11 @@ class PageCache:
         """Record an access; returns True on hit (and refreshes LRU)."""
         key = (fileid, seg)
         segs = self._segs
-        if key in segs:
-            val = segs.pop(key)
-            segs[key] = val
+        val = segs.get(key)
+        if val is not None:
+            segs.move_to_end(key)
             if val:
-                dirty = self._dirty
-                dirty[key] = dirty.pop(key)
+                self._dirty.move_to_end(key)
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -160,21 +168,21 @@ class PageCache:
         key = (fileid, seg)
         segs = self._segs
         victims: list[tuple[int, int, int]] = []
-        if key in segs:
-            old = segs.pop(key)
+        old = segs.get(key)
+        if old is not None:
             new = old + dirty_bytes
             if new > sb:
                 new = sb
             segs[key] = new
+            segs.move_to_end(key)
             self._dirty_total += new - old
             if new:
                 dirty = self._dirty
-                dirty.pop(key, None)
                 dirty[key] = new
+                dirty.move_to_end(key)
             return victims
         while len(segs) >= self._nsegments:
-            vkey = next(iter(segs))
-            vdirty = segs.pop(vkey)
+            vkey, vdirty = segs.popitem(last=False)
             self._file_resident[vkey[0]] -= 1
             self.stats.evictions += 1
             if vdirty:
@@ -192,18 +200,19 @@ class PageCache:
     def touch_run(self, fileid: int, seg_range: Iterable[int]) -> None:
         """Record a run of accesses; equivalent to :meth:`touch` per
         segment (LRU refresh, statistics) without a method call each."""
-        segs = self._segs
-        dirty = self._dirty
+        get = self._segs.get
+        move = self._segs.move_to_end
+        dmove = self._dirty.move_to_end
         stats = self.stats
         for s in seg_range:
             key = (fileid, s)
-            old = segs.pop(key, None)
+            old = get(key)
             if old is None:
                 stats.misses += 1
                 continue
-            segs[key] = old
+            move(key)
             if old:
-                dirty[key] = dirty.pop(key)
+                dmove(key)
             stats.hits += 1
 
     def insert_clean_run(self, fileid: int, first: int, nsegs: int) -> int:
@@ -217,18 +226,20 @@ class PageCache:
         so its dirty victims flush at the right simulated time.
         """
         segs = self._segs
-        dirty = self._dirty
+        get = segs.get
+        move = segs.move_to_end
+        dmove = self._dirty.move_to_end
         nmax = self._nsegments
         file_resident = self._file_resident
         stats = self.stats
         done = 0
         for s in range(first, first + nsegs):
             key = (fileid, s)
-            old = segs.pop(key, None)
+            old = get(key)
             if old is not None:
-                segs[key] = old
+                move(key)
                 if old:
-                    dirty[key] = dirty.pop(key)
+                    dmove(key)
                 done += 1
                 continue
             while len(segs) >= nmax:
@@ -257,7 +268,10 @@ class PageCache:
         the batch stopped.
         """
         segs = self._segs
+        get = segs.get
+        move = segs.move_to_end
         dirty = self._dirty
+        dmove = dirty.move_to_end
         sb = self._sb
         nmax = self._nsegments
         limit = self.spec.dirty_limit_bytes
@@ -271,16 +285,17 @@ class PageCache:
             if dbytes > sb:
                 dbytes = sb
             key = (fileid, seg)
-            old = segs.pop(key, None)
+            old = get(key)
             if old is not None:
                 new = old + dbytes
                 if new > sb:
                     new = sb
                 segs[key] = new
+                move(key)
                 self._dirty_total += new - old
                 if new:
-                    dirty.pop(key, None)
                     dirty[key] = new
+                    dmove(key)
                 done += 1
                 continue
             blocked = False
@@ -312,23 +327,26 @@ class PageCache:
         without two method calls and a victims list per segment.
         """
         segs = self._segs
+        get = segs.get
+        move = segs.move_to_end
+        evict = segs.popitem
         dirty = self._dirty
+        dmove = dirty.move_to_end
         stats = self.stats
         nmax = self._nsegments
         file_resident = self._file_resident
         for s in seg_range:
             key = (fileid, s)
-            old = segs.pop(key, None)
+            old = get(key)
             if old is not None:
-                segs[key] = old
+                move(key)
                 if old:
-                    dirty[key] = dirty.pop(key)
+                    dmove(key)
                 stats.hits += 1
                 continue
             stats.misses += 1
             while len(segs) >= nmax:
-                vkey = next(iter(segs))
-                vdirty = segs.pop(vkey)
+                vkey, vdirty = evict(last=False)
                 file_resident[vkey[0]] -= 1
                 stats.evictions += 1
                 if vdirty:
@@ -345,6 +363,21 @@ class PageCache:
             self._segs[key] = 0
             self._dirty_total -= amount
             del self._dirty[key]
+
+    def mark_clean_run(self, fileid: int, first: int, nsegs: int) -> None:
+        """Mark segments ``first .. first + nsegs - 1`` of a file clean;
+        equivalent to :meth:`mark_clean` per segment.  Cleaning never
+        reorders recency, and non-resident segments are skipped."""
+        segs = self._segs
+        pop = self._dirty.pop
+        freed = 0
+        for s in range(first, first + nsegs):
+            key = (fileid, s)
+            amount = pop(key, 0)
+            if amount:
+                segs[key] = 0
+                freed += amount
+        self._dirty_total -= freed
 
     def dirty_segments(
         self, limit: int | None = None, fileid: int | None = None

@@ -295,9 +295,11 @@ class LocalFS:
         stride = req.effective_stride if req.stride != -1 else 7919 * self.spec.min_io_bytes
         if stride < sb:
             # Dirtiness spreads uniformly over the span.
-            segs = list(self.cache.segments_of(req.offset, req.span))
+            # slice the range itself: a huge sparse stream never
+            # materialises more than ``cap`` segment numbers
+            segs = self.cache.segments_of(req.offset, req.span)
             per = max(req.total_bytes // max(len(segs), 1), 1)
-            return [(s, per) for s in segs[:cap]], max(0, (len(segs) - cap)) * per
+            return [(s, per) for s in segs[:cap]], max(0, len(segs) - cap) * per
         # One (partial) segment per operation.
         n = min(req.count, cap)
         segs = [(req.offset + k * stride) // sb for k in range(n)]
@@ -356,8 +358,7 @@ class _FlatFlush:
             fileid, first, nsegs, dirty = runs[self.i]
             inode = fs._by_id.get(fileid)
             if inode is None:
-                for s in range(first, first + nsegs):
-                    fs.cache.mark_clean(fileid, s)
+                fs.cache.mark_clean_run(fileid, first, nsegs)
                 self.i += 1
                 continue
             off = first * sb
@@ -378,8 +379,7 @@ class _FlatFlush:
     def _written(self, _v):
         fs = self.fs
         fileid, first, nsegs, _d = self.runs[self.i]
-        for s in range(first, first + nsegs):
-            fs.cache.mark_clean(fileid, s)
+        fs.cache.mark_clean_run(fileid, first, nsegs)
         fs.stats.flush_runs += 1
         self.i += 1
         self._next()

@@ -496,8 +496,7 @@ class _FlatPush:
             run_bytes = nsegs * sb
             density = dirty / run_bytes
             if inode is None:
-                for s in range(first, first + nsegs):
-                    m.cache.mark_clean(fileid, s)
+                m.cache.mark_clean_run(fileid, first, nsegs)
                 self.i += 1
                 continue
             if density >= 0.5:
@@ -532,8 +531,7 @@ class _FlatPush:
     def _streamed(self, _v=None):
         m = self.m
         fileid, first, nsegs, _d = self.runs[self.i]
-        for s in range(first, first + nsegs):
-            m.cache.mark_clean(fileid, s)
+        m.cache.mark_clean_run(fileid, first, nsegs)
         self.i += 1
         self._next()
 

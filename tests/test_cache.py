@@ -192,3 +192,122 @@ def test_coalesce_partition_property(entries):
         total_dirty += dirty
     assert sorted(covered) == sorted(uniq)
     assert total_dirty == sum(uniq.values())
+
+
+# ----------------------------------------------------------------------
+# differential: each batch method against the per-segment loop it
+# claims to equal
+# ----------------------------------------------------------------------
+prefix_op = st.tuples(
+    st.sampled_from(["insert", "touch", "clean", "drop"]),
+    st.integers(min_value=1, max_value=3),  # fileid
+    st.integers(min_value=0, max_value=20),  # segment
+    st.integers(min_value=0, max_value=SEG),  # dirty bytes for insert
+)
+
+
+def _cache_after(prefix, nsegs):
+    """A cache driven into an arbitrary mixed clean/dirty LRU state."""
+    c = make_cache(nsegs=nsegs)
+    for kind, f, s, d in prefix:
+        if kind == "insert":
+            c.insert(f, s, dirty_bytes=d)
+        elif kind == "touch":
+            c.touch(f, s)
+        elif kind == "clean":
+            c.mark_clean(f, s)
+        else:
+            c.drop_file(f)
+    return c
+
+
+def _state(c):
+    return (
+        list(c._segs.items()),
+        list(c._dirty.items()),
+        c.dirty_bytes,
+        [c.file_resident_segments(f) for f in (1, 2, 3)],
+        c.stats,
+    )
+
+
+def _evicts_dirty(c, fileid, seg):
+    """Would ``insert(fileid, seg)`` evict a dirty victim right now?"""
+    if c.is_resident(fileid, seg) or len(c._segs) < c.spec.nsegments:
+        return False
+    return next(iter(c._segs.values())) > 0
+
+
+batch_case = dict(
+    prefix=st.lists(prefix_op, max_size=50),
+    nsegs=st.integers(min_value=1, max_value=8),
+    fileid=st.integers(min_value=1, max_value=3),
+    first=st.integers(min_value=0, max_value=20),
+    n=st.integers(min_value=0, max_value=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**batch_case)
+def test_touch_run_equals_touch_loop(prefix, nsegs, fileid, first, n):
+    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
+    batch.touch_run(fileid, range(first, first + n))
+    for s in range(first, first + n):
+        ref.touch(fileid, s)
+    assert _state(batch) == _state(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**batch_case)
+def test_touch_or_insert_clean_equals_loop(prefix, nsegs, fileid, first, n):
+    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
+    batch.touch_or_insert_clean(fileid, range(first, first + n))
+    for s in range(first, first + n):
+        ref.touch(fileid, s) or ref.insert(fileid, s, 0)
+    assert _state(batch) == _state(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**batch_case)
+def test_insert_clean_run_equals_insert_loop(prefix, nsegs, fileid, first, n):
+    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
+    done = batch.insert_clean_run(fileid, first, n)
+    expected = 0
+    for s in range(first, first + n):
+        if _evicts_dirty(ref, fileid, s):
+            break
+        assert ref.insert(fileid, s, 0) == []
+        expected += 1
+    assert done == expected
+    assert _state(batch) == _state(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(0, 20), st.integers(0, SEG + 100)), max_size=12
+    ),
+    start=st.integers(min_value=0, max_value=4),
+    **{k: v for k, v in batch_case.items() if k not in ("first", "n")},
+)
+def test_insert_dirty_run_equals_insert_loop(prefix, nsegs, fileid, entries, start):
+    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
+    done = batch.insert_dirty_run(fileid, entries, start)
+    expected = 0
+    for seg, dbytes in entries[start:]:
+        if ref.need_throttle or _evicts_dirty(ref, fileid, seg):
+            break
+        assert ref.insert(fileid, seg, dbytes) == []
+        expected += 1
+    assert done == expected
+    assert _state(batch) == _state(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**batch_case)
+def test_mark_clean_run_equals_mark_clean_loop(prefix, nsegs, fileid, first, n):
+    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
+    batch.mark_clean_run(fileid, first, n)
+    for s in range(first, first + n):
+        ref.mark_clean(fileid, s)
+    assert _state(batch) == _state(ref)

@@ -58,6 +58,56 @@ def test_resource_release_unheld_raises():
         res.release(req)
 
 
+def _record_pushes(env):
+    """Interpose on the env._push funnel the way the sanitizer and the
+    race probe do; returns the list of (when, priority, event) seen."""
+    seen = []
+    down = env._push
+
+    def push(when, priority, event):
+        seen.append((when, priority, event))
+        down(when, priority, event)
+
+    env._push = push
+    return seen
+
+
+def test_uncontended_grant_is_one_push():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    seen = _record_pushes(env)
+    req = res.request()
+    assert seen == [(0.0, 1, req)]
+    assert req.triggered and req.value is req and res.users == [req]
+    env.run()
+    assert req.processed
+
+
+def test_grant_at_release_is_one_push():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    first = res.request()
+    env.run(until=1.0)
+    seen = _record_pushes(env)
+    waiter = res.request()
+    assert seen == [] and not waiter.triggered
+    res.release(first)
+    assert seen == [(1.0, 1, waiter)]
+    assert waiter.value is waiter and res.users == [waiter] and not res.queue
+
+
+def test_granted_request_cannot_be_triggered_again():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    req = res.request()
+    with pytest.raises(SimulationError):
+        req.succeed(req)
+    queued = res.request()
+    res.release(req)
+    with pytest.raises(SimulationError):
+        queued.fail(RuntimeError("late"))
+
+
 def test_resource_capacity_validation():
     with pytest.raises(ValueError):
         Resource(Environment(), capacity=0)
