@@ -155,9 +155,11 @@ class SimSanitizer:
 
         Chains through any instance-level ``step``/``_push``
         already installed on the environment (e.g. a
-        :class:`~repro.simengine.schedule.RaceProbe` attached at
-        creation), so instrumentation layers compose instead of
-        silently disabling each other.
+        :class:`~repro.simengine.schedule.TieGroupRecorder` or
+        :class:`~repro.simengine.schedule.Perturber` installed at
+        creation through :func:`~repro.simengine.schedule.capture`), so
+        instrumentation layers compose instead of silently disabling
+        each other.
         """
         env = self.env
         if getattr(env, "sanitizer", None) is not None:

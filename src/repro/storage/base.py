@@ -17,6 +17,7 @@ __all__ = [
     "AccessType",
     "IORequest",
     "classify_mode",
+    "random_stride",
     "KiB",
     "MiB",
     "GiB",
@@ -25,6 +26,13 @@ __all__ = [
 KiB = 1024
 MiB = 1024 * KiB
 GiB = 1024 * MiB
+
+
+def random_stride(page: int) -> int:
+    """Stride at which a random (``stride=-1``) pattern is cost-modelled:
+    its operations land ``7919`` pages apart (a prime, so the scatter
+    does not line up with power-of-two stripe or segment sizes)."""
+    return 7919 * page
 
 
 class AccessMode(str, Enum):
@@ -71,6 +79,11 @@ class IORequest:
     @property
     def effective_stride(self) -> int:
         return self.nbytes if self.stride is None else self.stride
+
+    def op_stride(self, page: int) -> int:
+        """Distance between consecutive operations; a random pattern's
+        are scattered :func:`random_stride` ``(page)`` apart."""
+        return random_stride(page) if self.stride == -1 else self.effective_stride
 
     @property
     def mode(self) -> AccessMode:

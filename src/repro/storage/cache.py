@@ -1,4 +1,4 @@
-"""OS page-cache model.
+"""OS page-cache model and the one client protocol that drives it.
 
 Tracks residency and dirtiness of file data at *segment* granularity
 (default 1 MiB) with LRU replacement.  Each resident segment carries a
@@ -8,9 +8,23 @@ dirty one — sparse write streams therefore throttle at the device's
 random-write rate while dense streams throttle at its sequential
 rate, with no workload-specific special cases.
 
-The cache itself is pure bookkeeping — it advances no simulated time;
-the owning filesystem charges memcpy costs and performs the
-write-back I/O for the dirty victims that eviction hands back.
+:class:`PageCache` itself is pure bookkeeping — it advances no
+simulated time.  The cache *policy* lives in four client steps below
+it, written once for every owner:
+
+* :class:`FillRuns` — coalesce the misses, read each run, insert it
+  clean, writing dirty victims back before going on;
+* :class:`ReadScan` — a dense read: touch the hits, fill each run of
+  misses, the last one extended by the owner's readahead;
+* :class:`DirtyInsert` — a write: insert its dirty pieces, throttling
+  over the dirty limit and writing dirty victims back;
+* :class:`WriteBack` — write dirty runs back and mark them clean.
+
+An owner (:class:`CacheClient`) supplies only its transport: how a run
+is read or written and how a writer is throttled.  The local
+filesystem moves runs to its RAID array and throttles on its flusher;
+the NFS client sends READ/WRITE RPC streams and throttles by pushing
+its oldest dirty segments.
 
 "State and placement of buffer/cache" is one of the paper's
 configurable factors: the same class serves as the local filesystem's
@@ -22,16 +36,25 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
 
 from .base import MiB
 
-__all__ = ["CacheSpec", "PageCache", "CacheStats"]
+__all__ = [
+    "CacheSpec",
+    "PageCache",
+    "CacheStats",
+    "CacheClient",
+    "FillRuns",
+    "ReadScan",
+    "DirtyInsert",
+    "WriteBack",
+]
 
 
 @dataclass(frozen=True)
 class CacheSpec:
-    """Sizing and write-back policy of a page cache."""
+    """Sizing and dirty limits of a (write-back) page cache."""
 
     capacity_bytes: int
     segment_bytes: int = 1 * MiB
@@ -39,7 +62,6 @@ class CacheSpec:
     dirty_ratio: float = 0.40
     #: background write-back starts above this fraction
     background_ratio: float = 0.10
-    write_back: bool = True
 
     def __post_init__(self):
         if self.capacity_bytes <= 0 or self.segment_bytes <= 0:
@@ -105,6 +127,16 @@ class PageCache:
         if nbytes <= 0:
             return range(0)
         return range(offset // sb, (offset + nbytes - 1) // sb + 1)
+
+    def dense_plan(self, offset: int, nbytes: int) -> list[tuple[int, int]]:
+        """``(segment, bytes)`` pieces of a dense byte range: the plan a
+        dense write hands :class:`DirtyInsert`."""
+        sb = self._sb
+        end = offset + nbytes
+        return [
+            (s, min(end, (s + 1) * sb) - max(offset, s * sb))
+            for s in self.segments_of(offset, nbytes)
+        ]
 
     # -- state queries -----------------------------------------------------
     @property
@@ -422,3 +454,205 @@ class PageCache:
                 run_file, run_start, run_len, run_dirty = fileid, seg, 1, dirty
         if run_file is not None:
             yield (run_file, run_start, run_len, run_dirty)
+
+
+# ----------------------------------------------------------------------
+# the client protocol: one policy for every owner of a cache
+# ----------------------------------------------------------------------
+class CacheClient(Protocol):
+    """An owner of a :class:`PageCache`: the cache plus its transport.
+
+    ``_read_run``/``_write_run`` move the ``nbytes`` at file offset
+    ``off`` (``dirty`` of them dirty) to or from the backing store,
+    ``_throttle`` holds back a writer over the dirty limit, and
+    ``_by_id`` maps file ids to the inodes that still exist.
+    ``op`` is the calling :class:`~repro.simengine.FlatOp`: a transport
+    waits through ``op._await`` and then calls ``k``.
+    """
+
+    cache: PageCache
+    _by_id: Mapping[int, Any]
+
+    def _read_run(self, op: Any, inode: Any, off: int, nbytes: int,
+                  k: Callable[..., None]) -> None: ...
+
+    def _write_run(self, op: Any, inode: Any, off: int, nbytes: int, dirty: int,
+                   k: Callable[..., None]) -> None: ...
+
+    def _throttle(self, op: Any, k: Callable[..., None]) -> None: ...
+
+
+# The steps below have no calendar footprint of their own: they borrow
+# the calling op's ``_await`` (through the owner's transport) and call
+# ``k()`` when done.
+class WriteBack:
+    """Write dirty ``(fileid, seg, dirty_bytes)`` entries back as
+    coalesced runs and mark each run clean once written; runs of files
+    that no longer exist are dropped clean."""
+
+    __slots__ = ("c", "op", "runs", "i", "k")
+
+    def __init__(self, c: CacheClient, op, entries, k):
+        self.c = c
+        self.op = op
+        self.runs = list(PageCache.coalesce(entries))
+        self.i = 0
+        self.k = k
+        self._next()
+
+    def _next(self):
+        c = self.c
+        runs = self.runs
+        while self.i < len(runs):
+            fileid, first, nsegs, dirty = runs[self.i]
+            inode = c._by_id.get(fileid)
+            if inode is None:
+                c.cache.mark_clean_run(fileid, first, nsegs)
+                self.i += 1
+                continue
+            sb = c.cache._sb
+            c._write_run(self.op, inode, first * sb, nsegs * sb, dirty, self._written)
+            return
+        self.k()
+
+    def _written(self, _v=None):
+        fileid, first, nsegs, _d = self.runs[self.i]
+        self.c.cache.mark_clean_run(fileid, first, nsegs)
+        self.i += 1
+        self._next()
+
+
+class FillRuns:
+    """Read missing segments as coalesced runs (each clipped at EOF to
+    at least one segment) and make them resident clean; a dirty victim
+    is written back before the insertion goes on."""
+
+    __slots__ = ("c", "op", "inode", "runs", "i", "s", "k")
+
+    def __init__(self, c: CacheClient, op, inode, segs, k):
+        self.c = c
+        self.op = op
+        self.inode = inode
+        self.runs = list(PageCache.coalesce((inode.fileid, s, 0) for s in segs))
+        self.i = 0
+        self.s = 0
+        self.k = k
+        self._next()
+
+    def _next(self):
+        if self.i >= len(self.runs):
+            self.k()
+            return
+        _fileid, first, nsegs, _d = self.runs[self.i]
+        sb = self.c.cache._sb
+        off = first * sb
+        self.s = first
+        self.c._read_run(
+            self.op, self.inode, off, min(nsegs * sb, max(self.inode.size - off, sb)),
+            self._insert_loop,
+        )
+
+    def _insert_loop(self, _v=None):
+        cache = self.c.cache
+        fileid, first, nsegs, _d = self.runs[self.i]
+        end = first + nsegs
+        while self.s < end:
+            self.s += cache.insert_clean_run(fileid, self.s, end - self.s)
+            if self.s >= end:
+                break
+            victims = cache.insert(fileid, self.s, 0)
+            self.s += 1
+            if victims:
+                WriteBack(self.c, self.op, victims, self._insert_loop)
+                return
+        self.i += 1
+        self._next()
+
+
+class ReadScan:
+    """A dense read over the segment range ``segs``: touch each resident
+    segment and fill each run of misses when the scan reaches the next
+    hit; the last run is extended by ``readahead`` segments, clipped at
+    the file's end."""
+
+    __slots__ = ("c", "op", "inode", "segs", "readahead", "k", "i", "miss")
+
+    def __init__(self, c: CacheClient, op, inode, segs, readahead, k):
+        self.c = c
+        self.op = op
+        self.inode = inode
+        self.segs = segs
+        self.readahead = readahead
+        self.k = k
+        self.i = 0
+        self.miss: list[int] = []
+        self._scan()
+
+    def _scan(self):
+        c = self.c
+        touch = c.cache.touch
+        fileid = self.inode.fileid
+        segs = self.segs
+        while self.i < len(segs):
+            seg = segs[self.i]
+            self.i += 1
+            if touch(fileid, seg):
+                if self.miss:
+                    miss, self.miss = self.miss, []
+                    FillRuns(c, self.op, self.inode, miss, self._scan)
+                    return
+            else:
+                self.miss.append(seg)
+        miss = self.miss
+        if miss:
+            last = miss[-1]
+            file_last = max((self.inode.size - 1) // c.cache._sb, 0)
+            miss.extend(range(last + 1, min(last + self.readahead, file_last) + 1))
+            self.miss = []
+            FillRuns(c, self.op, self.inode, miss, self.k)
+            return
+        self.k()
+
+
+class DirtyInsert:
+    """Insert a write's ``(seg, dirty_bytes)`` plan: absorb the
+    throttle-free, eviction-free prefix in one batch, take the owner's
+    throttle over the dirty limit, and write dirty victims back before
+    going on."""
+
+    __slots__ = ("c", "op", "fileid", "plan", "i", "throttled", "k")
+
+    def __init__(self, c: CacheClient, op, fileid, plan, k):
+        self.c = c
+        self.op = op
+        self.fileid = fileid
+        self.plan = plan
+        self.i = 0
+        self.throttled = False
+        self.k = k
+        self._step()
+
+    def _step(self, _v=None):
+        c = self.c
+        cache = c.cache
+        plan = self.plan
+        fileid = self.fileid
+        while self.i < len(plan):
+            if not self.throttled:
+                self.i += cache.insert_dirty_run(fileid, plan, self.i)
+                if self.i >= len(plan):
+                    break
+                if cache.need_throttle:
+                    # the throttled entry is inserted once the owner lets
+                    # the writer go, without a second check
+                    self.throttled = True
+                    c._throttle(self.op, self._step)
+                    return
+            self.throttled = False
+            seg, dirty = plan[self.i]
+            self.i += 1
+            victims = cache.insert(fileid, seg, dirty)
+            if victims:
+                WriteBack(c, self.op, victims, self._step)
+                return
+        self.k()

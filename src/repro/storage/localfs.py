@@ -5,8 +5,9 @@ path.  It combines:
 
 * an extent-based allocator (files are laid out in large contiguous
   extents, as ext4's delayed allocation achieves in practice);
-* the node's :class:`~repro.storage.cache.PageCache` with write-back,
-  background flushing, dirty throttling and filesystem readahead;
+* the node's :class:`~repro.storage.cache.PageCache`, driven by the
+  shared client steps of :mod:`repro.storage.cache`, with background
+  flushing, dirty throttling and filesystem readahead;
 * per-operation syscall and memcpy CPU costs;
 * journalled metadata operations (create/unlink pay a journal write).
 
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 from ..simengine import Environment, Event, FlatOp, Resource, Timeout
 from ..hardware.node import Node
 from ..hardware.raid import RAIDArray
-from .base import IORequest, KiB, MiB
-from .cache import CacheSpec, PageCache
+from .base import IORequest, KiB, MiB, random_stride
+from .cache import CacheSpec, DirtyInsert, PageCache, ReadScan, WriteBack
 
 __all__ = ["LocalFSSpec", "Inode", "LocalFS"]
 
@@ -172,9 +173,7 @@ class LocalFS:
         """Serve a data request; the event fires when it is *accepted*
         (writes: resident in cache under write-back; reads: data
         available in the caller's buffer)."""
-        if req.op == "write":
-            return _LocalWrite(self, inode, req).result
-        return _LocalRead(self, inode, req).result
+        return _LocalIO(self, inode, req).result
 
     def submit_direct(self, inode: Inode, req: IORequest) -> Event:
         """MPI-IO access path; on a local filesystem it is the normal
@@ -282,17 +281,11 @@ class LocalFS:
     def _dirty_plan(self, req: IORequest) -> tuple[list[tuple[int, int]], int]:
         """(segment, dirty_bytes) contributions of a request, plus an
         arithmetic overflow remainder in bytes for huge sparse streams."""
+        if req.is_dense:
+            return self.cache.dense_plan(req.offset, req.span), 0
         sb = self.cache.spec.segment_bytes
         cap = self.OVERFLOW_FACTOR * self.cache.spec.nsegments
-        out: list[tuple[int, int]] = []
-        if req.is_dense:
-            start, span = req.offset, req.span
-            for seg in self.cache.segments_of(start, span):
-                lo = max(start, seg * sb)
-                hi = min(start + span, (seg + 1) * sb)
-                out.append((seg, hi - lo))
-            return out, 0
-        stride = req.effective_stride if req.stride != -1 else 7919 * self.spec.min_io_bytes
+        stride = req.op_stride(self.spec.min_io_bytes)
         if stride < sb:
             # Dirtiness spreads uniformly over the span.
             # slice the range itself: a huge sparse stream never
@@ -328,63 +321,37 @@ class LocalFS:
             self._flusher_running = True
             _LocalFlusher(self)
 
+    # -- page-cache transport (see repro.storage.cache.CacheClient) ---------
+    def _read_run(self, op, inode, off, nbytes, k) -> None:
+        self._ensure_allocation(inode, off + nbytes)
+        op._await(self.array.submit("read", inode.device_offset(off), nbytes), k)
+
+    def _write_run(self, op, inode, off, nbytes, dirty, k) -> None:
+        """A densely dirty run flushes as one sequential write, a sparse
+        one as scattered page-sized writes."""
+        self._ensure_allocation(inode, off + nbytes)
+        dev = inode.device_offset(off)
+        if dirty / nbytes >= self.spec.dense_flush_threshold:
+            ev = self.array.submit("write", dev, nbytes, cached=False)
+        else:
+            nb = self.spec.min_io_bytes
+            nops = max(dirty // nb, 1)
+            ev = self.array.submit("write", dev, nb, nops, max(nbytes // nops, nb), cached=False)
+        stats = self.stats
+
+        def written(v):
+            stats.flush_runs += 1
+            k(v)
+
+        op._await(ev, written)
+
+    def _throttle(self, op, k) -> None:
+        _FlatThrottle(self, op, k)
+
+
 # ----------------------------------------------------------------------
 # service paths: flat state machines on the kernel calendar
 # ----------------------------------------------------------------------
-class _FlatFlush:
-    """Write dirty cache entries to the device and mark them clean.
-
-    Runs that are densely dirty flush as one sequential write; sparse
-    runs flush as scattered page-sized writes.  Like the other
-    sub-steps below it has no calendar footprint of its own: it borrows
-    the parent op's :meth:`FlatOp._await` and calls ``k()`` when done.
-    """
-
-    __slots__ = ("fs", "op", "runs", "i", "k")
-
-    def __init__(self, fs, op, entries, k):
-        self.fs = fs
-        self.op = op
-        self.runs = list(PageCache.coalesce(entries))
-        self.i = 0
-        self.k = k
-        self._next()
-
-    def _next(self, _v=None):
-        fs = self.fs
-        sb = fs.cache.spec.segment_bytes
-        runs = self.runs
-        while self.i < len(runs):
-            fileid, first, nsegs, dirty = runs[self.i]
-            inode = fs._by_id.get(fileid)
-            if inode is None:
-                fs.cache.mark_clean_run(fileid, first, nsegs)
-                self.i += 1
-                continue
-            off = first * sb
-            fs._ensure_allocation(inode, off + nsegs * sb)
-            dev = inode.device_offset(off)
-            density = dirty / (nsegs * sb)
-            if density >= fs.spec.dense_flush_threshold:
-                ev = fs.array.submit("write", dev, nsegs * sb, cached=False)
-            else:
-                nb = fs.spec.min_io_bytes
-                nops = max(dirty // nb, 1)
-                scatter = max((nsegs * sb) // nops, nb)
-                ev = fs.array.submit("write", dev, nb, nops, scatter, cached=False)
-            self.op._await(ev, self._written)
-            return
-        self.k()
-
-    def _written(self, _v):
-        fs = self.fs
-        fileid, first, nsegs, _d = self.runs[self.i]
-        fs.cache.mark_clean_run(fileid, first, nsegs)
-        fs.stats.flush_runs += 1
-        self.i += 1
-        self._next()
-
-
 class _FlatThrottle:
     """Block the writer until the flusher drains below the dirty limit."""
 
@@ -407,60 +374,20 @@ class _FlatThrottle:
             self.k()
 
 
-class _FlatFill:
-    """Read missing segments from the device and make them resident."""
+class _LocalIO(FlatOp):
+    """A read or write: syscall and copy CPU, then
 
-    __slots__ = ("fs", "op", "inode", "runs", "i", "s", "k")
+    * a write dirties the page cache (:class:`~repro.storage.cache.DirtyInsert`,
+      throttled on the flusher) and sends any overflow of a stream far
+      larger than the cache straight to the device at the pattern's
+      natural rate;
+    * a read is served from a fully resident file, scans a dense range
+      (:class:`~repro.storage.cache.ReadScan`, extended by the readahead
+      window at the tail), or issues page-granular device reads per
+      operation (sparse cold reads).
+    """
 
-    def __init__(self, fs, op, inode, segs, k):
-        self.fs = fs
-        self.op = op
-        self.inode = inode
-        self.runs = list(PageCache.coalesce((inode.fileid, s, 0) for s in segs))
-        self.i = 0
-        self.s = 0
-        self.k = k
-        self._next()
-
-    def _next(self, _v=None):
-        fs = self.fs
-        sb = fs.cache.spec.segment_bytes
-        if self.i >= len(self.runs):
-            self.k()
-            return
-        _fileid, first, nsegs, _d = self.runs[self.i]
-        inode = self.inode
-        off = first * sb
-        length = min(nsegs * sb, max(inode.size - off, sb))
-        fs._ensure_allocation(inode, off + length)
-        dev = inode.device_offset(off)
-        self.s = first
-        self.op._await(fs.array.submit("read", dev, length), self._insert_loop)
-
-    def _insert_loop(self, _v=None):
-        fs = self.fs
-        fileid, first, nsegs, _d = self.runs[self.i]
-        end = first + nsegs
-        while self.s < end:
-            self.s += fs.cache.insert_clean_run(fileid, self.s, end - self.s)
-            if self.s >= end:
-                break
-            victims = fs.cache.insert(fileid, self.s, 0)
-            self.s += 1
-            if victims:
-                _FlatFlush(fs, self.op, victims, self._insert_loop)
-                return
-        self.i += 1
-        self._next()
-
-
-class _LocalWrite(FlatOp):
-    """A write: syscall and copy CPU, then dirty the page cache —
-    throttling on the dirty limit and flushing evicted victims — and
-    send any overflow of a stream far larger than the cache straight to
-    the device at the pattern's natural rate."""
-
-    __slots__ = ("fs", "inode", "req", "total", "_plan", "_overflow", "_i", "_stage", "_victims")
+    __slots__ = ("fs", "inode", "req", "total", "_overflow")
 
     def __init__(self, fs, inode, req):
         self.fs = fs
@@ -474,61 +401,18 @@ class _LocalWrite(FlatOp):
         total = self.total = req.total_bytes
         self._await(
             Timeout(self.env, req.count * fs.spec.syscall_s + fs.node.memcpy_time(total)),
-            self._after_cpu,
+            self._write if req.op == "write" else self._read,
         )
 
-    def _after_cpu(self, _v):
+    def _write(self, _v):
         fs = self.fs
         req = self.req
         end = req.offset + req.span
         fs._ensure_allocation(self.inode, end)
         fs.stats.writes += req.count
         fs.stats.bytes_written += self.total
-        self._plan, self._overflow = fs._dirty_plan(req)
-        self._i = 0
-        self._stage = 0
-        self._victims = ()
-        self._plan_step()
-
-    def _plan_step(self, _v=None):
-        fs = self.fs
-        cache = fs.cache
-        plan = self._plan
-        fileid = self.inode.fileid
-        write_back = cache.spec.write_back
-        while self._i < len(plan):
-            st = self._stage
-            if st == 0 and write_back:
-                # absorb the throttle-free, flush-free prefix in one call
-                self._i += cache.insert_dirty_run(fileid, plan, self._i)
-                if self._i >= len(plan):
-                    break
-            seg, dirty = plan[self._i]
-            if st == 0:
-                if cache.need_throttle:
-                    self._stage = 1
-                    _FlatThrottle(fs, self, self._plan_step)
-                    return
-                st = 1
-            if st == 1:
-                self._victims = cache.insert(
-                    fileid, seg, dirty if cache.spec.write_back else 0
-                )
-                if not cache.spec.write_back:
-                    self._stage = 2
-                    _FlatFlush(fs, self, [(fileid, seg, dirty)], self._plan_step)
-                    return
-                st = 2
-            if st == 2:
-                victims = self._victims
-                if victims:
-                    self._victims = ()
-                    self._stage = 3
-                    _FlatFlush(fs, self, victims, self._plan_step)
-                    return
-            self._i += 1
-            self._stage = 0
-        self._after_plan()
+        plan, self._overflow = fs._dirty_plan(req)
+        DirtyInsert(fs, self, self.inode.fileid, plan, self._after_plan)
 
     def _after_plan(self):
         fs = self.fs
@@ -538,7 +422,7 @@ class _LocalWrite(FlatOp):
             dev = self.inode.device_offset(0)
             self._await(
                 fs.array.submit(
-                    "write", dev, nb, max(self._overflow // nb, 1), 7919 * nb, cached=False
+                    "write", dev, nb, max(self._overflow // nb, 1), random_stride(nb), cached=False
                 ),
                 self._after_overflow,
             )
@@ -554,31 +438,7 @@ class _LocalWrite(FlatOp):
         inode.size = max(inode.size, req.offset + req.span)
         self._finish(self.total)
 
-
-class _LocalRead(FlatOp):
-    """A read: syscall and copy CPU, then serve from a fully resident
-    file, or fill missing runs (dense reads, extended by the readahead
-    window at the tail), or issue page-granular device reads per
-    operation (sparse cold reads)."""
-
-    __slots__ = ("fs", "inode", "req", "total", "_segs", "_si", "_miss")
-
-    def __init__(self, fs, inode, req):
-        self.fs = fs
-        self.inode = inode
-        self.req = req
-        super().__init__(fs.env)
-
-    def _start(self, event):
-        fs = self.fs
-        req = self.req
-        total = self.total = req.total_bytes
-        self._await(
-            Timeout(self.env, req.count * fs.spec.syscall_s + fs.node.memcpy_time(total)),
-            self._after_cpu,
-        )
-
-    def _after_cpu(self, _v):
+    def _read(self, _v):
         fs = self.fs
         req = self.req
         inode = self.inode
@@ -590,56 +450,26 @@ class _LocalRead(FlatOp):
             # read at/past EOF: POSIX short/zero read, no device work
             self._finish(self.total)
             return
+        span = min(req.span, max(inode.size - req.offset, 0))
         if fs.cache.file_fully_resident(inode.fileid, max(inode.size, 1)):
-            span = min(req.span, max(inode.size - req.offset, 0))
             fs.cache.touch_run(inode.fileid, fs.cache.segments_of(req.offset, span))
             self._finish(self.total)
             return
         if req.is_dense:
-            span = min(req.span, max(inode.size - req.offset, 0))
-            self._segs = list(fs.cache.segments_of(req.offset, span))
-            self._si = 0
-            self._miss = []
-            self._scan()
+            ReadScan(
+                fs, self, inode, fs.cache.segments_of(req.offset, span),
+                spec.readahead_bytes // fs.cache.spec.segment_bytes, self._done,
+            )
             return
         nb = max(req.nbytes, spec.min_io_bytes)
         dev = inode.device_offset(min(req.offset, max(inode.size - 1, 0)))
-        stride = req.effective_stride if req.stride != -1 else 7919 * spec.min_io_bytes
         fs.cache.stats.misses += req.count
-        self._await(fs.array.submit("read", dev, nb, req.count, stride), self._sparse_done)
+        self._await(
+            fs.array.submit("read", dev, nb, req.count, req.op_stride(spec.min_io_bytes)),
+            self._done,
+        )
 
-    def _sparse_done(self, _v):
-        self._finish(self.total)
-
-    def _scan(self, _v=None):
-        fs = self.fs
-        inode = self.inode
-        segs = self._segs
-        while self._si < len(segs):
-            seg = segs[self._si]
-            self._si += 1
-            if fs.cache.touch(inode.fileid, seg):
-                if self._miss:
-                    miss, self._miss = self._miss, []
-                    _FlatFill(fs, self, inode, miss, self._scan)
-                    return
-            else:
-                self._miss.append(seg)
-        miss = self._miss
-        if miss:
-            sb = fs.cache.spec.segment_bytes
-            ra_extra = fs.spec.readahead_bytes // sb
-            last = miss[-1]
-            file_last_seg = max((inode.size - 1) // sb, 0)
-            for k in range(1, ra_extra + 1):
-                if last + k <= file_last_seg:
-                    miss.append(last + k)
-            self._miss = []
-            _FlatFill(fs, self, inode, miss, self._fills_done)
-            return
-        self._finish(self.total)
-
-    def _fills_done(self, _v=None):
+    def _done(self, _v=None):
         self._finish(self.total)
 
 
@@ -663,7 +493,7 @@ class _LocalFlusher(FlatOp):
             batch = fs.cache.dirty_segments(limit=fs.FLUSH_BATCH_SEGS)
             if not batch:
                 break
-            _FlatFlush(fs, self, batch, self._batch_done)
+            WriteBack(fs, self, batch, self._batch_done)
             return
         fs._flusher_running = False
         waiters, fs._flush_waiters = fs._flush_waiters, []
@@ -696,7 +526,7 @@ class _LocalFsync(FlatOp):
     def _after_cpu(self, _v):
         fs = self.fs
         entries = fs.cache.dirty_segments(limit=None, fileid=self.inode.fileid)
-        _FlatFlush(fs, self, entries, self._flushed)
+        WriteBack(fs, self, entries, self._flushed)
 
     def _flushed(self, _v=None):
         fs = self.fs
@@ -841,7 +671,7 @@ class _LocalSync(FlatOp):
 
     def _start(self, event):
         fs = self.fs
-        _FlatFlush(fs, self, fs.cache.dirty_segments(limit=None), self._flushed)
+        WriteBack(fs, self, fs.cache.dirty_segments(limit=None), self._flushed)
 
     def _flushed(self, _v=None):
         self._await(self.fs.array.flush(), self._drained)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from ..simengine import Environment, Event, FlatOp, Resource, Timeout, Wake
 from ..hardware.network import Network
 from ..hardware.node import Node
-from .base import IORequest, KiB, MiB
-from .cache import CacheSpec, PageCache
+from .base import IORequest, KiB
+from .cache import CacheSpec, DirtyInsert, PageCache, ReadScan, WriteBack
 from .localfs import Inode, LocalFS
 
 __all__ = ["NFSSpec", "NFSServer", "NFSMount"]
@@ -192,9 +192,7 @@ class NFSMount:
     # data path
     # ------------------------------------------------------------------
     def submit(self, inode: Inode, req: IORequest) -> Event:
-        if req.op == "write":
-            return _NFSWrite(self, inode, req).result
-        return _NFSRead(self, inode, req).result
+        return _NFSIO(self, inode, req).result
 
     def submit_direct(self, inode: Inode, req: IORequest) -> Event:
         """Uncached, synchronous access — how MPI-IO (ROMIO) drives NFS.
@@ -241,8 +239,44 @@ class NFSMount:
         """
         return self.server.export.state_token(inode, req)
 
-    def _inode_by_id(self, fileid):
-        return self.server.export._by_id.get(fileid)
+    # -- page-cache transport (see repro.storage.cache.CacheClient) ---------
+    @property
+    def _by_id(self) -> dict[int, Inode]:
+        return self.server.export._by_id
+
+    def _read_run(self, op, inode, off, nbytes, k) -> None:
+        """READ-RPC a run from the server in rsize chunks."""
+        rsize = self.spec.rsize
+
+        def server_window(w, idx):
+            sub = IORequest("read", off + idx * rsize, rsize, count=w)
+            return self.server.export.submit(inode, sub)
+
+        _FlatStream(self, op, max(nbytes // rsize, 1), 8, rsize, server_window, k)
+
+    def _write_run(self, op, inode, off, nbytes, dirty, k) -> None:
+        """WRITE-RPC a run to the server: wsize chunks when it is densely
+        dirty, page-sized RPCs scattered over it when sparse."""
+        if dirty / nbytes >= 0.5:
+            size = self.spec.wsize
+            nrpc = max(nbytes // size, 1)
+            step, stride = size, None
+        else:
+            size = 4 * KiB
+            nrpc = max(dirty // size, 1)
+            step = stride = max(nbytes // nrpc, size)
+
+        def server_window(w, idx):
+            sub = IORequest("write", off + idx * step, size, count=w, stride=stride)
+            return self.server.export.submit(inode, sub)
+
+        _FlatStream(self, op, nrpc, size, 8, server_window, k)
+
+    def _throttle(self, op, k) -> None:
+        """Push the oldest dirty segments, up to a quarter of the cache
+        (at least 8), before the writer goes on."""
+        batch = self.cache.dirty_segments(limit=max(self.cache.spec.nsegments // 4, 8))
+        WriteBack(self, op, batch, k)
 
 
 # ----------------------------------------------------------------------
@@ -472,122 +506,6 @@ class _FlatStream:
         self.k()
 
 
-class _FlatPush:
-    """Send dirty cache runs to the server as wsize-chunked streams
-    (page-sized WRITE RPCs for sparsely dirty runs)."""
-
-    __slots__ = ("m", "op", "runs", "i", "k")
-
-    def __init__(self, m, op, entries, k):
-        self.m = m
-        self.op = op
-        self.runs = list(PageCache.coalesce(entries))
-        self.i = 0
-        self.k = k
-        self._next()
-
-    def _next(self, _v=None):
-        m = self.m
-        sb = m.cache.spec.segment_bytes
-        runs = self.runs
-        while self.i < len(runs):
-            fileid, first, nsegs, dirty = runs[self.i]
-            inode = m._inode_by_id(fileid)
-            run_bytes = nsegs * sb
-            density = dirty / run_bytes
-            if inode is None:
-                m.cache.mark_clean_run(fileid, first, nsegs)
-                self.i += 1
-                continue
-            if density >= 0.5:
-                nrpc = max(run_bytes // m.spec.wsize, 1)
-
-                def server_window(w, idx, _m=m, _inode=inode, _first=first, _sb=sb):
-                    sub = IORequest(
-                        "write",
-                        _first * _sb + idx * _m.spec.wsize,
-                        _m.spec.wsize,
-                        count=w,
-                    )
-                    return _m.server.export.submit(_inode, sub)
-
-                _FlatStream(m, self.op, nrpc, m.spec.wsize, 8, server_window, self._streamed)
-            else:
-                # sparsely dirty run: page-sized WRITE RPCs
-                nb = 4 * KiB
-                nrpc = max(dirty // nb, 1)
-                scatter = max(run_bytes // nrpc, nb)
-
-                def server_window(w, idx, _m=m, _inode=inode, _first=first, _sc=scatter, _sb=sb, _nb=nb):
-                    sub = IORequest(
-                        "write", _first * _sb + idx * _sc, _nb, count=w, stride=_sc
-                    )
-                    return _m.server.export.submit(_inode, sub)
-
-                _FlatStream(m, self.op, nrpc, nb, 8, server_window, self._streamed)
-            return
-        self.k()
-
-    def _streamed(self, _v=None):
-        m = self.m
-        fileid, first, nsegs, _d = self.runs[self.i]
-        m.cache.mark_clean_run(fileid, first, nsegs)
-        self.i += 1
-        self._next()
-
-
-class _FlatFetch:
-    """READ-RPC a run of segments from the server into the cache."""
-
-    __slots__ = ("m", "op", "inode", "runs", "i", "s", "k")
-
-    def __init__(self, m, op, inode, segs, k):
-        self.m = m
-        self.op = op
-        self.inode = inode
-        self.runs = list(PageCache.coalesce((inode.fileid, s, 0) for s in segs))
-        self.i = 0
-        self.s = 0
-        self.k = k
-        self._next()
-
-    def _next(self, _v=None):
-        m = self.m
-        sb = m.cache.spec.segment_bytes
-        if self.i >= len(self.runs):
-            self.k()
-            return
-        _fileid, first, nsegs, _d = self.runs[self.i]
-        inode = self.inode
-        run_bytes = min(nsegs * sb, max(inode.size - first * sb, sb))
-        nrpc = max(run_bytes // m.spec.rsize, 1)
-
-        def server_window(w, idx, _m=m, _inode=inode, _first=first, _sb=sb):
-            sub = IORequest(
-                "read", _first * _sb + idx * _m.spec.rsize, _m.spec.rsize, count=w
-            )
-            return _m.server.export.submit(_inode, sub)
-
-        self.s = first
-        _FlatStream(m, self.op, nrpc, 8, m.spec.rsize, server_window, self._insert_loop)
-
-    def _insert_loop(self, _v=None):
-        m = self.m
-        fileid, first, nsegs, _d = self.runs[self.i]
-        end = first + nsegs
-        while self.s < end:
-            self.s += m.cache.insert_clean_run(fileid, self.s, end - self.s)
-            if self.s >= end:
-                break
-            victims = m.cache.insert(fileid, self.s, 0)
-            self.s += 1
-            if victims:
-                _FlatPush(m, self.op, victims, self._insert_loop)
-                return
-        self.i += 1
-        self._next()
-
-
 class _FlatDirect(FlatOp):
     """:meth:`NFSMount.submit_direct`: dense requests pipeline their
     chunks in one stream; sparse requests pay strictly synchronous
@@ -763,13 +681,19 @@ class _FlatMetaRpc(FlatOp):
         self._finish(self._result)
 
 
-class _NFSWrite(FlatOp):
-    """A cached write.  Dense writes are absorbed into the client cache
-    (write-back flushes in wsize chunks; evicted dirty victims and a
-    quarter of the dirty set under throttling flush synchronously);
-    sparse writes stream one WRITE RPC per operation."""
+class _NFSIO(FlatOp):
+    """A cached read or write: client CPU, then
 
-    __slots__ = ("m", "inode", "req", "total", "_segs", "_si", "_stage")
+    * a dense write is absorbed dirty into the client cache
+      (:class:`~repro.storage.cache.DirtyInsert`); dirty runs reach the
+      server in wsize chunks when evicted, under throttling (the oldest
+      quarter of the cache) and at fsync/close;
+    * a read is served from a fully resident file or scans a dense range
+      (:class:`~repro.storage.cache.ReadScan`, no readahead);
+    * sparse requests stream one RPC per operation.
+    """
+
+    __slots__ = ("m", "inode", "req", "total")
 
     def __init__(self, m, inode, req):
         self.m = m
@@ -786,156 +710,59 @@ class _NFSWrite(FlatOp):
                 self.env,
                 req.count * m.spec.client_rpc_cpu_s + m.node.memcpy_time(total),
             ),
-            self._after_cpu,
+            self._write if req.op == "write" else self._read,
         )
 
-    def _after_cpu(self, _v):
+    def _write(self, _v):
         m = self.m
         req = self.req
         m.stats.bytes_sent += self.total
         if req.is_dense:
-            sb = m.cache.spec.segment_bytes
-            end = req.offset + req.span
-            self._segs = [
-                (seg, min(end, (seg + 1) * sb) - max(req.offset, seg * sb))
-                for seg in m.cache.segments_of(req.offset, req.span)
-            ]
-            self._si = 0
-            self._stage = 0
-            self._seg_loop()
+            plan = m.cache.dense_plan(req.offset, req.span)
+            DirtyInsert(m, self, self.inode.fileid, plan, self._written)
             return
-        # Sparse stream: one WRITE RPC per operation, pipelined.
-        stride = req.effective_stride if req.stride != -1 else 7919 * 4096
+        self._stream(req.nbytes, 8, self._written)
+
+    def _written(self, _v=None):
+        # a cached write's new size reaches the server with its next
+        # flush or commit
         inode = self.inode
-
-        def server_window(w, idx, _m=m, _req=req, _stride=stride, _inode=inode):
-            sub = IORequest(
-                "write", _req.offset + idx * _stride, _req.nbytes, count=w, stride=_req.stride
-            )
-            return _m.server.export.submit(_inode, sub)
-
-        _FlatStream(m, self, req.count, req.nbytes, 8, server_window, self._sparse_done)
-
-    def _sparse_done(self, _v=None):
-        req = self.req
-        inode = self.inode
-        inode.size = max(inode.size, req.offset + req.span)
+        inode.size = max(inode.size, self.req.offset + self.req.span)
         self._finish(self.total)
 
-    def _seg_loop(self, _v=None):
-        m = self.m
-        plan = self._segs
-        fileid = self.inode.fileid
-        while self._si < len(plan):
-            st = self._stage
-            if st == 0:
-                # absorb the throttle-free, flush-free prefix in one call
-                self._si += m.cache.insert_dirty_run(fileid, plan, self._si)
-                if self._si >= len(plan):
-                    break
-                if m.cache.need_throttle:
-                    self._stage = 1
-                    batch = m.cache.dirty_segments(
-                        limit=max(m.cache.spec.nsegments // 4, 8)
-                    )
-                    _FlatPush(m, self, batch, self._seg_loop)
-                    return
-                st = 1
-            if st == 1:
-                seg, dirty = plan[self._si]
-                victims = m.cache.insert(fileid, seg, dirty)
-                if victims:
-                    self._stage = 2
-                    _FlatPush(m, self, victims, self._seg_loop)
-                    return
-            self._si += 1
-            self._stage = 0
-        inode = self.inode
-        inode_end = self.req.offset + self.req.span
-        if inode_end > inode.size:
-            inode.size = inode_end  # size pushed at next flush/commit
-        self._finish(self.total)
-
-
-class _NFSRead(FlatOp):
-    """A cached read: served from a fully resident file, or fetching
-    missing runs (dense reads), or one READ RPC per operation (sparse
-    cold reads)."""
-
-    __slots__ = ("m", "inode", "req", "total", "_segs", "_si", "_miss")
-
-    def __init__(self, m, inode, req):
-        self.m = m
-        self.inode = inode
-        self.req = req
-        super().__init__(m.env)
-
-    def _start(self, event):
-        m = self.m
-        req = self.req
-        total = self.total = req.total_bytes
-        self._await(
-            Timeout(
-                self.env,
-                req.count * m.spec.client_rpc_cpu_s + m.node.memcpy_time(total),
-            ),
-            self._after_cpu,
-        )
-
-    def _after_cpu(self, _v):
+    def _read(self, _v):
         m = self.m
         req = self.req
         inode = self.inode
         m.stats.bytes_received += self.total
 
+        span = min(req.span, max(inode.size - req.offset, 0))
         if m.cache.file_fully_resident(inode.fileid, max(inode.size, 1)):
-            span = min(req.span, max(inode.size - req.offset, 0))
             m.cache.touch_run(inode.fileid, m.cache.segments_of(req.offset, span))
             self._finish(self.total)
             return
         if req.is_dense:
-            span = min(req.span, max(inode.size - req.offset, 0))
-            self._segs = list(m.cache.segments_of(req.offset, span))
-            self._si = 0
-            self._miss = []
-            self._scan()
+            ReadScan(m, self, inode, m.cache.segments_of(req.offset, span), 0, self._done)
             return
-        # Sparse cold reads: one READ RPC per op.
-        stride = req.effective_stride if req.stride != -1 else 7919 * 4096
+        self._stream(8, req.nbytes, self._done)
 
-        def server_window(w, idx, _m=m, _req=req, _stride=stride, _inode=inode):
-            sub = IORequest(
-                "read", _req.offset + idx * _stride, _req.nbytes, count=w, stride=_req.stride
-            )
-            return _m.server.export.submit(_inode, sub)
-
-        _FlatStream(m, self, req.count, 8, req.nbytes, server_window, self._sparse_done)
-
-    def _sparse_done(self, _v=None):
+    def _done(self, _v=None):
         self._finish(self.total)
 
-    def _scan(self, _v=None):
+    def _stream(self, send_b, reply_b, k):
+        """A sparse request: one RPC per operation, pipelined."""
         m = self.m
+        req = self.req
         inode = self.inode
-        segs = self._segs
-        while self._si < len(segs):
-            seg = segs[self._si]
-            self._si += 1
-            if m.cache.touch(inode.fileid, seg):
-                if self._miss:
-                    miss, self._miss = self._miss, []
-                    _FlatFetch(m, self, inode, miss, self._scan)
-                    return
-            else:
-                self._miss.append(seg)
-        if self._miss:
-            miss, self._miss = self._miss, []
-            _FlatFetch(m, self, inode, miss, self._fetch_done)
-            return
-        self._finish(self.total)
+        stride = req.op_stride(4 * KiB)
 
-    def _fetch_done(self, _v=None):
-        self._finish(self.total)
+        def server_window(w, idx):
+            sub = IORequest(
+                req.op, req.offset + idx * stride, req.nbytes, count=w, stride=req.stride
+            )
+            return m.server.export.submit(inode, sub)
+
+        _FlatStream(m, self, req.count, send_b, reply_b, server_window, k)
 
 
 class _FlatCommit(FlatOp):
@@ -954,7 +781,7 @@ class _FlatCommit(FlatOp):
         m = self.m
         entries = m.cache.dirty_segments(limit=None, fileid=self.inode.fileid)
         if entries:
-            _FlatPush(m, self, entries, self._pushed)
+            WriteBack(m, self, entries, self._pushed)
             return
         self._pushed()
 

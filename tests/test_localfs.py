@@ -11,11 +11,11 @@ from repro.storage.localfs import Inode, LocalFS
 from conftest import SMALL_DISK
 
 
-def make_fs(ram=64 * MiB, write_back=True, level=RAIDLevel.JBOD, ndisks=1):
+def make_fs(ram=64 * MiB, level=RAIDLevel.JBOD, ndisks=1):
     env = Environment()
     node = Node(env, "n", NodeSpec(ram_bytes=ram))
     arr = RAIDArray(env, RAIDConfig(level=level, ndisks=ndisks, disk=SMALL_DISK))
-    fs = LocalFS(env, node, arr, cache_spec=CacheSpec(capacity_bytes=ram // 2, write_back=write_back))
+    fs = LocalFS(env, node, arr, cache_spec=CacheSpec(capacity_bytes=ram // 2))
     return env, fs
 
 
@@ -109,13 +109,6 @@ class TestDataPath:
         env.run(fs.fsync(inode))
         flushed = fs.array.stats.bytes_written - written0
         assert deferred < flushed
-
-    def test_write_through_hits_device_immediately(self):
-        env, fs = make_fs(write_back=False)
-        inode = env.run(fs.create("/f"))
-        written0 = fs.array.stats.bytes_written
-        env.run(fs.submit(inode, IORequest("write", 0, 1 * MiB)))
-        assert fs.array.stats.bytes_written - written0 >= 1 * MiB
 
     def test_fsync_only_flushes_target_file(self):
         env, fs = make_fs()
