@@ -21,8 +21,9 @@ Opt-in acceleration (see README "Performance & caching"):
   milliseconds.  Keys cover every config field and sweep parameter,
   so a changed setup recomputes automatically; delete the directory
   (or use ``TableCache.invalidate``) after simulator changes.
-* ``REPRO_JOBS=<n>`` fans the per-(config, level) characterization
-  units out over worker processes.
+
+Characterization runs in-process; ``repro characterize --jobs N`` is
+the way to fan its (config, level) units out over worker processes.
 """
 
 from __future__ import annotations

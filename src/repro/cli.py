@@ -39,9 +39,9 @@ retransmits, network flaps/latency spikes; see :mod:`repro.faults`)
 and print a degraded-mode report per configuration.
 
 ``characterize``/``evaluate``/``predict`` accept ``--jobs`` (worker
-processes; also the ``REPRO_JOBS`` environment variable) and
-``--cache`` (on-disk characterization cache directory).  An unusable
-worker count exits 2 with a one-line error.
+processes; ``0`` = one per CPU) and ``--cache`` (on-disk
+characterization cache directory).  An unusable worker count exits 2
+with a one-line error.
 """
 
 from __future__ import annotations
@@ -607,7 +607,7 @@ def cmd_perf(args) -> int:
             ior_file_bytes=args.ior_gib * GiB,
         )
     configs = _configs(args.configs)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
     outputs = perf_outputs(args)
     for path in outputs.values():
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -873,15 +873,23 @@ def cmd_perf(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -908,9 +916,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stride through the 32K..16M block sweep (1 = all ten sizes)")
         sp.add_argument("--ior-gib", type=_positive_int, default=2,
                         help="IOR file size in GiB")
-        sp.add_argument("--jobs", type=int, default=None,
+        sp.add_argument("--jobs", type=_non_negative_int, default=1,
                         help="worker processes for characterization/evaluation "
-                             "(0 = one per CPU; default: REPRO_JOBS, else serial)")
+                             "(0 = one per CPU; default: 1, perf: 0)")
         sp.add_argument("--cache", default=None, metavar="DIR",
                         help="characterization cache directory (reuse tables "
                              "keyed by config fingerprint + sweep params)")
@@ -1011,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="profiled characterization runs aggregated into "
                          "one pstats table (default: 5; quick runs are too "
                          "short for a stable top-25 from a single run)")
-    pf.set_defaults(func=cmd_perf)
+    pf.set_defaults(func=cmd_perf, jobs=0)
 
     sw = sub.add_parser(
         "sweep",
@@ -1047,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="stride through the 32K..16M block sweep (full mode)")
     sw.add_argument("--ior-gib", type=_positive_int, default=2,
                     help="IOR file size in GiB (full mode)")
-    sw.add_argument("--jobs", type=int, default=None,
+    sw.add_argument("--jobs", type=_positive_int, default=None,
                     help="sweep worker processes (default: 1, or the "
                          "manifest's value on resume)")
     sw.add_argument("--timeout", type=float, default=None, metavar="S",
@@ -1133,35 +1141,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _jobs_error(args) -> str | None:
-    """Why the requested worker count is unusable, or ``None``."""
-    if not hasattr(args, "jobs"):
-        return None
-    if args.command == "sweep":
-        if args.jobs is not None and args.jobs < 1:
-            return f"--jobs must be >= 1, got {args.jobs}"
-        return None
-    if args.jobs is not None and args.jobs < 0:
-        return f"--jobs must be >= 0, got {args.jobs}"
-    from .core.parallel import resolve_jobs
-
-    try:
-        resolve_jobs(args.jobs)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    error = _jobs_error(args)
-    if error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        raise SystemExit(2)
     if getattr(args, "sanitize", False):
         import os
 
-        # propagate to worker processes spawned by run_tasks
+        # propagate to pool worker processes
         os.environ["REPRO_SANITIZE"] = "1"
     return args.func(args)
 

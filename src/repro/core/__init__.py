@@ -23,7 +23,6 @@ from .factors import (
 )
 from .latency import characterize_latency, LatencyProfile, measure_latency_iops
 from .methodology import Application, AppRun, Methodology
-from .parallel import resolve_jobs, run_tasks
 from .tablecache import default_cache_root, TableCache
 from .prediction import (
     IOPrediction,
@@ -68,8 +67,6 @@ __all__ = [
     "Application",
     "AppRun",
     "Methodology",
-    "resolve_jobs",
-    "run_tasks",
     "default_cache_root",
     "TableCache",
     "characterize_latency",

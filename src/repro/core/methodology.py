@@ -37,11 +37,19 @@ from .characterize import (
 )
 from .evaluation import EvaluationReport, generate_used_percentage
 from .factors import ConfigurableFactors, extract_factors, rank_configurations
-from .parallel import run_tasks
 from .perftable import PerformanceTable
 from .tablecache import TableCache
 
 __all__ = ["Application", "AppRun", "Methodology"]
+
+
+def _fan_out(fn: Callable, tasks: list, n_jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, on the process pool unless ``n_jobs == 1``."""
+    if n_jobs == 1:
+        return [fn(t) for t in tasks]
+    from .pool import map_ordered  # imports multiprocessing: only when fanning out
+
+    return map_ordered(fn, tasks, n_jobs)
 
 
 def _characterize_unit(task) -> PerformanceTable:
@@ -256,15 +264,15 @@ class Methodology:
     def characterize(
         self,
         names: Optional[Sequence[str]] = None,
-        n_jobs: Optional[int] = None,
+        n_jobs: int = 1,
         cache: "TableCache | str | None" = None,
         refresh: bool = False,
     ) -> dict[str, dict[str, PerformanceTable]]:
         """Build performance tables for each configuration and level.
 
         ``n_jobs`` fans the independent (config, level) units out over
-        worker processes (default: the ``REPRO_JOBS`` environment
-        variable, else serial; ``0`` = one per CPU).  Results are
+        worker processes of :func:`repro.core.pool.map_ordered`
+        (default 1: in-process; ``0`` = one per CPU).  Results are
         merged in a fixed (name, level) order, so the output is
         identical for any job count.
 
@@ -301,7 +309,7 @@ class Methodology:
                 for name in pending
                 for level in self.levels
             ]
-            results = run_tasks(_characterize_unit, tasks, n_jobs)
+            results = _fan_out(_characterize_unit, tasks, n_jobs)
             it = iter(results)
             for name in pending:
                 self.tables[name] = {level: next(it) for level in self.levels}
@@ -347,7 +355,7 @@ class Methodology:
         app: Application,
         names: Optional[Sequence[str]] = None,
         access: AccessType = AccessType.GLOBAL,
-        n_jobs: Optional[int] = None,
+        n_jobs: int = 1,
         phase_fastpath: bool = True,
         instrument: bool = False,
         keep_events: bool = False,
@@ -403,16 +411,8 @@ class Methodology:
              sanitize, faults)
             for name in names
         ]
-        results = run_tasks(_evaluate_unit, tasks, n_jobs)
+        results = _fan_out(_evaluate_unit, tasks, n_jobs)
         return {name: report for name, report in zip(names, results)}
-
-    def evaluate_single(self, name: str, app: Application, **kw) -> EvaluationReport:
-        """:meth:`evaluate` for exactly one configuration.
-
-        The sweep worker's entry point: one combo in, one report out,
-        with the same keyword surface as :meth:`evaluate`.
-        """
-        return self.evaluate(app, names=[name], **kw)[name]
 
     def recommend(
         self,

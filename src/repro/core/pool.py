@@ -1,11 +1,10 @@
-"""Fault-tolerant process pool for sweep execution.
+"""The process pool: every fan-out in the repo runs here.
 
-:class:`~repro.core.parallel.run_tasks` self-heals a *batch* (retry
-crashed shards once, then serial fallback) but its failure domain is
-the whole fan-out: it cannot time out a hung shard, survive repeated
-worker loss, or keep a poisoned input from stalling the batch.  This
-runner generalises it for open-ended sweeps, with robustness as the
-design center:
+``Methodology.characterize``/``evaluate`` map their independent units
+(one per (configuration, level), one per configuration) through
+:func:`map_ordered`; ``repro sweep`` drives :class:`SweepRunner`
+directly for open-ended config x workload x fault campaigns.  The
+runner's design center is robustness:
 
 * **dispatch** — the parent hands one task at a time to idle workers
   over per-worker pipes (work-stealing behaviour: a fast worker drains
@@ -32,13 +31,17 @@ design center:
   long task timeout would fire.
 
 Workers are daemonic and exit when the parent's pipe closes, so a
-SIGKILLed orchestrator leaves no immortal orphans.
+SIGKILLed orchestrator leaves no immortal orphans.  Deadlines,
+heartbeats and backoff read the host wall clock (marked for simlint);
+no result depends on it.  Callers import this module only when they
+fan out, so ``import repro`` never loads :mod:`multiprocessing`.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+import math
 import multiprocessing as mp
 import os
 import time
@@ -47,12 +50,16 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Optional, Sequence
 
-__all__ = ["TaskFailure", "RunnerStats", "PoolExhaustedError", "SweepRunner"]
+__all__ = ["TaskFailure", "RunnerStats", "PoolExhaustedError", "SweepRunner", "map_ordered"]
 
 log = logging.getLogger(__name__)
 
 #: seconds between heartbeat stamps inside a worker
 HEARTBEAT_INTERVAL_S = 0.2
+#: attempts per unit in :func:`map_ordered` before the parent recomputes it
+MAP_MAX_ATTEMPTS = 2
+#: backoff base (seconds) before a :func:`map_ordered` unit's retry
+MAP_BACKOFF_S = 0.25
 
 
 class PoolExhaustedError(RuntimeError):
@@ -130,10 +137,10 @@ def _worker_main(conn, hb_array, slot: int, worker_fn) -> None:
         while True:
             if os.getppid() != ppid:
                 os._exit(0)  # orchestrator is gone; don't linger
-            hb_array[slot] = time.time()
+            hb_array[slot] = time.time()  # simlint: ignore[wall-clock]
             time.sleep(HEARTBEAT_INTERVAL_S)
 
-    threading.Thread(target=beat, daemon=True, name="sweep-heartbeat").start()
+    threading.Thread(target=beat, daemon=True, name="pool-heartbeat").start()
     while True:
         try:
             msg = conn.recv()
@@ -158,7 +165,7 @@ class _Worker:
     proc: Any
     conn: Any
     slot: int
-    current: Optional[tuple[str, dict]] = None  # (fp, payload)
+    current: Optional[tuple[str, Any]] = None  # (fp, payload)
     started_at: float = 0.0
 
 
@@ -167,7 +174,7 @@ class SweepRunner:
 
     def __init__(
         self,
-        worker_fn: Callable[[dict], dict],
+        worker_fn: Callable[[Any], Any],
         n_jobs: int = 1,
         timeout_s: float = 300.0,
         max_attempts: int = 3,
@@ -175,8 +182,8 @@ class SweepRunner:
         seed: int = 0,
         heartbeat_timeout_s: float = 10.0,
         max_respawns: Optional[int] = None,
-        on_result: Optional[Callable[[str, dict, dict], None]] = None,
-        on_quarantine: Optional[Callable[[str, dict, list], None]] = None,
+        on_result: Optional[Callable[[str, Any, Any], None]] = None,
+        on_quarantine: Optional[Callable[[str, Any, list], None]] = None,
         progress: Optional[Callable[[str], None]] = None,
     ):
         if n_jobs < 1:
@@ -200,13 +207,13 @@ class SweepRunner:
         self.progress = progress or (lambda msg: None)
 
     # ------------------------------------------------------------------
-    def run(self, tasks: Sequence[tuple[str, dict]]) -> RunnerStats:
+    def run(self, tasks: Sequence[tuple[str, Any]]) -> RunnerStats:
         stats = RunnerStats()
         if not tasks:
             return stats
-        pending: list[tuple[str, dict]] = list(tasks)
+        pending: list[tuple[str, Any]] = list(tasks)
         pending.reverse()  # pop() serves the plan in order
-        delayed: list[tuple[float, int, str, dict]] = []  # (ready_at, tie, ...)
+        delayed: list[tuple[float, int, str, Any]] = []  # (ready_at, tie, ...)
         attempts: dict[str, int] = {}
         failures: dict[str, list[TaskFailure]] = {}
         outstanding = len(pending)
@@ -226,9 +233,9 @@ class SweepRunner:
                 target=_worker_main,
                 args=(child_conn, hb_array, slot, self.worker_fn),
                 daemon=True,
-                name=f"sweep-worker-{slot}",
+                name=f"pool-worker-{slot}",
             )
-            hb_array[slot] = time.time()
+            hb_array[slot] = time.time()  # simlint: ignore[wall-clock]
             proc.start()
             child_conn.close()
             workers[slot] = _Worker(proc=proc, conn=parent_conn, slot=slot)
@@ -257,7 +264,7 @@ class SweepRunner:
                 )
             # an empty pool with no budget raises in the main loop
 
-        def record_failure(fp: str, payload: dict, failure: TaskFailure) -> None:
+        def record_failure(fp: str, payload: Any, failure: TaskFailure) -> None:
             nonlocal outstanding, tie
             attempts[fp] = attempts.get(fp, 0) + 1
             failures.setdefault(fp, []).append(failure)
@@ -282,7 +289,7 @@ class SweepRunner:
                 stats.retries += 1
                 delay = backoff_s(self.seed, fp, attempts[fp], self.backoff_base_s)
                 tie += 1
-                heapq.heappush(delayed, (time.time() + delay, tie, fp, payload))
+                heapq.heappush(delayed, (time.time() + delay, tie, fp, payload))  # simlint: ignore[wall-clock]
                 self.progress(
                     f"retrying {fp} in {delay:.2f}s "
                     f"(attempt {attempts[fp] + 1}/{self.max_attempts}, "
@@ -324,7 +331,7 @@ class SweepRunner:
                 spawn(free.pop())
 
             while outstanding > 0:
-                now = time.time()
+                now = time.time()  # simlint: ignore[wall-clock]
                 while delayed and delayed[0][0] <= now:
                     _, _, fp, payload = heapq.heappop(delayed)
                     pending.append((fp, payload))
@@ -369,7 +376,7 @@ class SweepRunner:
                 else:
                     time.sleep(wait_s)
 
-                now = time.time()
+                now = time.time()  # simlint: ignore[wall-clock]
                 for w in list(workers.values()):
                     if not w.proc.is_alive():
                         fail_worker(
@@ -405,3 +412,51 @@ class SweepRunner:
             for w in list(workers.values()):
                 reap(w, kill=w.current is not None)
         return stats
+
+
+def map_ordered(fn: Callable[[Any], Any], items: Sequence[Any], n_jobs: int = 1) -> list:
+    """``[fn(it) for it in items]`` in input order, over ``n_jobs`` workers.
+
+    ``n_jobs=0`` means one per CPU.  One worker (after capping at
+    ``len(items)``) runs in-process, as does a host where the pool
+    cannot start.  A unit that fails in a worker (raises, or its process
+    dies) is retried once; units still missing are recomputed in the
+    parent, where a genuine error propagates with the workers' failure
+    history as its ``__cause__``.  Units are pure functions of their
+    items, so the result is bit-identical to a serial run.
+    """
+    if n_jobs < 0:
+        raise ValueError(f"n_jobs must be >= 0, got {n_jobs}")
+    items = list(items)
+    jobs = min(n_jobs or os.cpu_count() or 1, len(items))
+    if jobs <= 1:
+        return [fn(it) for it in items]
+
+    results: dict[int, Any] = {}
+    failures: dict[int, list[TaskFailure]] = {}
+    runner = SweepRunner(
+        fn,
+        n_jobs=jobs,
+        timeout_s=math.inf,
+        max_attempts=MAP_MAX_ATTEMPTS,
+        backoff_base_s=MAP_BACKOFF_S,
+        on_result=lambda fp, _item, result: results.__setitem__(int(fp), result),
+        on_quarantine=lambda fp, _item, fails: failures.__setitem__(int(fp), fails),
+        progress=log.warning,
+    )
+    try:
+        runner.run([(str(i), it) for i, it in enumerate(items)])
+    except (PoolExhaustedError, OSError, ImportError, NotImplementedError) as exc:
+        log.warning("process pool stopped early: %s", exc)
+    missing = [i for i in range(len(items)) if i not in results]
+    if missing:
+        log.warning("recomputing %d unit(s) in the parent", len(missing))
+    for i in missing:
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:
+            if i not in failures:
+                raise
+            history = "\n".join(f"[{f.kind}] {f.detail}" for f in failures[i])
+            raise exc from RuntimeError(f"unit {i} failed in the pool:\n{history}")
+    return [results[i] for i in range(len(items))]

@@ -7,9 +7,10 @@ parameter-space campaigns without giving up its determinism:
   space into self-contained task payloads;
 * :mod:`.store` is the append-only CRC-framed WAL that makes a run
   directory survive orchestrator SIGKILL with at most one torn tail;
-* :mod:`.runner` is the fault-tolerant process pool (timeouts,
-  seeded backoff, poison quarantine, heartbeat hang detection,
-  graceful pool shrink);
+* :mod:`repro.core.pool` is the fault-tolerant process pool
+  (timeouts, seeded backoff, poison quarantine, heartbeat hang
+  detection, graceful pool shrink) that every fan-out in the repo
+  shares; its runner names are re-exported here;
 * :mod:`.worker` executes one combo as a pure function of its task;
 * :mod:`.report` verifies WAL integrity end-to-end and distills the
   population into the ``repro.sweep-report/1`` document;
@@ -17,6 +18,7 @@ parameter-space campaigns without giving up its determinism:
   ``repro sweep --resume``.
 """
 
+from ..core.pool import PoolExhaustedError, RunnerStats, SweepRunner, TaskFailure
 from .orchestrate import DEFAULT_PARAMS, SweepOutcome, run_sweep
 from .plan import (
     TASK_SCHEMA,
@@ -33,7 +35,6 @@ from .report import (
     render_sweep_report,
     verify_run,
 )
-from .runner import PoolExhaustedError, RunnerStats, SweepRunner, TaskFailure
 from .store import (
     MANIFEST_SCHEMA,
     QUARANTINE_SCHEMA,

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from ..core.pool import PoolExhaustedError, RunnerStats, SweepRunner
 from .plan import SweepTask
 from .report import build_sweep_report, write_sweep_report
-from .runner import PoolExhaustedError, RunnerStats, SweepRunner
 from .store import (
     MANIFEST_SCHEMA,
     QUARANTINE_SCHEMA,

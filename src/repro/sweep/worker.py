@@ -102,12 +102,12 @@ def run_sweep_task(payload: dict, cache_root: Optional[str] = None) -> dict:
         ior_file_bytes=char.get("ior_file_bytes"),
     )
     m.characterize(n_jobs=1, cache=cache_root)
-    report = m.evaluate_single(
-        name,
+    report = m.evaluate(
         app,
+        names=[name],
         n_jobs=1,
         phase_fastpath=bool(task.get("phase_fastpath", True)),
         sanitize=bool(task.get("sanitize", False)),
         faults=faults,
-    )
+    )[name]
     return {"task": task, "result": result_payload(report, app)}

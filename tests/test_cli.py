@@ -130,25 +130,19 @@ def test_evaluate_missing_spec_fails_cleanly():
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["characterize", "--configs", "jbod", "--jobs", "-1"], None),
-        (["sweep", "run", "--workloads", "btio:S:4", "--jobs", "0"], None),
-        (["characterize", "--configs", "jbod"], "many"),
-        (["evaluate", "btio", "--configs", "jbod"], "-2"),
+        ["characterize", "--configs", "jbod", "--jobs", "-1"],
+        ["sweep", "run", "--workloads", "btio:S:4", "--jobs", "0"],
     ],
 )
-def test_bad_jobs_exit_2_with_one_error_line(argv, env, monkeypatch, capsys):
-    if env is None:
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_JOBS", env)
+def test_bad_jobs_exit_2_with_one_error_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("repro: error: ")
-    assert ("REPRO_JOBS" if env else "--jobs") in err[0]
+    assert "--jobs" in err[0]
 
 
 @pytest.mark.parametrize(

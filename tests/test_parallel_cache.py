@@ -1,4 +1,4 @@
-"""Parallel fan-out determinism and the persistent characterization cache.
+"""Process-pool fan-out determinism and the persistent characterization cache.
 
 The acceptance bar for the parallel engine is *bit-identical* output:
 the CSV serialization of every performance table must match between a
@@ -6,11 +6,14 @@ serial run, a multi-process run, and a warm cache load.  Block sweeps
 here are tiny so the whole file stays fast.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.clusters import aohyper_config
-from repro.core import Methodology, TableCache, resolve_jobs, run_tasks
-from repro.core.parallel import resolve_jobs as resolve_jobs_direct
+from repro.core import Methodology, TableCache
+from repro.core.pool import map_ordered
 from repro.fingerprint import fingerprint
 from repro.storage.base import KiB, MiB
 from repro.workloads.apps import MadBenchApplication
@@ -35,54 +38,82 @@ def table_csvs(m: Methodology) -> dict:
 
 
 # ----------------------------------------------------------------------
-# job-count resolution
+# the ordered map on the process pool
 # ----------------------------------------------------------------------
-def test_resolve_jobs_defaults_to_serial(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_jobs() == 1
+_PARENT_PID = os.getpid()
 
 
-def test_resolve_jobs_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_jobs() == 3
-
-
-def test_resolve_jobs_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_jobs(2) == 2
-
-
-def test_resolve_jobs_zero_means_all_cpus(monkeypatch):
-    import os
-
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_jobs(0) == (os.cpu_count() or 1)
-
-
-def test_resolve_jobs_rejects_negative_and_garbage(monkeypatch):
-    with pytest.raises(ValueError):
-        resolve_jobs(-1)
-    monkeypatch.setenv("REPRO_JOBS", "many")
-    with pytest.raises(ValueError):
-        resolve_jobs_direct()
-
-
-def _square(x):  # module-level so it pickles into workers
+def _square(x):
     return x * x
 
 
-def test_run_tasks_preserves_input_order():
+def _pid(_x):
+    return os.getpid()
+
+
+def test_map_ordered_preserves_input_order():
     items = list(range(8))
-    assert run_tasks(_square, items, n_jobs=1) == [x * x for x in items]
-    assert run_tasks(_square, items, n_jobs=2) == [x * x for x in items]
+    assert map_ordered(_square, items, n_jobs=1) == [x * x for x in items]
+    assert map_ordered(_square, items, n_jobs=2) == [x * x for x in items]
 
 
-def test_run_tasks_propagates_worker_exception():
+def test_map_ordered_zero_jobs_means_one_per_cpu(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert set(map_ordered(_pid, range(4), n_jobs=0)) == {_PARENT_PID}
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _PARENT_PID not in map_ordered(_pid, range(4), n_jobs=0)
+
+
+def test_map_ordered_rejects_negative_jobs():
+    with pytest.raises(ValueError, match="n_jobs"):
+        map_ordered(_square, [1], n_jobs=-1)
+
+
+def test_map_ordered_propagates_in_process_exception():
     def boom(_x):
         raise RuntimeError("worker failed")
 
-    with pytest.raises(RuntimeError):
-        run_tasks(boom, [1], n_jobs=1)
+    with pytest.raises(RuntimeError, match="worker failed") as excinfo:
+        map_ordered(boom, [1], n_jobs=1)
+    assert excinfo.value.__cause__ is None
+
+
+_POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def test_only_the_pool_module_imports_process_pools():
+    import ast
+
+    import repro
+
+    src = Path(repro.__file__).parent
+    importers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n == m or n.startswith(m + ".") for n in names for m in _POOL_MODULES):
+                importers.add(path.relative_to(src).as_posix())
+    assert importers == {"core/pool.py"}
+
+
+def test_import_repro_does_not_load_multiprocessing():
+    import subprocess
+    import sys
+
+    probe = "import repro, sys; print(sorted(m for m in sys.modules if m.startswith(%r)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    for mod in _POOL_MODULES:
+        out = subprocess.run(
+            [sys.executable, "-c", probe % mod],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.strip() == "[]", out.stdout
 
 
 # ----------------------------------------------------------------------
@@ -253,13 +284,8 @@ def test_save_load_tables_round_trip(tmp_path):
 # ----------------------------------------------------------------------
 # worker-crash recovery
 # ----------------------------------------------------------------------
-_PARENT_PID = __import__("os").getpid()
-
-
 def _fail_in_worker(x):
     """Raises in every pool worker, succeeds in the parent process."""
-    import os
-
     if os.getpid() != _PARENT_PID:
         raise RuntimeError("injected worker crash")
     return x * x
@@ -270,50 +296,77 @@ def _always_boom(_x):
 
 
 def _crashy_characterize(task):
-    import os
-
     if os.getpid() != _PARENT_PID:
         raise RuntimeError("injected worker crash")
     return _ORIG_CHARACTERIZE(task)
 
 
+def _dies_once_per_level(flag_dir):
+    """A characterization unit whose worker process dies on its first
+    attempt at each level (one flag file per level)."""
+
+    def unit(task):
+        flag = Path(flag_dir) / task[1]
+        if os.getpid() != _PARENT_PID and not flag.exists():
+            flag.write_text("died")
+            os._exit(13)
+        return _ORIG_CHARACTERIZE(task)
+
+    return unit
+
+
 from repro.core.methodology import _characterize_unit as _ORIG_CHARACTERIZE  # noqa: E402
 
 
-def test_run_tasks_crash_retries_then_serial_fallback(caplog, monkeypatch):
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    import repro.core.pool as pool
+
+    monkeypatch.setattr(pool, "MAP_BACKOFF_S", 0.01)
+
+
+def test_map_ordered_retry_then_parent_recompute(caplog, fast_backoff):
     import logging
 
-    import repro.core.parallel as par
-
-    monkeypatch.setattr(par, "RETRY_BACKOFF_S", 0.01)
-    with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
-        out = run_tasks(_fail_in_worker, list(range(6)), n_jobs=2)
+    with caplog.at_level(logging.WARNING, logger="repro.core.pool"):
+        out = map_ordered(_fail_in_worker, list(range(6)), n_jobs=2)
     assert out == [x * x for x in range(6)]
     assert "retrying" in caplog.text
-    assert "serial fallback" in caplog.text
+    assert "recomputing 6 unit(s) in the parent" in caplog.text
 
 
-def test_run_tasks_genuine_error_raises_from_serial_fallback(monkeypatch):
-    import repro.core.parallel as par
-
-    monkeypatch.setattr(par, "RETRY_BACKOFF_S", 0.01)
+def test_map_ordered_genuine_error_raises_from_parent_recompute(fast_backoff):
     with pytest.raises(RuntimeError, match="genuine failure"):
-        run_tasks(_always_boom, [1, 2], n_jobs=2)
+        map_ordered(_always_boom, [1, 2], n_jobs=2)
 
 
-def test_characterize_bit_identical_after_worker_crashes(monkeypatch):
+def test_characterize_bit_identical_after_worker_crashes(monkeypatch, fast_backoff):
     """Crashed characterization shards must recompute to the exact same
-    tables via the retry/serial-fallback path."""
+    tables via the retry/parent-recompute path."""
     import repro.core.methodology as meth_mod
-    import repro.core.parallel as par
 
-    monkeypatch.setattr(par, "RETRY_BACKOFF_S", 0.01)
     baseline = small_methodology()
     baseline.characterize(n_jobs=1)
     crashy = small_methodology()
     monkeypatch.setattr(meth_mod, "_characterize_unit", _crashy_characterize)
     crashy.characterize(n_jobs=2)
     assert table_csvs(crashy) == table_csvs(baseline)
+
+
+def test_characterize_bit_identical_after_worker_process_death(
+    monkeypatch, tmp_path, fast_backoff
+):
+    """A worker that dies mid-unit is replaced and the unit retried in
+    the pool: tables match a serial run bit for bit."""
+    import repro.core.methodology as meth_mod
+
+    baseline = small_methodology()
+    baseline.characterize(n_jobs=1)
+    dying = small_methodology()
+    monkeypatch.setattr(meth_mod, "_characterize_unit", _dies_once_per_level(tmp_path))
+    dying.characterize(n_jobs=2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(dying.levels)
+    assert table_csvs(dying) == table_csvs(baseline)
 
 
 # ----------------------------------------------------------------------
@@ -430,16 +483,14 @@ def test_cache_quarantine_race_destination_taken(tmp_path, monkeypatch):
     assert moved == [f"{key}.corrupt.1"]
 
 
-def test_serial_fallback_chains_original_shard_traceback(monkeypatch):
-    """When the serial fallback fails too, the original parallel-shard
-    exception must ride along as ``__cause__``."""
-    import repro.core.parallel as par
-
-    monkeypatch.setattr(par, "RETRY_BACKOFF_S", 0.01)
+def test_serial_fallback_chains_original_shard_traceback(fast_backoff):
+    """When the parent's recompute fails too, the workers' failure
+    history must ride along as ``__cause__``."""
     with pytest.raises(RuntimeError, match="genuine failure") as excinfo:
-        run_tasks(_always_boom, [1, 2], n_jobs=2)
+        map_ordered(_always_boom, [1, 2], n_jobs=2)
     cause = excinfo.value.__cause__
     assert isinstance(cause, RuntimeError)
-    assert "genuine failure" in str(cause)
-    # and the chained copy is the *pool's* instance, not the serial one
+    # both pool attempts' worker tracebacks, not the parent's exception
     assert cause is not excinfo.value
+    assert str(cause).count("RuntimeError: genuine failure") == 2
+    assert "[error]" in str(cause)

@@ -30,7 +30,7 @@ from repro.sweep import (
     run_sweep,
     run_sweep_task,
 )
-from repro.sweep.runner import backoff_s
+from repro.core.pool import backoff_s
 from repro.sweep.store import ResultStore, StoreError
 
 QUICK_CHAR = char_params(
