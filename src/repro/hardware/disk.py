@@ -222,7 +222,7 @@ class Disk:
             return t
         if (
             count > 8
-            and stride > nbytes
+            and stride > 0
             and offset >= 0
             and offset + stride * (count - 1) + nbytes <= self.spec.capacity_bytes
         ):
@@ -241,12 +241,18 @@ class Disk:
     def _scatter_time_vec(self, op, offset, nbytes, count, stride):
         """Vectorized scatter cost — bit-identical to :meth:`_scatter_time`.
 
-        Only reached for a forward constant-gap scatter that never
-        wraps the capacity: there the seek distance is the same for
-        every operation and the readahead interactions are periodic,
-        so every per-op time is a closed-form elementwise expression
-        (each float op matches the scalar path's op on the same
-        operands) accumulated in the original sequential order.
+        Only reached for a constant-stride scatter with increasing
+        offsets (``stride > 0``) that never wraps the capacity: there
+        the gap from the head to the next operation, and so the seek
+        distance, is the same for every operation and the readahead
+        interactions are periodic, so every per-op time is a
+        closed-form elementwise expression (each float op matches the
+        scalar path's op on the same operands) accumulated in the
+        original sequential order.  The gap ``stride - nbytes`` is
+        positive for a scatter with holes and negative for overlapping
+        strides (page-rounded records closer together than a page):
+        a backward gap never takes the short-skip branch, so every
+        miss is a full seek over ``abs(gap)``.
         """
         spec = self.spec
         # the first op sees the pre-existing head position and
@@ -261,10 +267,11 @@ class Disk:
         cmd = spec.command_overhead_s
         xfer = nbytes / rate
         # the head sits at the previous op's end, so the gap (and the
-        # seek time) is the same constant for every remaining op
+        # seek time) is the same constant for every remaining op; it is
+        # negative when the strides overlap
         gap = stride - nbytes
         seek = spec.track_to_track_s + (spec.avg_seek_s - spec.track_to_track_s) * (
-            (gap / spec.capacity_bytes) ** 0.5
+            (abs(gap) / spec.capacity_bytes) ** 0.5
         )
         full = seek + spec.half_rotation_s
         if 0 < gap <= self.SHORT_SKIP_BYTES:

@@ -7,7 +7,9 @@ exposing a deliberately mpi4py-flavoured API (``send``/``recv``/
 MPI-IO).  Messages move over the cluster's *communication* network;
 file data moves over its *data* network (or the same one, when the
 cluster is configured with a single shared fabric — one of the
-paper's configurable factors).
+paper's configurable factors).  A send or receive is a flat callback
+state machine (:class:`~repro.simengine.FlatOp`) on the calendar, not a
+generator process.
 
 Collective calls synchronise through a per-communicator
 :class:`Rendezvous`: SPMD programs reach collective call sites in the
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-from ..simengine import Environment, Event, Store
+from ..simengine import Environment, Event, FlatOp, Store
 from ..hardware.node import Cluster, Node
 
 __all__ = ["MPIWorld", "RankContext", "Rendezvous"]
@@ -72,6 +74,56 @@ class Rendezvous:
     def count(self, kind: str, rank: int) -> int:
         """How many ``kind`` call sites ``rank`` has reached so far."""
         return self._counters.get((kind, rank), 0)
+
+
+class _Send(FlatOp):
+    """One eager send: carry the message and its envelope over the
+    communication network, then post it in the receiver's mailbox."""
+
+    __slots__ = ("ctx", "peer", "nbytes", "tag", "payload")
+
+    def __init__(
+        self, ctx: "RankContext", peer: "RankContext", nbytes: int, tag: int, payload: Any
+    ):
+        self.ctx = ctx
+        self.peer = peer
+        self.nbytes = nbytes
+        self.tag = tag
+        self.payload = payload
+        super().__init__(ctx.env)
+
+    def _start(self, event: Event) -> None:
+        ctx = self.ctx
+        self._await(
+            ctx.world.cluster.comm_network.transfer(
+                ctx.node.name, self.peer.node.name, self.nbytes + _ENVELOPE
+            ),
+            self._delivered,
+        )
+
+    def _delivered(self, _v) -> None:
+        box = self.peer._mailbox(self.ctx.rank, self.tag)
+        self._await(box.put((self.nbytes, self.payload)), self._posted)
+
+    def _posted(self, _v) -> None:
+        self._finish(self.nbytes)
+
+
+class _Recv(FlatOp):
+    """One receive: take the next message from a mailbox; the result
+    is its payload."""
+
+    __slots__ = ("box",)
+
+    def __init__(self, env: Environment, box: Store):
+        self.box = box
+        super().__init__(env)
+
+    def _start(self, event: Event) -> None:
+        self._await(self.box.get(), self._got)
+
+    def _got(self, message) -> None:
+        self._finish(message[1])
 
 
 class RankContext:
@@ -153,30 +205,20 @@ class RankContext:
     def isend(self, dst: int, nbytes: int, tag: int = 0, payload: Any = None) -> Event:
         """Non-blocking send; the event fires when the message is delivered."""
         if not 0 <= dst < self.size:
-            raise ValueError(f"bad destination rank {dst}")
-        return self.env.process(
-            self._send(dst, nbytes, tag, payload), name=f"r{self.rank}.send"
-        )
+            raise ValueError(f"bad destination rank dst={dst}")
+        if nbytes < 0:
+            raise ValueError(f"bad message size nbytes={nbytes}")
+        return _Send(self, self.world.ranks[dst], nbytes, tag, payload).result
 
     def send(self, dst: int, nbytes: int, tag: int = 0, payload: Any = None) -> Event:
         """Blocking send (same completion semantics under eager protocol)."""
         return self.isend(dst, nbytes, tag, payload)
 
-    def _send(self, dst, nbytes, tag, payload):
-        net = self.world.cluster.comm_network
-        dst_node = self.world.ranks[dst].node
-        yield net.transfer(self.node.name, dst_node.name, nbytes + _ENVELOPE)
-        yield self.world.ranks[dst]._mailbox(self.rank, tag).put((nbytes, payload))
-        return nbytes
-
     def recv(self, src: int, tag: int = 0) -> Event:
         """Receive; event value is the message payload."""
-
-        def _op():
-            nbytes, payload = yield self._mailbox(src, tag).get()
-            return payload
-
-        return self.env.process(_op(), name=f"r{self.rank}.recv")
+        if not 0 <= src < self.size:
+            raise ValueError(f"bad source rank src={src}")
+        return _Recv(self.env, self._mailbox(src, tag)).result
 
     # -- collectives (cost models live in collectives.py) ---------------------
     def barrier(self) -> Event:

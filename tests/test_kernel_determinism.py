@@ -155,44 +155,84 @@ _COUPLED_SCENARIOS = {
 # ----------------------------------------------------------------------
 # vectorized disk scatter: scalar loop vs numpy, bit-identical
 # ----------------------------------------------------------------------
+def _assert_disk_twins(d1, d2, t1, t2, case):
+    assert t1 == t2, case
+    assert d1._head_pos == d2._head_pos, case
+    assert (d1._ra_start, d1._ra_end) == (d2._ra_start, d2._ra_end), case
+    assert d1.stats.seeks == d2.stats.seeks, case
+    assert d1.stats.readahead_hits == d2.stats.readahead_hits, case
+
+
 def test_scatter_vectorization_bit_identical():
     rng = random.Random(7)
     spec = DiskSpec()
     vec_cases = 0
-    for trial in range(400):
+    overlap_cases = 0
+    for trial in range(600):
         env = Environment()
         d1 = Disk(env, DiskSpec())
         d2 = Disk(env, DiskSpec())
-        # random prior state: cold, sequential head, or a read that
-        # leaves a readahead window behind
-        pre = rng.choice(["none", "seq", "read"])
+        # random prior state: cold, sequential head, a read that leaves
+        # a readahead window behind, or a write after such a read
+        pre = rng.choice(["none", "seq", "read", "write"])
+        near = rng.randrange(0, 10**9)
         if pre == "seq":
-            hp = rng.randrange(0, 10**9)
-            d1._head_pos = hp
-            d2._head_pos = hp
-        elif pre == "read":
-            off0 = rng.randrange(0, 10**9)
+            d1._head_pos = near
+            d2._head_pos = near
+        elif pre in ("read", "write"):
             nb0 = rng.choice([4096, 65536, 1 << 20])
-            d1.service_time(READ, off0, nb0)
-            d2.service_time(READ, off0, nb0)
+            d1.service_time(READ, near, nb0)
+            d2.service_time(READ, near, nb0)
+            if pre == "write":
+                # lands inside, across or past the readahead window
+                woff = near + rng.randrange(0, nb0 + 3 * (1 << 20))
+                d1.service_time(WRITE, woff, nb0)
+                d2.service_time(WRITE, woff, nb0)
         op = rng.choice([READ, WRITE])
         nbytes = rng.choice([0, 512, 4096, 32768, 65536, 262144, 1 << 20])
         count = rng.randrange(9, 200)
-        stride = nbytes + rng.choice(
-            [1, 512, 4096, 100_000, 2 * (1 << 20), 127 * max(nbytes, 65536)]
-        )
-        offset = rng.randrange(0, 10**9)
+        if nbytes >= 2 and rng.random() < 0.5:
+            # overlapping strides (0 < stride < nbytes): page-rounded
+            # records closer together than a page, as BT-IO simple's
+            # 2,560 B records read through 4 KiB pages
+            overlaps = [nbytes - 1, nbytes // 2] + ([2560] if nbytes == 4096 else [])
+            stride = rng.choice(overlaps)
+        else:
+            stride = nbytes + rng.choice(
+                [1, 512, 4096, 100_000, 2 * (1 << 20), 127 * max(nbytes, 65536)]
+            )
+        # start in the prior state's readahead window half of the time
+        if rng.random() < 0.5:
+            offset = near + rng.randrange(0, 2 * (1 << 20))
+        else:
+            offset = rng.randrange(0, 10**9)
         if offset + stride * (count - 1) + nbytes > spec.capacity_bytes:
             continue
         vec_cases += 1
+        overlap_cases += stride < nbytes
         t_scalar = d1._scatter_time(op, offset, nbytes, count, stride)
         t_vector = d2._scatter_time_vec(op, offset, nbytes, count, stride)
-        assert t_scalar == t_vector, (trial, op, offset, nbytes, count, stride)
-        assert d1._head_pos == d2._head_pos
-        assert (d1._ra_start, d1._ra_end) == (d2._ra_start, d2._ra_end)
-        assert d1.stats.seeks == d2.stats.seeks
-        assert d1.stats.readahead_hits == d2.stats.readahead_hits
-    assert vec_cases > 200, "random parameters barely hit the vector path"
+        _assert_disk_twins(d1, d2, t_scalar, t_vector, (trial, op, offset, nbytes, count, stride))
+    assert vec_cases > 500, "random parameters barely hit the vector path"
+    assert overlap_cases > 200, "random parameters barely drew overlapping strides"
+
+
+def test_overlapping_stride_takes_vector_path(monkeypatch):
+    """BT-IO simple's page-rounded records: 4 KiB reads every 2,560 B
+    are served by the vector path, bit-identical to the per-op loop."""
+    env = Environment()
+    scalar = Disk(env, DiskSpec())
+    vector = Disk(env, DiskSpec())
+    offset = 123 * 4096
+    t_scalar = scalar._scatter_time(READ, offset, 4096, 1024, 2560)
+
+    def refuse(*args):
+        raise AssertionError("overlapping stride fell back to the scalar loop")
+
+    monkeypatch.setattr(vector, "_scatter_time", refuse)
+    t_vector = vector.service_time(READ, offset, 4096, 1024, 2560)
+    _assert_disk_twins(scalar, vector, t_scalar, t_vector, "4096 B every 2560 B")
+    assert vector.stats.readahead_hits > 0 and vector.stats.seeks > 0
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,63 @@ class TestPointToPoint:
         assert marks["compute_done"] == pytest.approx(0.2, abs=0.01)
         assert marks["send_done"] > marks["compute_done"]
 
+    @pytest.mark.parametrize("src", [5, 2, -1])
+    def test_bad_source_rejected_at_call(self, src):
+        _, w = make_world(2)
+        with pytest.raises(ValueError, match="src"):
+            w.ranks[0].recv(src)
+
+    def test_negative_size_rejected_at_call(self):
+        _, w = make_world(2)
+        with pytest.raises(ValueError, match="nbytes"):
+            w.ranks[0].send(1, -10000)
+        with pytest.raises(ValueError, match="dst"):
+            w.ranks[0].isend(2, 8)
+
+    def test_point_to_point_starts_no_process(self, monkeypatch):
+        import repro.simengine.core as core
+
+        system, w = make_world(2)
+        started = []
+        init = core.Process.__init__
+
+        def counting(self, env, generator, name=""):
+            started.append(name)
+            init(self, env, generator, name)
+
+        monkeypatch.setattr(core.Process, "__init__", counting)
+
+        def prog(mpi):
+            for i in range(3):
+                if mpi.rank == 0:
+                    yield mpi.send(1, 64, payload=i)
+                else:
+                    yield mpi.recv(0)
+
+        system.env.run(w.run_program(prog))
+        assert started == ["mpi.r0", "mpi.r1"]
+
+    def test_transfer_failure_reaches_sender(self, monkeypatch):
+        system, w = make_world(2)
+        env = system.env
+        net = system.cluster.comm_network
+
+        def broken(src, dst, nbytes, count=1, priority=0, order_key=None):
+            return env.event().fail(ConnectionError("link down"))
+
+        monkeypatch.setattr(net, "transfer", broken)
+        caught = []
+
+        def prog(mpi):
+            if mpi.rank == 0:
+                try:
+                    yield mpi.isend(1, 1024)
+                except ConnectionError as exc:
+                    caught.append((str(exc), mpi.now))
+
+        env.run(w.run_program(prog))
+        assert caught == [("link down", 0.0)]
+
 
 class TestRendezvous:
     def test_last_arriver_flagged(self):
