@@ -7,9 +7,10 @@ simlint (the static half of :mod:`repro.analysis`) catches the
 simulation runs and at teardown:
 
 * **event-time monotonicity** — no event is *scheduled* before the
-  current clock (checked at insert: every calendar entry, whether from
-  ``Timeout``/``Wake``/``Initialize`` construction or ``succeed``/
-  ``fail`` triggering, funnels through ``Environment._push``, which
+  current clock or at a NaN time (checked at insert: every calendar
+  entry, whether from ``Timeout``/``Wake``/``Initialize``
+  construction, ``succeed``/``fail`` triggering or a flat state
+  machine's direct entry, funnels through ``Environment._push``, which
   the sanitizer interposes) and the calendar never pops one scheduled
   before the clock;
 * **deterministic tie-breaking** — heap pop keys ``(time, priority,
@@ -214,7 +215,7 @@ class SimSanitizer:
     # -- calendar interception ---------------------------------------------
     def _checked_push(self, when: float, priority: int, event: Any) -> None:
         env = self.env
-        if when < env._now:
+        if not when >= env._now:  # also NaN
             self._record(
                 "monotonicity",
                 f"{event!r} scheduled at t={when!r}, before the clock "
@@ -229,7 +230,7 @@ class SimSanitizer:
         if queue:
             head = queue[0]
             key = (head[0], head[1], head[2])
-            if key[0] < env._now:
+            if not key[0] >= env._now:  # also NaN
                 self._record(
                     "monotonicity",
                     f"event at t={key[0]!r} popped after the clock reached "

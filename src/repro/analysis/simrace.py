@@ -11,7 +11,9 @@ silently corrupts fingerprint-keyed caches and replayed phases.
 Three layers, cheapest first:
 
 **Static rules** (:data:`RACE_RULES`) extend the simlint framework to
-code reachable from ``Event.callbacks`` registrations:
+code reachable from what the calendar calls: ``Event.callbacks``
+registrations, direct entries pushed through ``_push`` and the
+continuations of the flat state machines' waits:
 
 ``tie-order-rmw``
     a callback-reachable function read-modify-writes shared mutable
@@ -19,8 +21,9 @@ code reachable from ``Event.callbacks`` registrations:
     attribute chain) with a non-additive update — e.g.
     ``state["v"] = state["v"] * 2``.  Two such callbacks in one tie
     group yield order-dependent results.  Pure ``+=``/``-=`` updates
-    commute and are not flagged unless the same path also gates a
-    branch in the function (observed intermediate values).
+    and ``max``/``min`` self-updates commute and are not flagged
+    unless the same path also gates a branch in the function (observed
+    intermediate values).
 
 ``unordered-callback-iter``
     a callback-reachable function iterates a ``set``/``frozenset``
@@ -97,6 +100,12 @@ RACE_RULES: tuple[str, ...] = (
 #: attribute names that expose the scheduler's insertion counters
 _SEQ_NAMES = frozenset({"_seq", "seq", "_order"})
 
+#: calls whose argument at the given index is called from the calendar:
+#: ``env._push(when, priority, fn)`` and the continuation ``k`` of the
+#: flat state machines' ``_await(ev, k)`` / ``_sleep(delay, k)`` /
+#: ``_wake(at, k)``
+_CONTINUATION_ARGS = {"_push": 2, "_await": 1, "_sleep": 1, "_wake": 1}
+
 _FnNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
@@ -105,26 +114,32 @@ _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 # layer 1: static order-sensitivity rules
 # ----------------------------------------------------------------------
 def _callback_roots(tree: ast.AST) -> tuple[set[str], list[ast.Lambda]]:
-    """Functions registered as event callbacks.
+    """Functions the calendar calls.
 
-    Roots are the arguments of ``<expr>.callbacks.append(...)`` calls:
-    plain names, bound methods (matched by attribute name), lambdas,
-    and — for factory calls like ``append(make_cb(x))`` — the factory
-    name (its nested defs become reachable through the closure walk).
+    Roots are the arguments of ``<expr>.callbacks.append(...)`` calls,
+    the callable of ``<expr>._push(when, priority, fn)`` and the
+    continuation of ``<expr>._await``/``_sleep``/``_wake``: plain
+    names, bound methods (matched by attribute name), lambdas, and —
+    for factory calls like ``append(make_cb(x))`` — the factory name
+    (its nested defs become reachable through the closure walk).
     """
     names: set[str] = set()
     lambdas: list[ast.Lambda] = []
     for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "append"
-            and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr == "callbacks"
-            and node.args
-        ):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        arg = node.args[0]
+        func = node.func
+        if (
+            func.attr == "append"
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "callbacks"
+        ):
+            index = 0
+        else:
+            index = _CONTINUATION_ARGS.get(func.attr, -1)
+        if not 0 <= index < len(node.args):
+            continue
+        arg = node.args[index]
         if isinstance(arg, ast.Name):
             names.add(arg.id)
         elif isinstance(arg, ast.Attribute):
@@ -265,10 +280,27 @@ def _read_paths(node: ast.AST) -> set[tuple[str, ...]]:
 def _is_additive(value: ast.expr, path: tuple[str, ...]) -> bool:
     """Is ``value`` a pure additive update of ``path``?
 
-    True for ``<path> + e`` / ``e + <path>`` / ``<path> - e`` where the
-    other operand does not read the path; anything else that reads the
-    path (multiplication, calls, conditionals) is order-sensitive.
+    True for ``<path> + e`` / ``e + <path>`` / ``<path> - e`` and for
+    ``max(<path>, e)`` / ``min(<path>, e)`` (either argument order)
+    where the other operand does not read the path; anything else that
+    reads the path (multiplication, other calls, conditionals) is
+    order-sensitive.
     """
+    if (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in ("max", "min")
+        and len(value.args) == 2
+        and not value.keywords
+    ):
+        first, second = value.args
+        if _state_path(first) == path:
+            other = second
+        elif _state_path(second) == path:
+            other = first
+        else:
+            return False
+        return path not in _read_paths(other)
     if not isinstance(value, ast.BinOp) or not isinstance(value.op, (ast.Add, ast.Sub)):
         return False
     left_reads = path in _read_paths(value.left)
@@ -414,9 +446,10 @@ def lint_race_source(
     """Run the race rules over one module's source.
 
     Scope is *callback reachability*, not package membership: only
-    functions reachable from an ``Event.callbacks`` registration in the
-    same file are checked, wherever the file lives.  Pragma
-    suppressions (``# simlint: ignore[rule]``) apply as in simlint.
+    functions reachable from a calendar root (see
+    :func:`_callback_roots`) in the same file are checked, wherever the
+    file lives.  Pragma suppressions (``# simlint: ignore[rule]``)
+    apply as in simlint.
     """
     pragmas = _Pragmas(source)
     if pragmas.skip_file:

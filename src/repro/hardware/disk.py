@@ -98,7 +98,7 @@ class _FastServe(FastHold):
         # incidental same-time scheduling order
         super().__init__(disk.env, [disk.head], priority, order_key=offset)
 
-    def _start(self, event: Event) -> None:
+    def _start(self, _v: None) -> None:
         self._acquire()
 
     def _granted(self) -> None:

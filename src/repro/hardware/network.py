@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..simengine import Environment, Event, Resource
-from ..simengine.core import Timeout, Wake
 from ..simengine.resources import FastHold
 
 __all__ = ["LinkSpec", "Link", "Network", "GIGABIT", "TEN_GIGABIT"]
@@ -36,6 +35,12 @@ class LinkSpec:
     efficiency: float = 0.94  # framing + TCP/IP overhead
     latency_s: float = 55e-6  # per-message one-way latency
     per_message_cpu_s: float = 8e-6  # stack cost per message/RPC
+
+    def __post_init__(self) -> None:
+        # the tail latency is slept on the calendar with no check of
+        # its own (see _FastSend._done)
+        if not self.latency_s >= 0:
+            raise ValueError(f"link latency must be >= 0, got {self.latency_s!r}")
 
     @property
     def bandwidth_Bps(self) -> float:
@@ -58,13 +63,13 @@ class _FastSend(FastHold):
         self.count = count
         super().__init__(link.env, [link.channel], priority, order_key=order_key)
 
-    def _start(self, event) -> None:
+    def _start(self, _v) -> None:
         link = self.link
         env = self.env
         if env._now < link._down_until:
             # ride out the outage; re-check on wake (it may have been
             # extended meanwhile)
-            Wake(env, link._down_until).callbacks.append(self._start)
+            env._push(link._down_until, 1, self._start)
             return
         self._acquire()
 
@@ -77,12 +82,13 @@ class _FastSend(FastHold):
         self._begin_hold(total, link.QUANTUM_S)
 
     def _done(self) -> None:
-        # propagation latency of the tail message (pipelined with the rest)
-        Timeout(self.env, self.link.effective_latency_s).callbacks.append(
-            self._latency_done
-        )
+        # propagation latency of the tail message (pipelined with the
+        # rest); never negative: LinkSpec checks the base latency and
+        # spike factors are positive
+        env = self.env
+        env._push(env._now + self.link.effective_latency_s, 1, self._latency_done)
 
-    def _latency_done(self, ev) -> None:
+    def _latency_done(self, _v) -> None:
         self.result.succeed(self.nbytes * self.count)
 
 
@@ -112,13 +118,11 @@ class _FastRoute(FastHold):
         self.count = count
         super().__init__(up.env, [up.channel, down.channel], priority, order_key=order_key)
 
-    def _start(self, event) -> None:
+    def _start(self, _v) -> None:
         env = self.env
         up, down = self.up, self.down
         if env._now < up._down_until or env._now < down._down_until:
-            Wake(env, max(up._down_until, down._down_until)).callbacks.append(
-                self._start
-            )
+            env._push(max(up._down_until, down._down_until), 1, self._start)
             return
         self._acquire()
 
@@ -135,12 +139,14 @@ class _FastRoute(FastHold):
         self._begin_hold(total, Link.QUANTUM_S)
 
     def _done(self) -> None:
-        Timeout(
-            self.env,
-            max(self.up.effective_latency_s, self.down.effective_latency_s),
-        ).callbacks.append(self._latency_done)
+        env = self.env
+        env._push(
+            env._now + max(self.up.effective_latency_s, self.down.effective_latency_s),
+            1,
+            self._latency_done,
+        )
 
-    def _latency_done(self, ev) -> None:
+    def _latency_done(self, _v) -> None:
         self.result.succeed(self.nbytes * self.count)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..simengine import Event, FlatOp, Timeout, Wake
+from ..simengine import Event, FlatOp
 from ..storage.base import IORequest
 from .sim import RankContext
 
@@ -324,10 +324,7 @@ class _FlatIndependentBase(FlatOp):
             self._si += 1
             self._await(f.fs.submit_direct(f.inode, sub), self._sieve_next)
             return
-        self._await(
-            Timeout(self.env, f.ctx.node.memcpy_time(self._plan.fetched_bytes)),
-            self._body_end,
-        )
+        self._sleep(f.ctx.node.memcpy_time(self._plan.fetched_bytes), self._body_end)
 
     def _body_end(self, _v=None):
         self._bk()
@@ -345,7 +342,7 @@ class _FlatIndependent(_FlatIndependentBase):
         self.req = req
         super().__init__(f.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         f = self.f
         req = self.req
         self.t0 = self.env.now
@@ -359,7 +356,7 @@ class _FlatIndependent(_FlatIndependentBase):
             # apply the state side effects analytically
             f.fs.absorb(f.inode, req)
             if steady > 0.0:
-                self._await(Timeout(self.env, steady), self._steady_done)
+                self._sleep(steady, self._steady_done)
                 return
             self._steady_done(None)
             return
@@ -389,7 +386,7 @@ class _FlatIndependentMulti(_FlatIndependentBase):
         self.reqs = reqs
         super().__init__(f.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         self.total = 0
         self.i = 0
         self._loop()
@@ -432,7 +429,7 @@ class _FlatIndependentMulti(_FlatIndependentBase):
                 f._trace(r, start, collective=False, t_end=end)
                 self.total += r.total_bytes
             if end > env.now:
-                self._await(Wake(env, end), self._loop)
+                self._wake(end, self._loop)
                 return
         self._finish(self.total)
 

@@ -92,7 +92,7 @@ class _Send(FlatOp):
         self.payload = payload
         super().__init__(ctx.env)
 
-    def _start(self, event: Event) -> None:
+    def _start(self, _v: None) -> None:
         ctx = self.ctx
         self._await(
             ctx.world.cluster.comm_network.transfer(
@@ -119,7 +119,7 @@ class _Recv(FlatOp):
         self.box = box
         super().__init__(env)
 
-    def _start(self, event: Event) -> None:
+    def _start(self, _v: None) -> None:
         self._await(self.box.get(), self._got)
 
     def _got(self, message) -> None:

@@ -57,7 +57,7 @@ class _BenchHold(FastHold):
         self._q = quantum
         super().__init__(env, resources, priority)
 
-    def _start(self, event: Event) -> None:
+    def _start(self, _v: None) -> None:
         self._acquire()
 
     def _granted(self) -> None:

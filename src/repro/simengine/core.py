@@ -12,6 +12,14 @@ for the access patterns this project needs:
 * a binary-heap event calendar keyed on ``(time, priority, seq)`` so
   same-time events fire in schedule order — simulations are exactly
   reproducible run-to-run;
+* two kinds of calendar entry: an :class:`Event`, which runs its
+  callback list, and a *direct entry* — a bare bound method, called as
+  ``fn(None)`` — for a wait that has exactly one continuation and
+  nothing else to observe (a flat state machine's start, sleep or
+  wake-up).  Both go through the one funnel :meth:`Environment._push`
+  and take the same ``(time, priority, seq)`` key, so converting a
+  single-callback event to a direct entry leaves the calendar
+  unchanged entry for entry;
 * generator-based processes with ``yield env.timeout(dt)``,
   ``yield other_event`` and combinators :class:`AllOf` / :class:`AnyOf`;
 * failure propagation: an event failed with an exception re-raises the
@@ -24,7 +32,8 @@ enters the simulation.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from types import MethodType
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 __all__ = [
     "Environment",
@@ -127,8 +136,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         # Timeouts are created triggered-and-scheduled; bypassing
         # Event.__init__ and the _schedule_at re-schedule guard saves
         # two attribute round trips on the kernel's most common event.
@@ -153,7 +162,7 @@ class Wake(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", at: float, value: Any = None):
-        if at < env._now:
+        if not at >= env._now:  # also rejects NaN
             raise ValueError(f"wake_at({at!r}) is in the past (now={env._now!r})")
         self.env = env
         self.callbacks = []
@@ -176,28 +185,6 @@ class Initialize(Event):
         self._value = None
         self._scheduled = True
         env._push(env._now, 0, self)
-
-
-class Hop(Event):
-    """Internal: a pre-triggered bare event with one fixed callback.
-
-    The flat serve paths (:class:`FlatOp`,
-    :class:`~repro.simengine.resources.FastHold`) step through their
-    state machines on hops — one heap entry, one callback, no generator
-    frame behind it.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self, env: "Environment", callback: Callable[["Event"], None], priority: int = 1
-    ):
-        self.env = env
-        self.callbacks = [callback]
-        self._ok = True
-        self._value = None
-        self._scheduled = True
-        env._push(env._now, priority, self)
 
 
 class Process(Event):
@@ -288,13 +275,17 @@ class FlatOp:
     generator process, so it costs no :class:`Process` object, frame or
     ``send()`` round trip per event.
 
-    **Calendar protocol**: construction pushes one priority-0
-    :class:`Hop` that runs :meth:`_start`.  Each wait is one
-    :meth:`_await`: it appends one callback to a pending event, or
-    continues synchronously — with no calendar entry — when the target
-    was already processed.  The terminal :meth:`_finish` triggers
-    :attr:`result` at priority 1.  The golden calendar digests of the
-    kernel determinism suite pin this sequence entry for entry.
+    **Calendar protocol**: construction pushes one priority-0 direct
+    entry that runs :meth:`_start`.  Each wait on another operation's
+    event is one :meth:`_await`: it appends one callback to a pending
+    event, or continues synchronously — with no calendar entry — when
+    the target was already processed.  A plain delay is one
+    :meth:`_sleep` and a sleep until an absolute time one :meth:`_wake`:
+    each pushes the continuation itself as a priority-1 direct entry,
+    the same calendar key a ``Timeout``/``Wake`` would take.  The
+    terminal :meth:`_finish` triggers :attr:`result` at priority 1.
+    The golden calendar digests of the kernel determinism suite pin
+    this sequence entry for entry.
 
     Sub-steps with no calendar footprint of their own are plain helper
     objects that call a continuation when done and route failures to
@@ -310,10 +301,24 @@ class FlatOp:
     def __init__(self, env: "Environment"):
         self.env = env
         self.result = Event(env)
-        Hop(env, self._start, priority=0)
+        env._push(env._now, 0, self._start)
 
-    def _start(self, event: Event) -> None:  # pragma: no cover - abstract
+    def _start(self, _v: None) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _sleep(self, delay: float, k: Callable[[None], None]) -> None:
+        """Call ``k(None)`` ``delay`` simulated seconds from now."""
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
+        env = self.env
+        env._push(env._now + delay, 1, k)
+
+    def _wake(self, at: float, k: Callable[[None], None]) -> None:
+        """Call ``k(None)`` at the absolute simulated time ``at``."""
+        env = self.env
+        if not at >= env._now:  # also rejects NaN
+            raise ValueError(f"wake_at({at!r}) is in the past (now={env._now!r})")
+        env._push(at, 1, k)
 
     def _await(self, ev: Event, k: Callable[[Any], None]) -> None:
         """Wait for ``ev``, then call ``k(ev.value)``."""
@@ -329,8 +334,12 @@ class FlatOp:
             self._fail(ev._value)
 
     def _on(self, ev: Event) -> None:
+        # consume the continuation: a stored bound method of this op
+        # would keep the op in a reference cycle after it completes
+        k = self._k
+        self._k = None
         if ev._ok:
-            self._k(ev._value)
+            k(ev._value)
         else:
             self._fail(ev._value)
 
@@ -463,7 +472,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, int, Union[Event, MethodType]]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         if Environment._init_hooks:
@@ -504,16 +513,19 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _push(self, when: float, priority: int, event: Event) -> None:
+    def _push(self, when: float, priority: int, item: Union[Event, MethodType]) -> None:
         """Insert one calendar entry — the single scheduling funnel.
 
-        Every entry (``Timeout``/``Wake``/``Initialize`` construction,
-        ``succeed``/``fail`` triggering, the fast serve paths) lands
-        here, so an attached sanitizer can interpose on the instance to
-        observe every scheduled event.
+        ``item`` is an :class:`Event`, whose callbacks run when it is
+        popped, or a bound method, which is called as ``item(None)``
+        (a direct entry).  Every entry (``Timeout``/``Wake``/
+        ``Initialize`` construction, ``succeed``/``fail`` triggering,
+        the direct entries of the flat serve paths) lands here, so an
+        attached sanitizer can interpose on the instance to observe
+        every scheduled entry.
         """
         self._seq += 1
-        heappush(self._queue, (when, priority, self._seq, event))
+        heappush(self._queue, (when, priority, self._seq, item))
 
     def _schedule(self, event: Event, priority: int = 1) -> None:
         if event._scheduled:
@@ -529,11 +541,14 @@ class Environment:
 
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
-        """Process the single next event on the calendar."""
+        """Process the single next calendar entry."""
         when, _prio, _seq, event = heappop(self._queue)
-        if when < self._now:
+        if not when >= self._now:  # also rejects NaN
             raise SimulationError("event scheduled in the past")
         self._now = when
+        if type(event) is MethodType:
+            event(None)
+            return
         callbacks = event.callbacks
         event.callbacks = None
         for cb in callbacks:
@@ -555,7 +570,7 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:  # also rejects NaN
                 raise ValueError("cannot run until a time in the past")
 
         queue = self._queue
@@ -573,6 +588,7 @@ class Environment:
             # inlined step(): the per-event method call, property reads
             # and heappop lookup add up over O(10^5) events per run
             pop = heappop
+            method = MethodType
             while queue:
                 if stop_event is not None:
                     if stop_event.callbacks is None:
@@ -580,9 +596,12 @@ class Environment:
                 elif stop_time is not None and queue[0][0] > stop_time:
                     break
                 when, _prio, _seq, event = pop(queue)
-                if when < self._now:
+                if not when >= self._now:  # also rejects NaN
                     raise SimulationError("event scheduled in the past")
                 self._now = when
+                if type(event) is method:
+                    event(None)
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 for cb in callbacks:

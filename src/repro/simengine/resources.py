@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from .core import PENDING, Environment, Event, Hop, SimulationError, Timeout, Wake
+from .core import PENDING, Environment, Event, SimulationError, Wake
 
 __all__ = [
     "Request",
@@ -31,8 +31,9 @@ __all__ = [
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
 
-    Fires when the slot is granted.  Must be released exactly once via
-    :meth:`Resource.release`.
+    Fires when the slot is granted; its value is the request itself
+    while the slot is held, and ``None`` once released.  Must be
+    released exactly once via :meth:`Resource.release`.
     """
 
     __slots__ = ("resource", "priority", "_order", "_released", "t_arrival", "order_key")
@@ -165,6 +166,9 @@ class Resource:
                 san.resource_misuse(msg)
             raise SimulationError(msg) from None
         req._released = True
+        # drop the grant's self-reference, so a finished request is
+        # freed by refcount instead of waiting for the cyclic collector
+        req._value = None
         self._grant_next()
 
     def _grant_next(self) -> None:
@@ -237,26 +241,28 @@ class FastHold:
     costs no :class:`~repro.simengine.core.Process`, frame or ``send()``
     round trip.
 
-    **Calendar protocol**: construction pushes one priority-0
-    :class:`~repro.simengine.core.Hop` that runs :meth:`_start`.
-    Resources are then requested in list order, one grant at a time.
-    The hold sleeps one quantum at a time while any held resource has
-    waiters, and at each boundary with waiters it releases every slot
-    (reverse list order) and re-requests them (list order), so
-    equal-priority competitors interleave at quantum granularity.  An
-    uncontended stretch is covered by a single :class:`Wake` at the
-    time the per-quantum additions would reach (so timestamps equal the
-    sliced ones), raced against arrival watchers; whichever fires first
-    resumes the hold through one priority-1 ``Hop``, and an arrival
-    rejoins the quantum grid at the first boundary after it.
+    **Calendar protocol**: construction pushes one priority-0 direct
+    entry (a bound method on the calendar, see
+    :meth:`~repro.simengine.core.Environment._push`) that runs
+    :meth:`_start`.  Resources are then requested in list order, one
+    grant at a time.  The hold sleeps one quantum at a time (each sleep
+    a priority-1 direct entry) while any held resource has waiters, and
+    at each boundary with waiters it releases every slot (reverse list
+    order) and re-requests them (list order), so equal-priority
+    competitors interleave at quantum granularity.  An uncontended
+    stretch is covered by a single :class:`Wake` at the time the
+    per-quantum additions would reach (so timestamps equal the sliced
+    ones), raced against arrival watchers; whichever fires first
+    resumes the hold through one priority-1 direct entry, and an
+    arrival rejoins the quantum grid at the first boundary after it.
     Completion releases the slots and ``_done`` triggers the result at
     priority 1.  The golden calendar digests of the kernel determinism
     suite pin this sequence entry for entry.
 
     Subclasses implement:
 
-    * ``_start(event)`` — the first step (priority-0 hop); usually ends
-      in :meth:`_acquire`;
+    * ``_start(_v)`` — the first step (priority-0 direct entry); usually
+      ends in :meth:`_acquire`;
     * ``_granted()`` — runs at the grant of the last resource; must
       compute the hold time, apply the component's accounting, and call
       :meth:`_begin_hold`;
@@ -286,10 +292,10 @@ class FastHold:
         self.order_key = order_key
         self.reqs: list[Request] = []
         self.result = Event(env)
-        Hop(env, self._start, priority=0)
+        env._push(env._now, 0, self._start)
 
     # -- subclass hooks --------------------------------------------------
-    def _start(self, event: Event) -> None:  # pragma: no cover - abstract
+    def _start(self, _v: None) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _granted(self) -> None:  # pragma: no cover - abstract
@@ -332,8 +338,10 @@ class FastHold:
             self._release_and_done()
             return
         quantum = self.quantum
+        # the sleeps below are direct entries; ``remaining`` is positive
+        # here, and a bad quantum trips the kernel's past-time check
         if remaining <= quantum:
-            Timeout(env, remaining).callbacks.append(self._final_sleep_done)
+            env._push(env._now + remaining, 1, self._final_sleep_done)
             return
         resources = self.resources
         contended = False
@@ -343,7 +351,7 @@ class FastHold:
                 break
         if contended:
             self.remaining = remaining - quantum
-            Timeout(env, quantum).callbacks.append(self._after_sleep)
+            env._push(env._now + quantum, 1, self._after_sleep)
             return
         # Replay the per-quantum addition chain to the exact time the
         # sliced loop would finish, then sleep there in one go.
@@ -364,9 +372,10 @@ class FastHold:
 
     def _coalesce_fired(self, ev: Event) -> None:
         # the first of wake/watchers to fire schedules the resume (one
-        # priority-1 entry), then the shared callback is pruned from
-        # the others
-        Hop(self.env, self._after_coalesce)
+        # priority-1 direct entry), then the shared callback is pruned
+        # from the others
+        env = self.env
+        env._push(env._now, 1, self._after_coalesce)
         cb = self._coalesce_fired
         wake = self._wake
         if wake is not ev and wake.callbacks is not None:
@@ -381,7 +390,7 @@ class FastHold:
                 except ValueError:
                     pass
 
-    def _after_coalesce(self, hop: Event) -> None:
+    def _after_coalesce(self, _v: None) -> None:
         env = self.env
         wake = self._wake
         for r, w in zip(self.resources, self._watchers):
@@ -402,9 +411,11 @@ class FastHold:
             b += step
             rem -= step
         self.remaining = rem
-        Wake(env, b).callbacks.append(self._after_sleep)
+        # b >= now: the walk stops at the first boundary past the
+        # arrival, or at the wake time, which the arrival did not pass
+        env._push(b, 1, self._after_sleep)
 
-    def _after_sleep(self, ev: Event) -> None:
+    def _after_sleep(self, _v: None) -> None:
         # quantum boundary: yield slots to queued competitors
         if self.remaining > 0:
             resources = self.resources
@@ -432,7 +443,7 @@ class FastHold:
         self._acq_i += 1
         self._reacquire_next()
 
-    def _final_sleep_done(self, ev: Event) -> None:
+    def _final_sleep_done(self, _v: None) -> None:
         self._release_and_done()
 
     def _release_and_done(self) -> None:

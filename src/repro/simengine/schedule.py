@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+from types import MethodType
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .core import Environment
@@ -193,9 +194,12 @@ class Perturber:
 class PopRecorder(Perturber):
     """A :class:`Perturber` that also records the pop stream.
 
-    Each pop appends ``(env_idx, when, priority, event type name)`` to
-    :attr:`pops`; diffing two streams localizes the first event whose
-    firing position moved — the earliest observable effect of a flip.
+    Each pop appends ``(env_idx, when, priority, name)`` to
+    :attr:`pops`, where ``name`` is the event's type name or, for a
+    direct entry, the method's qualified name (e.g.
+    ``_FastSend._latency_done``); diffing two streams localizes the
+    first entry whose firing position moved — the earliest observable
+    effect of a flip.
     """
 
     def __init__(self, plans: Optional[dict[Key, tuple[int, ...]]] = None):
@@ -210,7 +214,12 @@ class PopRecorder(Perturber):
         def step(_env: Environment = env) -> None:
             if _env._queue:
                 head = _env._queue[0]
-                pops.append((idx, head[0], head[1], type(head[3]).__name__))
+                item = head[3]
+                if type(item) is MethodType:
+                    name = item.__qualname__
+                else:
+                    name = type(item).__name__
+                pops.append((idx, head[0], head[1], name))
             Environment.step(_env)
 
         env.step = step  # type: ignore[method-assign]

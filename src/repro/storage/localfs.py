@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from ..simengine import Environment, Event, FlatOp, Resource, Timeout
+from ..simengine import Environment, Event, FlatOp, Resource
 from ..hardware.node import Node
 from ..hardware.raid import RAIDArray
 from .base import IORequest, KiB, MiB, random_stride
@@ -395,12 +395,12 @@ class _LocalIO(FlatOp):
         self.req = req
         super().__init__(fs.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         fs = self.fs
         req = self.req
         total = self.total = req.total_bytes
-        self._await(
-            Timeout(self.env, req.count * fs.spec.syscall_s + fs.node.memcpy_time(total)),
+        self._sleep(
+            req.count * fs.spec.syscall_s + fs.node.memcpy_time(total),
             self._write if req.op == "write" else self._read,
         )
 
@@ -484,7 +484,7 @@ class _LocalFlusher(FlatOp):
         self.fs = fs
         super().__init__(fs.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         self._loop()
 
     def _loop(self, _v=None):
@@ -520,8 +520,8 @@ class _LocalFsync(FlatOp):
         self.inode = inode
         super().__init__(fs.env)
 
-    def _start(self, event):
-        self._await(Timeout(self.env, self.fs.spec.syscall_s), self._after_cpu)
+    def _start(self, _v):
+        self._sleep(self.fs.spec.syscall_s, self._after_cpu)
 
     def _after_cpu(self, _v):
         fs = self.fs
@@ -549,8 +549,8 @@ class _LocalCreate(FlatOp):
         self.path = path
         super().__init__(fs.env)
 
-    def _start(self, event):
-        self._await(Timeout(self.env, self.fs.spec.create_s), self._after_cpu)
+    def _start(self, _v):
+        self._sleep(self.fs.spec.create_s, self._after_cpu)
 
     def _after_cpu(self, _v):
         fs = self.fs
@@ -584,8 +584,8 @@ class _LocalOpen(FlatOp):
         self.inode = inode
         super().__init__(fs.env)
 
-    def _start(self, event):
-        self._await(Timeout(self.env, self.fs.spec.open_s), self._opened)
+    def _start(self, _v):
+        self._sleep(self.fs.spec.open_s, self._opened)
 
     def _opened(self, _v):
         self.fs.stats.opens += 1
@@ -603,8 +603,8 @@ class _LocalUnlink(FlatOp):
         self.inode = inode
         super().__init__(fs.env)
 
-    def _start(self, event):
-        self._await(Timeout(self.env, self.fs.spec.unlink_s), self._after_cpu)
+    def _start(self, _v):
+        self._sleep(self.fs.spec.unlink_s, self._after_cpu)
 
     def _after_cpu(self, _v):
         fs = self.fs
@@ -636,13 +636,13 @@ class _LocalSerializedWrite(FlatOp):
         self._grant = None
         super().__init__(fs.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         lock = self._lock = self.fs._ilock(self.inode)
         grant = self._grant = lock.request()  # simlint: ignore[resource-release]
         self._await(grant, self._locked)
 
     def _locked(self, _v):
-        self._await(Timeout(self.env, self.req.count * self.per_op_s), self._after_cpu)
+        self._sleep(self.req.count * self.per_op_s, self._after_cpu)
 
     def _after_cpu(self, _v):
         self._await(self.fs.submit(self.inode, self.req), self._written)
@@ -669,7 +669,7 @@ class _LocalSync(FlatOp):
         self.fs = fs
         super().__init__(fs.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         fs = self.fs
         WriteBack(fs, self, fs.cache.dirty_segments(limit=None), self._flushed)
 

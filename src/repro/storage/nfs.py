@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..simengine import Environment, Event, FlatOp, Resource, Timeout, Wake
+from ..simengine import Environment, Event, FlatOp, Resource
 from ..hardware.network import Network
 from ..hardware.node import Node
 from .base import IORequest, KiB
@@ -295,7 +295,7 @@ class _ServerService(FlatOp):
         self._req = None
         super().__init__(srv.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         req = self._req = self.srv.threads.request()  # simlint: ignore[resource-release]
         self._await(req, self._thread)
 
@@ -303,15 +303,12 @@ class _ServerService(FlatOp):
         env = self.env
         srv = self.srv
         if env._now < srv.stall_until:
-            self._await(Wake(env, srv.stall_until), self._unstalled)
+            self._wake(srv.stall_until, self._unstalled)
         else:
             self._unstalled(None)
 
     def _unstalled(self, _v):
-        self._await(
-            Timeout(self.env, self.srv.spec.server_rpc_cpu_s * self.rpc_count),
-            self._cpu_done,
-        )
+        self._sleep(self.srv.spec.server_rpc_cpu_s * self.rpc_count, self._cpu_done)
 
     def _cpu_done(self, _v):
         ev = self.factory()
@@ -349,7 +346,8 @@ class _FlatRetransmit:
     the backoff is exact — either way the run is deterministic for a
     fixed seed.  Like the other sub-steps below it has no calendar
     footprint of its own: it borrows the parent op's
-    :meth:`FlatOp._await` and calls ``k()`` when done.
+    :meth:`FlatOp._sleep` and :meth:`FlatOp._await` and calls ``k()``
+    when done.
     """
 
     __slots__ = ("m", "op", "payload", "count", "k", "delay", "attempt", "stall_end", "_wire")
@@ -368,7 +366,7 @@ class _FlatRetransmit:
     def _tick(self, _v=None):
         m = self.m
         if m.env._now + self.delay < self.stall_end:
-            self.op._await(Timeout(m.env, self.delay), self._resend)
+            self.op._sleep(self.delay, self._resend)
             return
         self.k()
 
@@ -421,7 +419,7 @@ class _FlatServerWindow(FlatOp):
         self.factory = factory
         super().__init__(m.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         m = self.m
         self._await(
             _ServerService(
@@ -520,18 +518,15 @@ class _FlatDirect(FlatOp):
         self.req = req
         super().__init__(m.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         m = self.m
         req = self.req
         total = self.total = req.total_bytes
         san = self.env.sanitizer
         if san is not None:
             san.account_fs(m, req.op, total)
-        self._await(
-            Timeout(
-                self.env,
-                req.count * m.spec.client_rpc_cpu_s + m.node.memcpy_time(total),
-            ),
+        self._sleep(
+            req.count * m.spec.client_rpc_cpu_s + m.node.memcpy_time(total),
             self._after_cpu,
         )
 
@@ -560,10 +555,7 @@ class _FlatDirect(FlatOp):
                 _FlatStream(m, self, nrpc, 8, chunk, server_window, self._dense_done)
             return
         # Sparse: strictly synchronous per-operation round trips.
-        self._await(
-            Timeout(self.env, req.count * 2 * m.network.spec.latency_s),
-            self._after_latency,
-        )
+        self._sleep(req.count * 2 * m.network.spec.latency_s, self._after_latency)
 
     def _dense_done(self, _v=None):
         req = self.req
@@ -643,12 +635,9 @@ class _FlatMetaRpc(FlatOp):
         self._result = None
         super().__init__(m.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         m = self.m
-        self._await(
-            Timeout(self.env, m.spec.getattr_s + m.spec.client_rpc_cpu_s),
-            self._after_cpu,
-        )
+        self._sleep(m.spec.getattr_s + m.spec.client_rpc_cpu_s, self._after_cpu)
 
     def _after_cpu(self, _v):
         m = self.m
@@ -701,15 +690,12 @@ class _NFSIO(FlatOp):
         self.req = req
         super().__init__(m.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         m = self.m
         req = self.req
         total = self.total = req.total_bytes
-        self._await(
-            Timeout(
-                self.env,
-                req.count * m.spec.client_rpc_cpu_s + m.node.memcpy_time(total),
-            ),
+        self._sleep(
+            req.count * m.spec.client_rpc_cpu_s + m.node.memcpy_time(total),
             self._write if req.op == "write" else self._read,
         )
 
@@ -777,7 +763,7 @@ class _FlatCommit(FlatOp):
         self.close = close
         super().__init__(m.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         m = self.m
         entries = m.cache.dirty_segments(limit=None, fileid=self.inode.fileid)
         if entries:
@@ -812,7 +798,7 @@ class _FlatCommit(FlatOp):
         m = self.m
         m.stats.commits += 1
         if self.close:
-            self._await(Timeout(self.env, m.spec.client_rpc_cpu_s), self._closed)
+            self._sleep(m.spec.client_rpc_cpu_s, self._closed)
             return
         self._finish(None)
 

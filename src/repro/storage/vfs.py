@@ -143,7 +143,7 @@ class _VFSOpen(FlatOp):
         self.create = create
         super().__init__(vfs.env)
 
-    def _start(self, event):
+    def _start(self, _v):
         if self.create is None:
             self._await(self.fs.create(self.path), self._opened)
         else:

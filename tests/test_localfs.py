@@ -1,8 +1,11 @@
 """Local filesystem tests: namespace, data path, write-back, allocation."""
 
+import gc
+
 import pytest
 
-from repro.simengine import Environment
+from repro.simengine import Environment, FlatOp, Resource
+from repro.simengine.resources import Request
 from repro.hardware import Node, NodeSpec, RAIDArray, RAIDConfig, RAIDLevel
 from repro.storage.base import IORequest, KiB, MiB
 from repro.storage.cache import CacheSpec
@@ -243,3 +246,28 @@ class TestEOFReads:
         fs.cache.drop_file(inode.fileid)
         env.run(fs.submit(inode, IORequest("read", 0, 1 * MiB)))
         assert fs.array.stats.bytes_read > 0
+
+
+def test_finished_operations_leave_no_cyclic_garbage():
+    """Completed requests and flat ops are freed by refcount: with every
+    collection saving what it finds, none of them reaches gc.garbage."""
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        env, fs = make_fs()
+        inode = env.run(fs.create("/f"))
+        env.run(fs.submit(inode, IORequest("write", 0, 4 * MiB)))
+        env.run(fs.submit(inode, IORequest("read", 0, 4 * MiB)))
+        env.run(fs.fsync(inode))
+        res = Resource(env, capacity=1)
+        for _ in range(3):
+            env.process(res.using(0.01))
+        env.run()
+        assert res.count == 0 and not res.queue
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if isinstance(o, (Request, FlatOp))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []

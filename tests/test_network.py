@@ -15,6 +15,12 @@ def test_effective_bandwidth_below_line_rate():
     assert GIGABIT.bandwidth_Bps < GIGABIT.raw_bandwidth_Bps
 
 
+@pytest.mark.parametrize("latency", [-1e-6, float("nan")])
+def test_bad_link_latency_rejected(latency):
+    with pytest.raises(ValueError, match="latency"):
+        LinkSpec(latency_s=latency)
+
+
 def test_single_transfer_near_wire_speed():
     env = Environment()
     net = make_net(env)

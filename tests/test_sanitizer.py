@@ -77,6 +77,19 @@ def test_monotonicity_violation_detected(sanitized):
     assert checks_of(san) == ["monotonicity"]
 
 
+def test_nan_time_flagged_at_insert_and_pop(sanitized):
+    system, san = sanitized
+    env = system.env
+    env.run()  # drain the builder's initialization events
+    now = env.now
+    env._push(float("nan"), 1, Event(env))
+    assert checks_of(san) == ["monotonicity"]
+    with pytest.raises(SimulationError):
+        env.step()
+    assert checks_of(san) == ["monotonicity", "monotonicity"]
+    assert env.now == now
+
+
 def test_tie_break_violation_detected_on_corrupt_heap(sanitized):
     system, san = sanitized
     env = system.env

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simengine import AllOf, AnyOf, Environment, Event, SimulationError
+from repro.simengine import AllOf, AnyOf, Environment, Event, FlatOp, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -352,3 +352,102 @@ def test_run_until_time_with_events_sets_clock_once_per_step():
     env.run(until=5.0)
     # one assignment per processed event, plus exactly one for the stop time
     assert sets == [1.0, 2.0, 5.0]
+
+
+# ----------------------------------------------------------------------
+# direct calendar entries and time validation
+# ----------------------------------------------------------------------
+NAN = float("nan")
+
+
+class _Probe(FlatOp):
+    """A flat op whose steps record when they ran and with what."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, env):
+        self.log = []
+        super().__init__(env)
+
+    def _start(self, _v):
+        self.log.append(("start", self.env.now, _v))
+
+    def step(self, _v):
+        self.log.append(("step", self.env.now, _v))
+
+
+def test_direct_entry_is_called_with_none():
+    env = Environment()
+    op = _Probe(env)
+    env._push(2.0, 1, op.step)
+    env.run()
+    assert op.log == [("start", 0.0, None), ("step", 2.0, None)]
+    # the single-step path dispatches direct entries the same way
+    env._push(3.0, 1, op.step)
+    env.step()
+    assert op.log[-1] == ("step", 3.0, None) and env.now == 3.0
+
+
+def test_direct_entries_and_events_share_one_order():
+    env = Environment()
+    op = _Probe(env)
+    env.run()
+
+    def on_event(_ev):
+        op.log.append(("event", env.now, None))
+
+    env.timeout(1.0).callbacks.append(on_event)
+    env._push(1.0, 1, op.step)
+    env.timeout(1.0).callbacks.append(on_event)
+    env._push(1.0, 0, op.step)
+    env.run()
+    # priority first, then push order across both kinds of entry
+    assert [name for name, _t, _v in op.log[1:]] == ["step", "event", "step", "event"]
+
+
+def test_flat_sleep_and_wake_land_on_the_calendar():
+    env = Environment()
+    op = _Probe(env)
+    env.run()
+    op._sleep(0.5, op.step)
+    op._wake(2.0, op.step)
+    env.run()
+    assert op.log[1:] == [("step", 0.5, None), ("step", 2.0, None)]
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda env, op: env.timeout(NAN),
+        lambda env, op: env.wake_at(NAN),
+        lambda env, op: op._sleep(NAN, op.step),
+        lambda env, op: op._wake(NAN, op.step),
+        lambda env, op: op._sleep(-1.0, op.step),
+        lambda env, op: op._wake(0.5, op.step),
+        lambda env, op: env.run(until=NAN),
+    ],
+    ids=["timeout-nan", "wake_at-nan", "sleep-nan", "wake-nan",
+         "sleep-negative", "wake-past", "run-until-nan"],
+)
+def test_bad_times_rejected_and_clock_intact(schedule):
+    env = Environment()
+    op = _Probe(env)
+    env.run(until=1.0)
+    queued = len(env._queue)
+    with pytest.raises(ValueError):
+        schedule(env, op)
+    assert len(env._queue) == queued
+    env.run()
+    assert env.now == 1.0
+
+
+def test_nan_entry_smuggled_past_the_guards_is_refused():
+    # the pop-time check catches a NaN key that bypassed every
+    # constructor guard instead of letting it corrupt the clock
+    env = Environment()
+    op = _Probe(env)
+    env.run()
+    env._push(NAN, 1, op.step)
+    with pytest.raises(SimulationError, match="in the past"):
+        env.run()
+    assert env.now == 0.0

@@ -1,10 +1,13 @@
 """Unit tests for Resource / PriorityResource / Container / Store."""
 
+from types import MethodType
+
 import pytest
 
 from repro.simengine import (
     Container,
     Environment,
+    FlatOp,
     PriorityResource,
     Resource,
     SimulationError,
@@ -94,6 +97,33 @@ def test_grant_at_release_is_one_push():
     res.release(first)
     assert seen == [(1.0, 1, waiter)]
     assert waiter.value is waiter and res.users == [waiter] and not res.queue
+
+
+def test_released_request_drops_its_value():
+    # the grant's value is the request itself only while the slot is
+    # held: a released request no longer refers to itself
+    env = Environment()
+    res = Resource(env, capacity=1)
+    req = res.request()
+    env.run()
+    assert req.value is req
+    res.release(req)
+    assert req.triggered and req.value is None
+
+
+def test_flat_op_start_is_one_direct_entry():
+    class Op(FlatOp):
+        def _start(self, _v):
+            self._finish("done")
+
+    env = Environment()
+    seen = _record_pushes(env)
+    op = Op(env)
+    assert seen == [(0.0, 0, op._start)]
+    entry = seen[0][2]
+    assert type(entry) is MethodType and entry.__self__ is op
+    assert env.run(op.result) == "done"
+    assert [p for _w, p, _e in seen] == [0, 1] and seen[1][2] is op.result
 
 
 def test_granted_request_cannot_be_triggered_again():

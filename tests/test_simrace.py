@@ -27,11 +27,13 @@ from repro.analysis.simrace import (
     run_race_matrix,
 )
 from repro.hardware.disk import READ, Disk, DiskSpec
+from repro.hardware.network import GIGABIT, Link
 from repro.simengine import Environment
 from repro.simengine.core import Timeout
 from repro.simengine.resources import FastHold, Resource
 from repro.simengine.schedule import (
     Perturber,
+    PopRecorder,
     TieGroupRecorder,
     capture,
     minimize_flips,
@@ -125,6 +127,70 @@ def test_additive_rmw_flagged_when_branch_observed():
 
             ev.callbacks.append(on_done)
         """
+    )
+    assert "tie-order-rmw" in rules_of(fs)
+
+
+def test_push_registered_callback_is_reachable():
+    # a direct calendar entry is a callback too: the bound method handed
+    # to _push is a root, like an Event.callbacks registration
+    fs = findings(
+        """
+        class Op:
+            def arm(self, env):
+                env._push(env._now, 1, self._fire)
+
+            def _fire(self, _v):
+                s = self.shared
+                s["v"] = s["v"] * 2
+        """
+    )
+    assert "tie-order-rmw" in rules_of(fs)
+
+
+def test_sleep_continuation_is_reachable():
+    fs = findings(
+        """
+        class Op:
+            def _start(self, _v):
+                self._sleep(0.1, self._after)
+
+            def _after(self, _v):
+                self.fs.stats.level = self.fs.stats.level * 2
+        """
+    )
+    assert "tie-order-rmw" in rules_of(fs)
+
+
+MAX_UPDATE = """
+    class Op:
+        def _start(self, _v):
+            self._sleep(0.1, self._grow)
+
+        def _grow(self, _v):
+            inode = self.inode
+            inode.size = {update}
+            if {gate}:
+                self.big = True
+"""
+
+
+def test_max_self_update_is_exempt():
+    # max/min of the path and another value commutes across tie order
+    for update in ("max(inode.size, self.end)", "min(self.end, inode.size)"):
+        assert findings(MAX_UPDATE.format(update=update, gate="self.end > 4096")) == []
+
+
+def test_max_self_update_flagged_when_branch_observed():
+    fs = findings(
+        MAX_UPDATE.format(update="max(inode.size, self.end)", gate="inode.size > 4096")
+    )
+    assert "tie-order-rmw" in rules_of(fs)
+
+
+def test_max_reading_path_twice_is_flagged():
+    fs = findings(
+        MAX_UPDATE.format(update="max(inode.size, inode.size * 2)", gate="self.end > 4096")
     )
     assert "tie-order-rmw" in rules_of(fs)
 
@@ -263,6 +329,23 @@ def test_clean_scenario_survives_reversal():
     rec = TieGroupRecorder()
     base = clean(rec)
     assert clean(Perturber(reverse_plans(rec.groups()))) == base
+
+
+def test_pop_recorder_names_direct_entries():
+    # events are named by type, direct entries by the method they call,
+    # so a first divergence points at the state-machine step that moved
+    rec = PopRecorder()
+    with capture(rec):
+        env = Environment()
+        Link(env, GIGABIT).transfer(1000)
+        env.run()
+    assert [name for _env, _when, _prio, name in rec.pops] == [
+        "_FastSend._start",
+        "Request",
+        "FastHold._final_sleep_done",
+        "_FastSend._latency_done",
+        "Event",
+    ]
 
 
 # ---------------------------------------------------------------------------
