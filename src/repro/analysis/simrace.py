@@ -100,11 +100,18 @@ RACE_RULES: tuple[str, ...] = (
 #: attribute names that expose the scheduler's insertion counters
 _SEQ_NAMES = frozenset({"_seq", "seq", "_order"})
 
-#: calls whose argument at the given index is called from the calendar:
-#: ``env._push(when, priority, fn)`` and the continuation ``k`` of the
-#: flat state machines' ``_await(ev, k)`` / ``_sleep(delay, k)`` /
-#: ``_wake(at, k)``
-_CONTINUATION_ARGS = {"_push": 2, "_await": 1, "_sleep": 1, "_wake": 1}
+#: calls whose argument at the given index (or keyword) is called from
+#: the calendar: ``env._push(when, priority, fn)``, the continuation
+#: ``k`` of the flat state machines' ``_await(ev, k)`` /
+#: ``_sleep(delay, k)`` / ``_wake(at, k)``, and the ``waiter`` of
+#: ``res.request(priority, order_key, waiter)``, which the grant calls
+_CONTINUATION_ARGS: dict[str, tuple[int, Optional[str]]] = {
+    "_push": (2, None),
+    "_await": (1, None),
+    "_sleep": (1, None),
+    "_wake": (1, None),
+    "request": (2, "waiter"),
+}
 
 _FnNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
@@ -117,11 +124,13 @@ def _callback_roots(tree: ast.AST) -> tuple[set[str], list[ast.Lambda]]:
     """Functions the calendar calls.
 
     Roots are the arguments of ``<expr>.callbacks.append(...)`` calls,
-    the callable of ``<expr>._push(when, priority, fn)`` and the
-    continuation of ``<expr>._await``/``_sleep``/``_wake``: plain
-    names, bound methods (matched by attribute name), lambdas, and —
-    for factory calls like ``append(make_cb(x))`` — the factory name
-    (its nested defs become reachable through the closure walk).
+    the callable of ``<expr>._push(when, priority, fn)``, the
+    continuation of ``<expr>._await``/``_sleep``/``_wake`` and the
+    ``waiter`` of ``<expr>.request(...)`` (third positional argument or
+    keyword): plain names, bound methods (matched by attribute name),
+    lambdas, and — for factory calls like ``append(make_cb(x))`` — the
+    factory name (its nested defs become reachable through the closure
+    walk).
     """
     names: set[str] = set()
     lambdas: list[ast.Lambda] = []
@@ -129,6 +138,7 @@ def _callback_roots(tree: ast.AST) -> tuple[set[str], list[ast.Lambda]]:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         func = node.func
+        keyword: Optional[str] = None
         if (
             func.attr == "append"
             and isinstance(func.value, ast.Attribute)
@@ -136,10 +146,15 @@ def _callback_roots(tree: ast.AST) -> tuple[set[str], list[ast.Lambda]]:
         ):
             index = 0
         else:
-            index = _CONTINUATION_ARGS.get(func.attr, -1)
-        if not 0 <= index < len(node.args):
+            index, keyword = _CONTINUATION_ARGS.get(func.attr, (-1, None))
+        if 0 <= index < len(node.args):
+            arg = node.args[index]
+        elif keyword is not None:
+            arg = next((kw.value for kw in node.keywords if kw.arg == keyword), None)
+            if arg is None:
+                continue
+        else:
             continue
-        arg = node.args[index]
         if isinstance(arg, ast.Name):
             names.add(arg.id)
         elif isinstance(arg, ast.Attribute):

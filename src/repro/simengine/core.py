@@ -15,11 +15,13 @@ for the access patterns this project needs:
 * two kinds of calendar entry: an :class:`Event`, which runs its
   callback list, and a *direct entry* — a bare bound method, called as
   ``fn(None)`` — for a wait that has exactly one continuation and
-  nothing else to observe (a flat state machine's start, sleep or
-  wake-up).  Both go through the one funnel :meth:`Environment._push`
-  and take the same ``(time, priority, seq)`` key, so converting a
-  single-callback event to a direct entry leaves the calendar
-  unchanged entry for entry;
+  nothing else to observe (a flat state machine's start, sleep,
+  wake-up or resource grant — see the ``waiter`` of
+  :meth:`~repro.simengine.resources.Resource.request`).  Both go
+  through the one funnel :meth:`Environment._push` and take the same
+  ``(time, priority, seq)`` key, so converting a single-callback
+  event to a direct entry leaves the calendar unchanged entry for
+  entry;
 * generator-based processes with ``yield env.timeout(dt)``,
   ``yield other_event`` and combinators :class:`AllOf` / :class:`AnyOf`;
 * failure propagation: an event failed with an exception re-raises the

@@ -6,6 +6,8 @@ FIFO) and deterministic.
 
 * :class:`Resource` — ``capacity`` slots; processes ``yield res.request()``
   and must release (or use :meth:`Resource.using` inside a process).
+  A flat state machine passes ``waiter=`` instead: its grant is a
+  direct calendar entry that calls the waiter.
 * :class:`PriorityResource` — like Resource but requests carry a
   priority (lower value served first).
 * :class:`Container` — a lumped continuous quantity (e.g. bytes of
@@ -15,7 +17,8 @@ FIFO) and deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from numbers import Integral
+from typing import Any, Callable, Generator, Optional
 
 from .core import PENDING, Environment, Event, SimulationError, Wake
 
@@ -34,30 +37,28 @@ class Request(Event):
     Fires when the slot is granted; its value is the request itself
     while the slot is held, and ``None`` once released.  Must be
     released exactly once via :meth:`Resource.release`.
+
+    A request made with a ``waiter`` (see :meth:`Resource.request`)
+    never fires as an event: the grant pushes the waiter itself as a
+    direct calendar entry, with the key this event would have taken,
+    and drops the reference to it.  Callbacks appended to such a
+    request never run; the holder learns of the grant only through the
+    waiter.
+
+    Requests are made only by :meth:`Resource.request`, which fills
+    every slot.  ``order_key`` is a semantic tie-break among waiters
+    that arrived at the *same* sim-time: requests carrying a key are
+    ordered by it instead of by incidental insertion order (e.g. the
+    disk head queues by starting offset, like command queueing in a
+    real drive), so grant order — and therefore every downstream
+    timestamp — is invariant under permutations of same-time
+    scheduling order.
     """
 
-    __slots__ = ("resource", "priority", "_order", "_released", "t_arrival", "order_key")
+    __slots__ = ("resource", "priority", "_order", "_released", "t_arrival", "order_key", "_waiter")
 
-    def __init__(self, resource: "Resource", priority: int = 0, order_key=None):
-        # inlined Event.__init__: one request per grant on every hold
-        env = self.env = resource.env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._scheduled = False
-        self.resource = resource
-        self.priority = priority
-        resource._order += 1
-        self._order = resource._order
-        self._released = False
-        self.t_arrival = env._now
-        # semantic tie-break among waiters that arrived at the *same*
-        # sim-time: requests carrying a key are ordered by it instead of
-        # by incidental insertion order (e.g. the disk head queues by
-        # starting offset, like command queueing in a real drive), so
-        # grant order — and therefore every downstream timestamp — is
-        # invariant under permutations of same-time scheduling order
-        self.order_key = order_key
+
+_new = object.__new__
 
 
 def _tie_rank(req: "Request"):
@@ -79,12 +80,16 @@ class Resource:
     Waiters are FIFO by arrival sim-time; *within* a set of waiters
     that arrived at the same sim-time, requests carrying an
     ``order_key`` are granted in key order rather than incidental
-    insertion order (see :meth:`request`).
+    insertion order (see :meth:`request`).  :attr:`queue` is kept in
+    that grant order, so the next waiter is always ``queue[0]``.
     """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        if isinstance(capacity, bool) or not isinstance(capacity, Integral) or capacity < 1:
+            raise ValueError(
+                f"capacity of resource {name or type(self).__name__!r} must be an "
+                f"integer >= 1, got {capacity!r}"
+            )
         self.env = env
         self.capacity = capacity
         self.name = name
@@ -98,27 +103,67 @@ class Resource:
         """Number of slots currently held."""
         return len(self.users)
 
-    def request(self, priority: int = 0, order_key=None) -> Request:
+    def request(
+        self,
+        priority: int = 0,
+        order_key=None,
+        waiter: Optional[Callable[[None], None]] = None,
+    ) -> Request:
         """Claim a slot; the returned event fires when granted.
 
         ``order_key`` (optional, orderable) breaks ties among waiters
         that arrive at the same sim-time; see :class:`Request`.
+
+        ``waiter`` (optional) is a flat state machine's continuation, a
+        bound method (the kernel's direct-entry type).  The grant then
+        calls ``waiter(None)`` from a priority-1 direct calendar entry
+        at the grant time, the key the request event itself would take,
+        and the returned request never fires as an event.  Release it
+        as usual.
         """
-        req = Request(self, priority, order_key)
+        # Event.__init__ and the grant inlined: one request per grant on
+        # every hold, and a granted request is born in its final state
+        req = _new(Request)
+        env = req.env = self.env
+        req.callbacks = []
+        req._ok = True
+        req.resource = self
+        req.priority = priority
+        self._order += 1
+        req._order = self._order
+        req._released = False
+        now = req.t_arrival = env._now
+        req.order_key = order_key
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(req)
-            # the grant, i.e. req.succeed(req) on a fresh request: the
-            # entry still goes through the env._push funnel
+            # the grant, i.e. req.succeed(req): the entry still goes
+            # through the env._push funnel
             req._value = req
             req._scheduled = True
-            env = self.env
-            env._push(env._now, 1, req)
+            req._waiter = None
+            env._push(now, 1, req if waiter is None else waiter)
         else:
+            req._value = PENDING
+            req._scheduled = False
+            # taken off again by the grant (see _grant_next)
+            req._waiter = waiter
             self._enqueue(req)
         return req
 
     def _enqueue(self, req: Request) -> None:
-        self.queue.append(req)
+        # keep the queue in grant order: arrivals are in sim-time order,
+        # and within the same-arrival cohort at the tail a keyed request
+        # goes to its tie-rank place; a keyless one always ranks last
+        queue = self.queue
+        if req.order_key is None:
+            queue.append(req)
+        else:
+            t = req.t_arrival
+            rank = _tie_rank(req)
+            i = len(queue)
+            while i and queue[i - 1].t_arrival == t and rank < _tie_rank(queue[i - 1]):
+                i -= 1
+            queue.insert(i, req)
         if self._arrival_watchers:
             watchers, self._arrival_watchers = self._arrival_watchers, []
             for ev in watchers:
@@ -169,34 +214,29 @@ class Resource:
         # drop the grant's self-reference, so a finished request is
         # freed by refcount instead of waiting for the cyclic collector
         req._value = None
-        self._grant_next()
+        if self.queue:
+            self._grant_next()
 
     def _grant_next(self) -> None:
         env = self.env
-        while self.queue and len(self.users) < self.capacity:
+        queue = self.queue
+        users = self.users
+        while queue and len(users) < self.capacity:
             nxt = self._pop_next()
-            self.users.append(nxt)
+            users.append(nxt)
             # nxt.succeed(nxt), inlined as in request(): a queued
             # request is still pending until this grant
             nxt._value = nxt
             nxt._scheduled = True
-            env._push(env._now, 1, nxt)
+            waiter = nxt._waiter
+            # a kept waiter would close the cycle request -> bound
+            # method -> holder -> request
+            nxt._waiter = None
+            env._push(env._now, 1, nxt if waiter is None else waiter)
 
     def _pop_next(self) -> Request:
-        queue = self.queue
-        if len(queue) > 1 and queue[1].t_arrival == queue[0].t_arrival:
-            t0 = queue[0].t_arrival
-            best = 0
-            best_rank = _tie_rank(queue[0])
-            for i in range(1, len(queue)):
-                req = queue[i]
-                if req.t_arrival != t0:
-                    break
-                rank = _tie_rank(req)
-                if rank < best_rank:
-                    best, best_rank = i, rank
-            return queue.pop(best)
-        return queue.pop(0)
+        # _enqueue keeps the queue in grant order
+        return self.queue.pop(0)
 
     def using(self, hold: float, priority: int = 0) -> Generator:
         """Generator helper: acquire, hold for ``hold`` seconds, release.
@@ -220,7 +260,11 @@ class Resource:
 
 
 class PriorityResource(Resource):
-    """Resource whose queue is ordered by (priority, arrival order)."""
+    """Resource whose queue is ordered by (priority, arrival order).
+
+    Its :attr:`queue` is in grant order only within one priority, so
+    every grant takes the minimum over the whole queue.
+    """
 
     def _pop_next(self) -> Request:
         queue = self.queue
@@ -245,11 +289,14 @@ class FastHold:
     entry (a bound method on the calendar, see
     :meth:`~repro.simengine.core.Environment._push`) that runs
     :meth:`_start`.  Resources are then requested in list order, one
-    grant at a time.  The hold sleeps one quantum at a time (each sleep
-    a priority-1 direct entry) while any held resource has waiters, and
-    at each boundary with waiters it releases every slot (reverse list
-    order) and re-requests them (list order), so equal-priority
-    competitors interleave at quantum granularity.  An uncontended
+    grant at a time; each grant is a priority-1 direct entry that calls
+    ``_on_grant`` (``_on_regrant`` after a quantum boundary), passed as
+    the ``waiter`` of :meth:`Resource.request`.  The hold sleeps one
+    quantum at a time (each sleep a priority-1 direct entry) while any
+    held resource has waiters, and at each boundary with waiters it
+    releases every slot (reverse list order) and re-requests them (list
+    order), so equal-priority competitors interleave at quantum
+    granularity.  An uncontended
     stretch is covered by a single :class:`Wake` at the time the
     per-quantum additions would reach (so timestamps equal the sliced
     ones), raced against arrival watchers; whichever fires first
@@ -317,11 +364,10 @@ class FastHold:
         if i == len(resources):
             self._granted()
             return
-        req = resources[i].request(self.priority, self.order_key)  # simlint: ignore[resource-release]
+        req = resources[i].request(self.priority, self.order_key, self._on_grant)  # simlint: ignore[resource-release]
         self.reqs.append(req)
-        req.callbacks.append(self._on_grant)
 
-    def _on_grant(self, req: Event) -> None:
+    def _on_grant(self, _v: None) -> None:
         self._acq_i += 1
         self._acquire_next()
 
@@ -435,11 +481,10 @@ class FastHold:
         if i == len(resources):
             self._hold_step()
             return
-        req = resources[i].request(self.priority, self.order_key)  # simlint: ignore[resource-release]
+        req = resources[i].request(self.priority, self.order_key, self._on_regrant)  # simlint: ignore[resource-release]
         self.reqs[i] = req
-        req.callbacks.append(self._on_regrant)
 
-    def _on_regrant(self, req: Event) -> None:
+    def _on_regrant(self, _v: None) -> None:
         self._acq_i += 1
         self._reacquire_next()
 
@@ -467,8 +512,8 @@ class Container:
         init: float = 0.0,
         name: str = "",
     ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not capacity > 0:  # also rejects NaN
+            raise ValueError(f"capacity of container {name!r} must be positive, got {capacity!r}")
         if not 0 <= init <= capacity:
             raise ValueError("init must be within [0, capacity]")
         self.env = env

@@ -296,8 +296,7 @@ class _ServerService(FlatOp):
         super().__init__(srv.env)
 
     def _start(self, _v):
-        req = self._req = self.srv.threads.request()  # simlint: ignore[resource-release]
-        self._await(req, self._thread)
+        self._req = self.srv.threads.request(waiter=self._thread)  # simlint: ignore[resource-release]
 
     def _thread(self, _v):
         env = self.env

@@ -5,7 +5,8 @@ import gc
 import pytest
 
 from repro.simengine import Environment, FlatOp, Resource
-from repro.simengine.resources import Request
+from repro.simengine.bench import _BenchHold
+from repro.simengine.resources import FastHold, Request
 from repro.hardware import Node, NodeSpec, RAIDArray, RAIDConfig, RAIDLevel
 from repro.storage.base import IORequest, KiB, MiB
 from repro.storage.cache import CacheSpec
@@ -249,8 +250,10 @@ class TestEOFReads:
 
 
 def test_finished_operations_leave_no_cyclic_garbage():
-    """Completed requests and flat ops are freed by refcount: with every
-    collection saving what it finds, none of them reaches gc.garbage."""
+    """Completed requests, flat ops and holds are freed by refcount: with
+    every collection saving what it finds, none of them reaches
+    gc.garbage.  A grant waiter kept on its request would close the
+    cycle request -> bound method -> holder -> request."""
     flags = gc.get_debug()
     gc.collect()
     gc.set_debug(flags | gc.DEBUG_SAVEALL)
@@ -260,13 +263,29 @@ def test_finished_operations_leave_no_cyclic_garbage():
         env.run(fs.submit(inode, IORequest("write", 0, 4 * MiB)))
         env.run(fs.submit(inode, IORequest("read", 0, 4 * MiB)))
         env.run(fs.fsync(inode))
+        # two writers on the inode lock: one granted at the request, one
+        # at the release
+        env.run(
+            env.all_of(
+                fs.submit_serialized_write(inode, IORequest("write", i * KiB, KiB), 1e-4)
+                for i in range(2)
+            )
+        )
         res = Resource(env, capacity=1)
         for _ in range(3):
             env.process(res.using(0.01))
         env.run()
         assert res.count == 0 and not res.queue
+        # a contended two-holder FastHold rotation: every quantum
+        # boundary re-requests and queues
+        for _ in range(2):
+            _BenchHold(env, [res], 0.053, 0.02)
+        env.run()
+        assert res.count == 0 and not res.queue
         gc.collect()
-        leaked = [type(o).__name__ for o in gc.garbage if isinstance(o, (Request, FlatOp))]
+        leaked = [
+            type(o).__name__ for o in gc.garbage if isinstance(o, (Request, FlatOp, FastHold))
+        ]
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()

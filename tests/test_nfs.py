@@ -1,8 +1,11 @@
 """NFS client/server tests: RPC namespace, caching, direct mode, contention."""
 
+import gc
+
 import pytest
 
-from repro.simengine import Environment
+from repro.simengine import Environment, FlatOp
+from repro.simengine.resources import Request
 from repro.hardware import Node, NodeSpec, Network, GIGABIT, RAIDArray, RAIDConfig, RAIDLevel
 from repro.storage.base import IORequest, KiB, MiB
 from repro.storage.cache import CacheSpec
@@ -155,3 +158,31 @@ class TestContention:
         spec = NFSSpec(server_threads=1)
         env, srv, clients = build(nclients=2, spec=spec)
         assert srv.threads.capacity == 1
+        threads = srv.threads
+        seen = {"held": 0, "queued": 0}
+
+        def watch():
+            while True:
+                seen["held"] = max(seen["held"], threads.count)
+                seen["queued"] = max(seen["queued"], len(threads.queue))
+                yield env.timeout(1e-4)
+
+        # two clients' RPCs contend for the one thread; a served RPC's
+        # thread grant (a direct entry) leaves no cyclic garbage
+        flags = gc.get_debug()
+        gc.collect()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            inodes = [env.run(c.create(f"/f{i}")) for i, c in enumerate(clients)]
+            env.process(watch())
+            writes = [c.submit(i, IORequest("write", 0, 2 * MiB)) for c, i in zip(clients, inodes)]
+            env.run(env.all_of(writes))
+            env.run(env.all_of([c.fsync(i) for c, i in zip(clients, inodes)]))
+            assert threads.count == 0 and not threads.queue
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage if isinstance(o, (Request, FlatOp))]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert seen["held"] == 1 and seen["queued"] >= 1
+        assert leaked == []

@@ -3,6 +3,7 @@
 from types import MethodType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simengine import (
     Container,
@@ -13,6 +14,7 @@ from repro.simengine import (
     SimulationError,
     Store,
 )
+from repro.simengine.resources import _tie_rank
 
 
 def test_resource_grants_up_to_capacity():
@@ -111,6 +113,42 @@ def test_released_request_drops_its_value():
     assert req.triggered and req.value is None
 
 
+class _Waiter:
+    def __init__(self, log, tag):
+        self.log = log
+        self.tag = tag
+
+    def granted(self, _v):
+        self.log.append(self.tag)
+
+
+def test_waiter_grant_is_one_direct_entry():
+    # the grant pushes the waiter itself at the request's own key, and
+    # the request drops it (no request -> waiter -> holder cycle)
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+    seen = _record_pushes(env)
+    w = _Waiter(log, "a")
+    req = res.request(waiter=w.granted)
+    assert seen == [(0.0, 1, w.granted)] and req._waiter is None
+    assert req.value is req and res.users == [req]
+    env.run(until=1.0)
+    assert log == ["a"]
+    # granted at a release, like a queued Request event
+    queued = res.request(waiter=_Waiter(log, "b").granted)
+    assert queued._waiter is not None and len(seen) == 1
+    res.release(req)
+    assert seen[1][:2] == (1.0, 1) and type(seen[1][2]) is MethodType
+    assert queued._waiter is None and res.users == [queued]
+    env.run()
+    assert log == ["a", "b"]
+    # the request never fires as an event
+    assert not req.processed and not queued.processed
+    res.release(queued)
+    assert queued.value is None
+
+
 def test_flat_op_start_is_one_direct_entry():
     class Op(FlatOp):
         def _start(self, _v):
@@ -141,6 +179,102 @@ def test_granted_request_cannot_be_triggered_again():
 def test_resource_capacity_validation():
     with pytest.raises(ValueError):
         Resource(Environment(), capacity=0)
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), 1.5, 2.0, True, -1, "2", None])
+def test_resource_rejects_non_integer_capacity(capacity):
+    # NaN used to queue every request forever and 1.5 acted as 2
+    for cls in (Resource, PriorityResource):
+        with pytest.raises(ValueError, match="'disk0.head'.*integer >= 1"):
+            cls(Environment(), capacity=capacity, name="disk0.head")
+
+
+def test_resource_accepts_integral_capacity():
+    import numpy as np
+
+    assert Resource(Environment(), capacity=np.int64(3)).capacity == 3
+    assert Resource(Environment(), capacity=2).capacity == 2
+
+
+class _ScanResource(Resource):
+    """The former queue discipline: append every arrival, and at each
+    grant pick the minimum ``_tie_rank`` of the leading same-arrival
+    cohort."""
+
+    def _enqueue(self, req):
+        self.queue.append(req)
+
+    def _pop_next(self):
+        queue = self.queue
+        if len(queue) > 1 and queue[1].t_arrival == queue[0].t_arrival:
+            t0 = queue[0].t_arrival
+            best = 0
+            best_rank = _tie_rank(queue[0])
+            for i in range(1, len(queue)):
+                req = queue[i]
+                if req.t_arrival != t0:
+                    break
+                rank = _tie_rank(req)
+                if rank < best_rank:
+                    best, best_rank = i, rank
+            return queue.pop(best)
+        return queue.pop(0)
+
+
+class _AppendPriorityResource(PriorityResource):
+    def _enqueue(self, req):
+        self.queue.append(req)
+
+
+def _grant_log(cls, capacity, batches):
+    """Play ``batches`` (one per sim-second) of requests and releases;
+    return the grant order as request tags.  Even tags wait through a
+    ``waiter``, odd ones through the request event's callbacks."""
+    env = Environment()
+    res = cls(env, capacity=capacity)
+    log = []
+    tag = 0
+    for t, ops in enumerate(batches):
+        env.run(until=float(t))
+        for op in ops:
+            if op[0] == "rel":
+                if res.users:
+                    res.release(res.users[op[1] % len(res.users)])
+                continue
+            _, key, prio = op
+            if tag % 2 == 0:
+                res.request(prio, key, _Waiter(log, tag).granted)
+            else:
+                req = res.request(prio, key)
+                req.callbacks.append(lambda _ev, tag=tag: log.append(tag))
+            tag += 1
+    while res.users:
+        env.run()
+        res.release(res.users[0])
+    env.run()
+    assert not res.queue
+    return log
+
+
+_op = st.one_of(
+    st.tuples(st.just("req"), st.one_of(st.none(), st.integers(0, 3)), st.integers(0, 2)),
+    st.tuples(st.just("rel"), st.integers(0, 3)),
+)
+_batches = st.lists(st.lists(_op, max_size=8), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batches, st.sampled_from([1, 2]))
+def test_cohort_insertion_grants_in_scan_order(batches, capacity):
+    assert _grant_log(Resource, capacity, batches) == _grant_log(_ScanResource, capacity, batches)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batches, st.sampled_from([1, 2]))
+def test_priority_resource_grants_independent_of_insertion(batches, capacity):
+    assert _grant_log(PriorityResource, capacity, batches) == _grant_log(
+        _AppendPriorityResource, capacity, batches
+    )
 
 
 def test_priority_resource_serves_lowest_priority_first():
@@ -209,6 +343,9 @@ def test_container_validation():
     env = Environment()
     with pytest.raises(ValueError):
         Container(env, capacity=0)
+    # NaN capacity used to fail on the init bounds instead
+    with pytest.raises(ValueError, match="capacity of container 'pool' must be positive"):
+        Container(env, capacity=float("nan"), name="pool")
     with pytest.raises(ValueError):
         Container(env, capacity=5, init=6)
     c = Container(env, capacity=5)

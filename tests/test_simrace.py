@@ -17,11 +17,15 @@ invariance), and a keyed foreign request arriving mid-rotation queuing
 behind the members the rotation re-admits first.
 """
 
+import ast
 import textwrap
 from contextlib import contextmanager
+from pathlib import Path
 
+import repro.simengine.resources as resources_mod
 from repro.analysis.simrace import (
     RACE_RULES,
+    _reachable_callbacks,
     lint_race_paths,
     lint_race_source,
     run_race_matrix,
@@ -160,6 +164,31 @@ def test_sleep_continuation_is_reachable():
         """
     )
     assert "tie-order-rmw" in rules_of(fs)
+
+
+def test_request_waiter_is_reachable():
+    # a grant calls the waiter of request(): by keyword or as the third
+    # positional argument, it is a root like a _push callable
+    for call in ("res.request(waiter=self._granted)", "res.request(0, None, self._granted)"):
+        fs = findings(
+            f"""
+            class Op:
+                def _start(self, _v):
+                    res = self.res
+                    self.req = {call}
+
+                def _granted(self, _v):
+                    s = self.shared
+                    s["v"] = s["v"] * 2
+            """
+        )
+        assert "tie-order-rmw" in rules_of(fs), call
+
+
+def test_fasthold_grant_steps_are_reachable():
+    tree = ast.parse(Path(resources_mod.__file__).read_text())
+    reachable = {getattr(fn, "name", None) for fn in _reachable_callbacks(tree)}
+    assert {"_on_grant", "_on_regrant", "_acquire_next", "_granted"} <= reachable
 
 
 MAX_UPDATE = """
@@ -341,10 +370,27 @@ def test_pop_recorder_names_direct_entries():
         env.run()
     assert [name for _env, _when, _prio, name in rec.pops] == [
         "_FastSend._start",
-        "Request",
+        "FastHold._on_grant",
         "FastHold._final_sleep_done",
         "_FastSend._latency_done",
         "Event",
+    ]
+
+
+def test_pop_recorder_names_generator_grant_as_request():
+    # a generator process still yields the request itself, so its grant
+    # is the Request event, not a direct entry
+    rec = PopRecorder()
+    with capture(rec):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        env.process(res.using(0.5))
+        env.run()
+    assert [name for _env, _when, _prio, name in rec.pops] == [
+        "Initialize",
+        "Request",
+        "Timeout",
+        "Process",
     ]
 
 
