@@ -10,7 +10,8 @@ order — fails here, even when the tables happen to agree.
 
 Cells: the Aohyper quick characterization tables (iolib/localfs/nfs)
 for jbod, raid1 and raid5; all eight iozone workloads and IOR on each
-device; BT-IO class S; and eight synthetic rotation scenarios —
+device; BT-IO class S; a RAID 5 and a RAID 10 rebuild beside
+foreground reads and writes; and eight synthetic rotation scenarios —
 holders time-slicing one resource (plain rotation, a mid-window
 arrival, a pivot behind an uncontended prefix, idle suffix resources)
 and holders on two uplinks feeding one shared pivot, with and without a
@@ -30,6 +31,7 @@ it replaces, which stays as its reference.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -41,6 +43,7 @@ import pytest
 from repro import aohyper_config, characterize_system
 from repro.clusters.builder import build_system
 from repro.hardware.disk import Disk, DiskSpec, READ, WRITE
+from repro.hardware.raid import RAIDArray, RAIDConfig, RAIDLevel
 from repro.simengine import Environment
 from repro.simengine.bench import _BenchHold
 from repro.simengine.core import Timeout
@@ -48,7 +51,7 @@ from repro.simengine.resources import Resource
 from repro.storage.base import KiB, MiB
 from repro.workloads import run_ior, run_iozone
 from repro.workloads.btio import BTIOConfig, run_btio
-from conftest import small_config
+from conftest import SMALL_DISK, small_config
 
 DEVICES = ("jbod", "raid1", "raid5")
 ALT_MODES = ("no_fasthold", "no_coalesce", "no_fsfast", "analytic")
@@ -336,6 +339,56 @@ def _golden_scenario(build) -> dict:
     return {"completions": [list(t) for t in times], "calendar": cal}
 
 
+#: name -> (level, members, failed member)
+_DEGRADED_CELLS = {
+    "raid5_rebuild": (RAIDLevel.RAID5, 5, 1),
+    "raid10_rebuild": (RAIDLevel.RAID10, 4, 0),
+}
+
+#: foreground traffic of a degraded cell: (tag, start, op, offset,
+#: nbytes, count, stride, cached)
+_DEGRADED_FOREGROUND = (
+    ("seq_read", 0.0, READ, 0, 1 * MiB, 8, None, True),
+    ("cached_write", 0.0, WRITE, 64 * MiB, 1 * MiB, 12, None, True),
+    ("strided_read", 0.013, READ, 8 * MiB, 4 * KiB, 64, 96 * KiB, True),
+    ("direct_write", 0.021, WRITE, 200 * MiB, 512 * KiB, 6, None, False),
+    ("strided_write", 0.040, WRITE, 32 * MiB, 8 * KiB, 40, 1 * MiB, False),
+    ("late_read", 0.150, READ, 300 * MiB, 2 * MiB, 3, None, True),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_degraded(name: str) -> dict:
+    """A rate-capped rebuild of one failed member while foreground reads
+    and writes (cached ones through the controller write-back cache)
+    queue on the same member heads."""
+    level, ndisks, failed = _DEGRADED_CELLS[name]
+    times: list = []
+    with calendar_digest() as cal:
+        env = Environment()
+        arr = RAIDArray(
+            env, RAIDConfig(level=level, ndisks=ndisks, disk=SMALL_DISK, cache_bytes=8 * MiB)
+        )
+        arr.fail_disk(failed)
+        rebuild = arr.start_rebuild(failed, rebuild_bytes=24 * MiB, rate_Bps=96 * MiB)
+        rebuild.callbacks.append(lambda ev: times.append(["rebuild", ev.value, env.now]))
+
+        def foreground(tag, at, op, offset, nbytes, count, stride, cached):
+            if at:
+                yield env.timeout(at)
+            yield arr.submit(op, offset, nbytes, count, stride, cached=cached)
+            times.append([tag, env.now])
+
+        for args in _DEGRADED_FOREGROUND:
+            env.process(foreground(*args))
+        env.run()
+    return {
+        "completions": times,
+        "rebuild_stats": dataclasses.asdict(arr.rebuild_stats),
+        "calendar": cal,
+    }
+
+
 _GOLDEN_SCENARIOS = {
     **_RING_SCENARIOS,
     **{
@@ -353,6 +406,7 @@ def _golden_cells() -> dict:
         "ior": {d: _golden_ior(d) for d in DEVICES},
         "btio": {"jbod": _golden_btio("jbod")},
         "scenarios": {n: _golden_scenario(b) for n, b in sorted(_GOLDEN_SCENARIOS.items())},
+        "degraded": {n: _golden_degraded(n) for n in _DEGRADED_CELLS},
     }
 
 
@@ -387,6 +441,15 @@ def test_scenario_matches_golden(name):
     got = _golden_scenario(_GOLDEN_SCENARIOS[name])
     assert got["completions"], "scenario completed no holders"
     assert got == _golden()["scenarios"][name]
+
+
+@pytest.mark.parametrize("name", list(_DEGRADED_CELLS))
+def test_degraded_rebuild_matches_golden(name):
+    got = _golden_degraded(name)
+    assert ["rebuild", "rebuilt"] in [c[:2] for c in got["completions"]]
+    assert len(got["completions"]) == len(_DEGRADED_FOREGROUND) + 1
+    assert got["rebuild_stats"]["completed"] == 1
+    assert got == _golden()["degraded"][name]
 
 
 # ----------------------------------------------------------------------
