@@ -112,7 +112,6 @@ class FaultInjector:
                 spec.disk,
                 rate_Bps=spec.rebuild_rate_Bps,
                 rebuild_bytes=spec.rebuild_bytes,
-                priority=spec.rebuild_priority,
                 hot_spare_delay_s=spec.hot_spare_delay_s,
             )
             result = yield ev

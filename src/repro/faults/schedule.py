@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 from typing import Optional
 
 __all__ = ["FAULT_KINDS", "FaultScheduleError", "FaultSpec", "FaultSchedule"]
@@ -21,6 +22,10 @@ FAULT_KINDS = ("disk_fail", "nfs_stall", "link_flap", "latency_spike")
 
 #: kinds that require a positive duration
 _DURATION_KINDS = ("nfs_stall", "link_flap", "latency_spike")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class FaultScheduleError(ValueError):
@@ -45,10 +50,10 @@ class FaultSpec:
         storage); ``disk`` is the member index.  A background rebuild
         onto a hot spare starts immediately unless
         ``hot_spare_delay_s`` postpones it; ``rebuild_rate_Bps``
-        caps the rebuild rate, ``rebuild_bytes`` bounds the extent
-        (default: the member's full capacity) and
-        ``rebuild_priority`` queues rebuild I/O behind foreground
-        traffic.
+        caps the rebuild rate and ``rebuild_bytes`` bounds the extent
+        (default: the member's full capacity).  Rebuild I/O queues on
+        the member heads in FIFO order with foreground traffic; the
+        rate cap is its only throttle.
     ``nfs_stall``
         The NFS server stops servicing RPCs for ``duration_s``;
         clients retransmit with exponential backoff (``target``
@@ -69,7 +74,6 @@ class FaultSpec:
     duration_s: float = 0.0
     rebuild_rate_Bps: Optional[float] = None
     rebuild_bytes: Optional[int] = None
-    rebuild_priority: int = 2
     hot_spare_delay_s: float = 0.0
     factor: float = 1.0
     direction: str = "both"
@@ -78,24 +82,29 @@ class FaultSpec:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} (one of {FAULT_KINDS})")
-        if self.t_s < 0:
-            raise ValueError("fault time must be >= 0")
-        if self.kind in _DURATION_KINDS and self.duration_s <= 0:
-            raise ValueError(f"{self.kind} needs a positive duration_s")
-        if self.disk < 0:
-            raise ValueError("disk index must be >= 0")
-        if self.factor <= 0:
-            raise ValueError("latency factor must be positive")
+        # the negated comparisons also reject NaN
+        if not self.t_s >= 0:
+            raise ValueError(f"fault time must be >= 0, got {self.t_s!r}")
+        if self.kind in _DURATION_KINDS and not self.duration_s > 0:
+            raise ValueError(f"{self.kind} needs a positive duration_s, got {self.duration_s!r}")
+        if not _is_int(self.disk) or self.disk < 0:
+            raise ValueError(f"disk index must be an integer >= 0, got {self.disk!r}")
+        if not self.factor > 0:
+            raise ValueError(f"latency factor must be positive, got {self.factor!r}")
         if self.direction not in ("both", "up", "down"):
             raise ValueError(f"bad direction {self.direction!r}")
         if self.network not in ("data", "comm"):
             raise ValueError(f"bad network {self.network!r}")
-        if self.rebuild_rate_Bps is not None and self.rebuild_rate_Bps <= 0:
-            raise ValueError("rebuild_rate_Bps must be positive")
-        if self.rebuild_bytes is not None and self.rebuild_bytes <= 0:
-            raise ValueError("rebuild_bytes must be positive")
-        if self.hot_spare_delay_s < 0:
-            raise ValueError("hot_spare_delay_s must be >= 0")
+        if self.rebuild_rate_Bps is not None and not self.rebuild_rate_Bps > 0:
+            raise ValueError(f"rebuild_rate_Bps must be positive, got {self.rebuild_rate_Bps!r}")
+        if self.rebuild_bytes is not None and (
+            not _is_int(self.rebuild_bytes) or self.rebuild_bytes <= 0
+        ):
+            raise ValueError(
+                f"rebuild_bytes must be a positive integer, got {self.rebuild_bytes!r}"
+            )
+        if not self.hot_spare_delay_s >= 0:
+            raise ValueError(f"hot_spare_delay_s must be >= 0, got {self.hot_spare_delay_s!r}")
 
     def as_dict(self) -> dict:
         """Compact JSON-safe form: defaults are omitted."""

@@ -81,12 +81,12 @@ class DiskStats:
 class _FastServe(FastHold):
     """One request on the disk head: queue for the head, charge the cost
     model and the stats at the grant, then hold the head in quanta so
-    that equal-priority competitors queued behind a huge bulk transfer
-    are not starved (they interleave at quantum granularity)."""
+    that competitors queued behind a huge bulk transfer are not starved
+    (they interleave at quantum granularity)."""
 
     __slots__ = ("disk", "op", "offset", "nbytes", "count", "stride")
 
-    def __init__(self, disk: "Disk", op, offset, nbytes, count, stride, priority):
+    def __init__(self, disk: "Disk", op, offset, nbytes, count, stride):
         self.disk = disk
         self.op = op
         self.offset = offset
@@ -96,7 +96,7 @@ class _FastServe(FastHold):
         # the head queue orders same-time waiters by starting offset
         # (command-queueing style), so grant order does not depend on
         # incidental same-time scheduling order
-        super().__init__(disk.env, [disk.head], priority, order_key=offset)
+        super().__init__(disk.env, [disk.head], order_key=offset)
 
     def _start(self, _v: None) -> None:
         self._acquire()
@@ -326,10 +326,9 @@ class Disk:
         nbytes: int,
         count: int = 1,
         stride: int | None = None,
-        priority: int = 0,
     ) -> Event:
         """Serve a (possibly bulk) request; the event fires at completion."""
-        return _FastServe(self, op, offset, nbytes, count, stride, priority).result
+        return _FastServe(self, op, offset, nbytes, count, stride).result
 
     def mark_measurement(self) -> None:
         """Start the utilization measurement interval *now*.

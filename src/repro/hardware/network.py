@@ -57,11 +57,11 @@ class _FastSend(FastHold):
 
     __slots__ = ("link", "nbytes", "count")
 
-    def __init__(self, link: "Link", nbytes: int, count: int, priority: int, order_key=None):
+    def __init__(self, link: "Link", nbytes: int, count: int, order_key=None):
         self.link = link
         self.nbytes = nbytes
         self.count = count
-        super().__init__(link.env, [link.channel], priority, order_key=order_key)
+        super().__init__(link.env, [link.channel], order_key)
 
     def _start(self, _v) -> None:
         link = self.link
@@ -103,20 +103,12 @@ class _FastRoute(FastHold):
 
     __slots__ = ("up", "down", "nbytes", "count")
 
-    def __init__(
-        self,
-        up: "Link",
-        down: "Link",
-        nbytes: int,
-        count: int,
-        priority: int,
-        order_key=None,
-    ):
+    def __init__(self, up: "Link", down: "Link", nbytes: int, count: int, order_key=None):
         self.up = up
         self.down = down
         self.nbytes = nbytes
         self.count = count
-        super().__init__(up.env, [up.channel, down.channel], priority, order_key=order_key)
+        super().__init__(up.env, [up.channel, down.channel], order_key)
 
     def _start(self, _v) -> None:
         env = self.env
@@ -208,13 +200,11 @@ class Link:
             + count * self.spec.per_message_cpu_s
         )
 
-    def transfer(
-        self, nbytes: int, count: int = 1, priority: int = 0, order_key=None
-    ) -> Event:
+    def transfer(self, nbytes: int, count: int = 1, order_key=None) -> Event:
         """Move ``count`` messages of ``nbytes`` each across the link."""
         if nbytes < 0 or count < 1:
             raise ValueError("invalid transfer geometry")
-        return _FastSend(self, nbytes, count, priority, order_key).result
+        return _FastSend(self, nbytes, count, order_key).result
 
     def mark_measurement(self) -> None:
         """Start the utilization measurement interval *now*."""
@@ -272,7 +262,6 @@ class Network:
         dst: str,
         nbytes: int,
         count: int = 1,
-        priority: int = 0,
         order_key=None,
     ) -> Event:
         """Event firing when the last byte reaches ``dst``.
@@ -289,8 +278,7 @@ class Network:
         if src == dst:
             return self.env.timeout(1e-6 + nbytes * count / (2000.0 * MiB))
         return _FastRoute(
-            self.uplinks[src], self.downlinks[dst], nbytes, count, priority,
-            order_key=order_key,
+            self.uplinks[src], self.downlinks[dst], nbytes, count, order_key
         ).result
 
     # -- fault injection -------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..simengine import Environment, Resource
+from ..simengine import Environment
 from .network import LinkSpec, Network, GIGABIT
 from .raid import RAIDArray, RAIDConfig
 
@@ -46,7 +46,6 @@ class Node:
         self.env = env
         self.name = name
         self.spec = spec or NodeSpec()
-        self.cpu = Resource(env, capacity=self.spec.cores, name=f"{name}.cpu")
         self.array: Optional[RAIDArray] = (
             RAIDArray(env, storage, name=f"{name}.array") if storage else None
         )
@@ -56,10 +55,6 @@ class Node:
     def compute_time(self, flops: float) -> float:
         """Seconds of one core's work for ``flops`` floating operations."""
         return flops / (self.spec.core_gflops * 1e9)
-
-    def compute(self, flops: float):
-        """Process helper: occupy one core for the duration of the work."""
-        return self.cpu.using(self.compute_time(flops))
 
     def memcpy_time(self, nbytes: int) -> float:
         """In-memory copy cost (used by caches and collective buffering)."""

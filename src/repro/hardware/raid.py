@@ -236,7 +236,6 @@ class RAIDArray:
         index: int,
         rate_Bps: Optional[float] = None,
         rebuild_bytes: Optional[int] = None,
-        priority: int = 2,
         hot_spare_delay_s: float = 0.0,
     ) -> Event:
         """Rebuild failed member ``index`` onto a hot spare, in the
@@ -247,11 +246,11 @@ class RAIDArray:
         whole array while a RAID 10 rebuild loads one spindle — the
         contention difference behind their graceful-degradation gap.
 
-        ``rate_Bps`` caps the rebuild rate (`md` speed_limit_max);
-        rebuild traffic additionally runs at a *lower* priority than
-        foreground requests (``priority``, larger = later in the head
-        queue).  ``rebuild_bytes`` overrides the extent to reconstruct
-        (default: the member's full capacity — far beyond most
+        Rebuild I/O shares each member's FIFO head queue with foreground
+        I/O (same-time ties ordered by offset, like any request); it is
+        throttled only by ``rate_Bps``, the rebuild rate cap (`md`
+        speed_limit_max).  ``rebuild_bytes`` overrides the extent to
+        reconstruct (default: the member's full capacity — far beyond most
         simulated runs, i.e. the rebuild outlives the run, which is
         realistic for mid-run failures).
 
@@ -269,11 +268,11 @@ class RAIDArray:
         if total is None:
             total = self.config.disk.capacity_bytes
         return self.env.process(
-            self._rebuild(index, total, rate_Bps, priority, hot_spare_delay_s),
+            self._rebuild(index, total, rate_Bps, hot_spare_delay_s),
             name=f"{self.name}.rebuild",
         )
 
-    def _rebuild(self, index, total, rate_Bps, priority, hot_spare_delay_s):  # simlint: ignore[generator-serve]
+    def _rebuild(self, index, total, rate_Bps, hot_spare_delay_s):  # simlint: ignore[generator-serve]
         if hot_spare_delay_s > 0:
             yield self.env.timeout(hot_spare_delay_s)
         spare = self.disks[index]
@@ -297,16 +296,14 @@ class RAIDArray:
                         source = alive[0]
                 else:
                     source = alive[0]
-                reads = [source.submit(READ, done, chunk, priority=priority)]
+                reads = [source.submit(READ, done, chunk)]
                 read_bytes = chunk
             else:
                 # parity reconstruction: read the extent from every
                 # surviving member and XOR in controller memory
-                reads = [
-                    d.submit(READ, done, chunk, priority=priority) for d in alive
-                ]
+                reads = [d.submit(READ, done, chunk) for d in alive]
                 read_bytes = chunk * len(alive)
-            write = spare.submit(WRITE, done, chunk, priority=priority)
+            write = spare.submit(WRITE, done, chunk)
             yield self.env.all_of(reads + [write])
             self.rebuild_stats.bytes_read += read_bytes
             self.rebuild_stats.bytes_written += chunk
@@ -334,7 +331,6 @@ class RAIDArray:
         nbytes: int,
         count: int = 1,
         stride: Optional[int] = None,
-        priority: int = 0,
         cached: bool = True,
     ) -> Event:
         """Serve a logical request; the returned event fires on completion.
@@ -358,10 +354,10 @@ class RAIDArray:
             )
         if op == WRITE and cached and self.config.write_back:
             return self.env.process(
-                self._cached_write(offset, nbytes, count, stride, priority),
+                self._cached_write(offset, nbytes, count, stride),
                 name=f"{self.name}.wb",
             )
-        return self._media(op, offset, nbytes, count, stride, priority)
+        return self._media(op, offset, nbytes, count, stride)
 
     def flush(self) -> Event:
         """Event firing when all dirty cache contents have hit the media."""
@@ -374,7 +370,7 @@ class RAIDArray:
     # ------------------------------------------------------------------
     # write-back cache
     # ------------------------------------------------------------------
-    def _cached_write(self, offset, nbytes, count, stride, priority):  # simlint: ignore[generator-serve]
+    def _cached_write(self, offset, nbytes, count, stride):  # simlint: ignore[generator-serve]
         spec = self.config.disk
         total = nbytes * count
         absorbed = 0
@@ -409,7 +405,7 @@ class RAIDArray:
             while flushed < n:
                 chunk = min(n - flushed, self.FLUSH_CHUNK)
                 try:
-                    yield self._media(WRITE, off + flushed, chunk, 1, None, priority=1)
+                    yield self._media(WRITE, off + flushed, chunk, 1, None)
                 except DataLossError:
                     # the array died under the flusher: the remaining
                     # dirty data is gone; terminate cleanly so waiters
@@ -429,7 +425,7 @@ class RAIDArray:
     # ------------------------------------------------------------------
     # media geometry
     # ------------------------------------------------------------------
-    def _media(self, op, offset, nbytes, count, stride, priority) -> Event:
+    def _media(self, op, offset, nbytes, count, stride) -> Event:
         lvl = self.config.level
         if stride == -1:  # random pattern marker: model as a large scatter
             stride = 127 * max(nbytes, 65536)
@@ -439,30 +435,30 @@ class RAIDArray:
                     f"array {self.name!r} has lost data: {sorted(self._failed)} failed "
                     f"on a {lvl.value} organisation"
                 )
-            return self._degraded(op, offset, nbytes, count, stride, priority)
+            return self._degraded(op, offset, nbytes, count, stride)
         sparse = count > 1 and stride is not None and stride != nbytes
         if lvl is RAIDLevel.JBOD:
-            return self.disks[0].submit(op, offset, nbytes, count, stride, priority)
+            return self.disks[0].submit(op, offset, nbytes, count, stride)
         if sparse and lvl is not RAIDLevel.RAID1:
             ways = len(self.disks)
             if lvl is RAIDLevel.RAID10:
                 ways //= 2
-            return self._striped_sparse(op, offset, nbytes, count, stride, priority, ways)
+            return self._striped_sparse(op, offset, nbytes, count, stride, ways)
         if lvl is RAIDLevel.RAID0:
-            return self._striped(op, offset, nbytes * count, priority, self.disks, len(self.disks))
+            return self._striped(op, offset, nbytes * count, self.disks, len(self.disks))
         if lvl is RAIDLevel.RAID1:
-            return self._mirrored(op, offset, nbytes, count, stride, priority, self.disks)
+            return self._mirrored(op, offset, nbytes, count, stride, self.disks)
         if lvl is RAIDLevel.RAID10:
             half = len(self.disks) // 2
             # stripes of mirror pairs: model as mirrored RAID0 halves
-            return self._mirrored_striped(op, offset, nbytes * count, priority, half)
+            return self._mirrored_striped(op, offset, nbytes * count, half)
         if lvl is RAIDLevel.RAID5:
-            return self._parity(op, offset, nbytes, count, stride, priority, nparity=1)
+            return self._parity(op, offset, nbytes, count, stride, nparity=1)
         if lvl is RAIDLevel.RAID6:
-            return self._parity(op, offset, nbytes, count, stride, priority, nparity=2)
+            return self._parity(op, offset, nbytes, count, stride, nparity=2)
         raise AssertionError(lvl)
 
-    def _striped_sparse(self, op, offset, nbytes, count, stride, priority, ways) -> Event:
+    def _striped_sparse(self, op, offset, nbytes, count, stride, ways) -> Event:
         """Scattered small operations land round-robin over the members.
 
         Each member disk serves roughly ``count / ways`` seek-bound
@@ -486,12 +482,12 @@ class RAIDArray:
                 evs.append(
                     self.disks[i].submit(
                         op, (offset + i * abs(stride)) % self.disks[i].spec.capacity_bytes,
-                        nbytes, c, abs(stride) * ways, priority,
+                        nbytes, c, abs(stride) * ways
                     )
                 )
         return self.env.all_of(evs) if evs else self.env.timeout(0)
 
-    def _degraded(self, op, offset, nbytes, count, stride, priority) -> Event:
+    def _degraded(self, op, offset, nbytes, count, stride) -> Event:
         """Service with one or more members offline.
 
         Mirrored levels lose read parallelism: a RAID 1 survivor serves
@@ -505,12 +501,12 @@ class RAIDArray:
         alive = self._alive()
         total = nbytes * count
         if lvl is RAIDLevel.RAID10:
-            return self._degraded_raid10(op, offset, total, priority)
+            return self._degraded_raid10(op, offset, total)
         if lvl is RAIDLevel.RAID1:
             if op == WRITE:
-                evs = [d.submit(WRITE, offset, nbytes, count, stride, priority) for d in alive]
+                evs = [d.submit(WRITE, offset, nbytes, count, stride) for d in alive]
                 return self.env.all_of(evs)
-            return self._mirrored(op, offset, nbytes, count, stride, priority, alive)
+            return self._mirrored(op, offset, nbytes, count, stride, alive)
         # RAID5 / RAID6 reconstruction
         factor = 2
         sparse = count > 1 and stride is not None and stride != nbytes
@@ -519,13 +515,13 @@ class RAIDArray:
             per = max(eff // len(alive), 1)
             evs = [
                 d.submit(op, (offset + i * abs(stride)) % d.spec.capacity_bytes,
-                         nbytes, per, abs(stride) * len(alive), priority)
+                         nbytes, per, abs(stride) * len(alive))
                 for i, d in enumerate(alive)
             ]
             return self.env.all_of(evs)
-        return self._striped(op, offset, total * factor, priority, alive, len(alive))
+        return self._striped(op, offset, total * factor, alive, len(alive))
 
-    def _degraded_raid10(self, op, offset, total, priority) -> Event:
+    def _degraded_raid10(self, op, offset, total) -> Event:
         """RAID 10 with a member down: data stays striped over the
         mirror pairs, so only the pair with the failed member loses
         redundancy — its survivor absorbs that pair's writes alone and
@@ -548,13 +544,13 @@ class RAIDArray:
                 self.disks[i] for i in (k, k + half) if i not in self._failed
             ]
             if op == WRITE:
-                evs += [d.submit(WRITE, base, share, 1, None, priority) for d in members]
+                evs += [d.submit(WRITE, base, share, 1, None) for d in members]
             elif len(members) == 2 and share >= 2 * stripe:
                 h = share // 2
-                evs.append(members[0].submit(READ, base, h, 1, None, priority))
-                evs.append(members[1].submit(READ, base + h, share - h, 1, None, priority))
+                evs.append(members[0].submit(READ, base, h, 1, None))
+                evs.append(members[1].submit(READ, base + h, share - h, 1, None))
             else:
-                evs.append(members[0].submit(READ, base, share, 1, None, priority))
+                evs.append(members[0].submit(READ, base, share, 1, None))
         if not evs:  # zero-byte request
             return self.env.timeout(0.0)
         return self.env.all_of(evs)
@@ -574,21 +570,21 @@ class RAIDArray:
             shares[(first + nchunks) % ways] += rem
         return shares
 
-    def _striped(self, op, offset, total, priority, disks, ways) -> Event:
+    def _striped(self, op, offset, total, disks, ways) -> Event:
         stripe = self.config.stripe_bytes
         if total <= stripe:
             d = disks[(offset // stripe) % ways]
-            return d.submit(op, offset // ways, total, 1, None, priority)
+            return d.submit(op, offset // ways, total, 1, None)
         shares = self._split_over(offset, total, ways, stripe)
         evs = []
         for i, share in enumerate(shares):
             if share:
-                evs.append(disks[i].submit(op, offset // ways, share, 1, None, priority))
+                evs.append(disks[i].submit(op, offset // ways, share, 1, None))
         return self.env.all_of(evs)
 
-    def _mirrored(self, op, offset, nbytes, count, stride, priority, disks) -> Event:
+    def _mirrored(self, op, offset, nbytes, count, stride, disks) -> Event:
         if op == WRITE:
-            evs = [d.submit(WRITE, offset, nbytes, count, stride, priority) for d in disks]
+            evs = [d.submit(WRITE, offset, nbytes, count, stride) for d in disks]
             return self.env.all_of(evs)
         total = nbytes * count
         if count == 1 or (stride in (None, nbytes)):
@@ -596,11 +592,11 @@ class RAIDArray:
             half = total // len(disks)
             if half < self.config.stripe_bytes:
                 d = disks[(offset // self.config.stripe_bytes) % len(disks)]
-                return d.submit(READ, offset, nbytes, count, stride, priority)
+                return d.submit(READ, offset, nbytes, count, stride)
             evs = []
             for i, d in enumerate(disks):
                 share = half if i < len(disks) - 1 else total - half * (len(disks) - 1)
-                evs.append(d.submit(READ, offset + i * half, share, 1, None, priority))
+                evs.append(d.submit(READ, offset + i * half, share, 1, None))
             return self.env.all_of(evs)
         # strided bulk read: alternate ops between mirrors
         per = count // len(disks)
@@ -610,31 +606,31 @@ class RAIDArray:
             if c:
                 evs.append(
                     d.submit(READ, offset + i * (stride or nbytes), nbytes, c,
-                             (stride or nbytes) * len(disks), priority)
+                             (stride or nbytes) * len(disks))
                 )
         return self.env.all_of(evs)
 
-    def _mirrored_striped(self, op, offset, total, priority, half) -> Event:
+    def _mirrored_striped(self, op, offset, total, half) -> Event:
         a, b = self.disks[: half], self.disks[half:]
         if op == WRITE:
             return self.env.all_of(
                 [
-                    self._striped(WRITE, offset, total, priority, a, half),
-                    self._striped(WRITE, offset, total, priority, b, half),
+                    self._striped(WRITE, offset, total, a, half),
+                    self._striped(WRITE, offset, total, b, half),
                 ]
             )
         mid = total // 2
         if mid < self.config.stripe_bytes:
-            return self._striped(READ, offset, total, priority, a, half)
+            return self._striped(READ, offset, total, a, half)
         return self.env.all_of(
             [
-                self._striped(READ, offset, mid, priority, a, half),
-                self._striped(READ, offset + mid, total - mid, priority, b, half),
+                self._striped(READ, offset, mid, a, half),
+                self._striped(READ, offset + mid, total - mid, b, half),
             ]
         )
 
     # -- RAID5 / RAID6 ----------------------------------------------------
-    def _parity(self, op, offset, nbytes, count, stride, priority, nparity) -> Event:
+    def _parity(self, op, offset, nbytes, count, stride, nparity) -> Event:
         n = len(self.disks)
         ndata = n - nparity
         stripe = self.config.stripe_bytes
@@ -645,9 +641,7 @@ class RAIDArray:
             # spindles carry data, but each spindle reads through its
             # parity holes (cheaper than seeking around them), so the
             # effective user-data rate is ndata/n of the raw stripe rate.
-            return self._striped(
-                READ, offset, total * n // ndata, priority, self.disks, n
-            )
+            return self._striped(READ, offset, total * n // ndata, self.disks, n)
         stride_ = nbytes if stride is None else stride
         contiguous = count == 1 or stride_ == nbytes
         if contiguous and total >= full_stripe:
@@ -658,14 +652,14 @@ class RAIDArray:
             evs = []
             per_disk = aligned // ndata
             for d in self.disks:
-                evs.append(d.submit(WRITE, offset // ndata, per_disk, 1, None, priority))
+                evs.append(d.submit(WRITE, offset // ndata, per_disk, 1, None))
             leftover = total - aligned
             if leftover:
-                evs.append(self._rmw_write(offset + aligned, leftover, 1, None, priority, nparity))
+                evs.append(self._rmw_write(offset + aligned, leftover, 1, None, nparity))
             return self.env.all_of(evs)
-        return self._rmw_write(offset, nbytes, count, stride_, priority, nparity)
+        return self._rmw_write(offset, nbytes, count, stride_, nparity)
 
-    def _rmw_write(self, offset, nbytes, count, stride, priority, nparity) -> Event:
+    def _rmw_write(self, offset, nbytes, count, stride, nparity) -> Event:
         """Read-modify-write small-write path.
 
         Each logical write touching less than a full stripe costs, per
@@ -675,16 +669,14 @@ class RAIDArray:
         n = len(self.disks)
         stripe = self.config.stripe_bytes
         d_data = self.disks[(offset // stripe) % n]
-        d_par = self.disks[(offset // stripe + 1) % n]
         evs = [
-            d_data.submit(READ, offset // max(n - nparity, 1), nbytes, count, stride, priority),
-            d_data.submit(WRITE, offset // max(n - nparity, 1), nbytes, count, stride, priority),
+            d_data.submit(READ, offset // max(n - nparity, 1), nbytes, count, stride),
+            d_data.submit(WRITE, offset // max(n - nparity, 1), nbytes, count, stride),
         ]
         for k in range(nparity):
             p = self.disks[(offset // stripe + 1 + k) % n]
-            evs.append(p.submit(READ, offset // max(n - nparity, 1), nbytes, count, stride, priority))
-            evs.append(p.submit(WRITE, offset // max(n - nparity, 1), nbytes, count, stride, priority))
-        _ = d_par
+            evs.append(p.submit(READ, offset // max(n - nparity, 1), nbytes, count, stride))
+            evs.append(p.submit(WRITE, offset // max(n - nparity, 1), nbytes, count, stride))
         return self.env.all_of(evs)
 
     # ------------------------------------------------------------------

@@ -160,7 +160,8 @@ class RankContext:
 
     # -- compute -----------------------------------------------------------
     def compute(self, seconds: float = 0.0, flops: float = 0.0) -> Event:
-        """Busy-work: occupy simulated time (and implicitly one core)."""
+        """Busy-work: a plain timeout of ``seconds`` plus ``flops`` at one
+        core's rate.  Ranks sharing a node do not contend for its cores."""
         t = seconds + (self.node.compute_time(flops) if flops else 0.0)
         return self.env.timeout(t)
 

@@ -52,10 +52,10 @@ class _BenchHold(FastHold):
 
     __slots__ = ("total", "_q")
 
-    def __init__(self, env, resources, total, quantum, priority=0):
+    def __init__(self, env, resources, total, quantum):
         self.total = total
         self._q = quantum
-        super().__init__(env, resources, priority)
+        super().__init__(env, resources)
 
     def _start(self, _v: None) -> None:
         self._acquire()

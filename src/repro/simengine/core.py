@@ -23,7 +23,7 @@ for the access patterns this project needs:
   event to a direct entry leaves the calendar unchanged entry for
   entry;
 * generator-based processes with ``yield env.timeout(dt)``,
-  ``yield other_event`` and combinators :class:`AllOf` / :class:`AnyOf`;
+  ``yield other_event`` and the join :class:`AllOf`;
 * failure propagation: an event failed with an exception re-raises the
   exception inside every waiting process.
 
@@ -45,7 +45,6 @@ __all__ = [
     "Process",
     "FlatOp",
     "AllOf",
-    "AnyOf",
     "SimulationError",
 ]
 
@@ -141,7 +140,7 @@ class Timeout(Event):
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         # Timeouts are created triggered-and-scheduled; bypassing
-        # Event.__init__ and the _schedule_at re-schedule guard saves
+        # Event.__init__ and the _schedule re-schedule guard saves
         # two attribute round trips on the kernel's most common event.
         self.env = env
         self.callbacks = []
@@ -358,19 +357,6 @@ class FlatOp:
         self.result.succeed(value)
 
 
-def _prune_combinator(self, fired: Event) -> None:
-    """Detach a fired combinator from its still-pending children so it
-    (and its values) are collectible instead of lingering in their
-    callback lists until they eventually fire."""
-    cb = self._cb
-    for ev in self._events:
-        if ev is not fired and ev.callbacks is not None:
-            try:
-                ev.callbacks.remove(cb)
-            except ValueError:
-                pass
-
-
 class AllOf(Event):
     """Fires when *all* given events have fired; value is a list of values.
 
@@ -384,7 +370,7 @@ class AllOf(Event):
         self._events = list(events)
         self._remaining = 0
         # intern the bound callback once instead of materialising a new
-        # bound method per child append (and per prune removal)
+        # bound method per child append (and per removal on failure)
         cb = self._cb = self._on_child
         for ev in self._events:
             if ev.callbacks is None:
@@ -403,47 +389,20 @@ class AllOf(Event):
             return
         if not ev._ok:
             self.fail(ev._value)
-            self._prune(ev)
+            # detach from the still-pending children, so the failed join
+            # (and its values) is collectible instead of lingering in
+            # their callback lists until they eventually fire
+            cb = self._cb
+            for other in self._events:
+                if other is not ev and other.callbacks is not None:
+                    try:
+                        other.callbacks.remove(cb)
+                    except ValueError:
+                        pass
             return
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([e._value for e in self._events])
-
-    _prune = _prune_combinator
-
-
-class AnyOf(Event):
-    """Fires when the *first* of the given events fires; value is that value."""
-
-    __slots__ = ("_events", "_cb")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        if not self._events:
-            raise ValueError("AnyOf requires at least one event")
-        done = [ev for ev in self._events if ev.callbacks is None]
-        if done:
-            first = done[0]
-            if first._ok:
-                self.succeed(first._value)
-            else:
-                self.fail(first._value)
-            return
-        cb = self._cb = self._on_child
-        for ev in self._events:
-            ev.callbacks.append(cb)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._value is not PENDING:
-            return
-        if ev._ok:
-            self.succeed(ev._value)
-        else:
-            self.fail(ev._value)
-        self._prune(ev)
-
-    _prune = _prune_combinator
 
 
 class Environment:
@@ -511,9 +470,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling -------------------------------------------------------
     def _push(self, when: float, priority: int, item: Union[Event, MethodType]) -> None:
         """Insert one calendar entry — the single scheduling funnel.
@@ -534,12 +490,6 @@ class Environment:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._push(self._now, priority, event)
-
-    def _schedule_at(self, event: Event, when: float, priority: int = 1) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} scheduled twice")
-        event._scheduled = True
-        self._push(when, priority, event)
 
     # -- execution ----------------------------------------------------------
     def step(self) -> None:

@@ -1,32 +1,29 @@
 """Shared-resource primitives for the DES kernel.
 
 These model the contention points of an I/O system: a disk head, a
-network link, an NFS server thread pool.  All are FIFO (or priority
-FIFO) and deterministic.
+network link, an NFS server thread pool, a RAID member head.  Every one
+is FIFO and deterministic; waiters that arrive at the same sim-time are
+ordered by their ``order_key``.
 
 * :class:`Resource` — ``capacity`` slots; processes ``yield res.request()``
-  and must release (or use :meth:`Resource.using` inside a process).
-  A flat state machine passes ``waiter=`` instead: its grant is a
-  direct calendar entry that calls the waiter.
-* :class:`PriorityResource` — like Resource but requests carry a
-  priority (lower value served first).
-* :class:`Container` — a lumped continuous quantity (e.g. bytes of
-  cache space) with ``put``/``get``.
-* :class:`Store` — a FIFO queue of Python objects between processes.
+  and must release.  A flat state machine passes ``waiter=`` instead:
+  its grant is a direct calendar entry that calls the waiter.
+* :class:`FastHold` — the flat state machine that holds resources for
+  a service time in quanta.
+* :class:`Store` — an unbounded FIFO queue of Python objects between
+  processes.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from .core import PENDING, Environment, Event, SimulationError, Wake
 
 __all__ = [
     "Request",
     "Resource",
-    "PriorityResource",
-    "Container",
     "Store",
     "FastHold",
 ]
@@ -55,7 +52,7 @@ class Request(Event):
     scheduling order.
     """
 
-    __slots__ = ("resource", "priority", "_order", "_released", "t_arrival", "order_key", "_waiter")
+    __slots__ = ("resource", "_order", "_released", "t_arrival", "order_key", "_waiter")
 
 
 _new = object.__new__
@@ -104,10 +101,7 @@ class Resource:
         return len(self.users)
 
     def request(
-        self,
-        priority: int = 0,
-        order_key=None,
-        waiter: Optional[Callable[[None], None]] = None,
+        self, order_key=None, waiter: Optional[Callable[[None], None]] = None
     ) -> Request:
         """Claim a slot; the returned event fires when granted.
 
@@ -128,7 +122,6 @@ class Resource:
         req.callbacks = []
         req._ok = True
         req.resource = self
-        req.priority = priority
         self._order += 1
         req._order = self._order
         req._released = False
@@ -238,41 +231,11 @@ class Resource:
         # _enqueue keeps the queue in grant order
         return self.queue.pop(0)
 
-    def using(self, hold: float, priority: int = 0) -> Generator:
-        """Generator helper: acquire, hold for ``hold`` seconds, release.
-
-        Usage inside a process::
-
-            yield from resource.using(0.01)
-        """
-        req = self.request(priority)
-        yield req
-        try:
-            yield self.env.timeout(hold)
-        finally:
-            self.release(req)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<{type(self).__name__} {self.name!r} {len(self.users)}/{self.capacity}"
             f" queued={len(self.queue)}>"
         )
-
-
-class PriorityResource(Resource):
-    """Resource whose queue is ordered by (priority, arrival order).
-
-    Its :attr:`queue` is in grant order only within one priority, so
-    every grant takes the minimum over the whole queue.
-    """
-
-    def _pop_next(self) -> Request:
-        queue = self.queue
-        best = min(
-            range(len(queue)),
-            key=lambda i: (queue[i].priority, queue[i].t_arrival) + _tie_rank(queue[i]),
-        )
-        return queue.pop(best)
 
 
 class FastHold:
@@ -295,9 +258,8 @@ class FastHold:
     quantum at a time (each sleep a priority-1 direct entry) while any
     held resource has waiters, and at each boundary with waiters it
     releases every slot (reverse list order) and re-requests them (list
-    order), so equal-priority competitors interleave at quantum
-    granularity.  An uncontended
-    stretch is covered by a single :class:`Wake` at the time the
+    order), so competitors interleave at quantum granularity.  An
+    uncontended stretch is covered by a single :class:`Wake` at the time the
     per-quantum additions would reach (so timestamps equal the sliced
     ones), raced against arrival watchers; whichever fires first
     resumes the hold through one priority-1 direct entry, and an
@@ -321,7 +283,6 @@ class FastHold:
         "env",
         "resources",
         "reqs",
-        "priority",
         "quantum",
         "remaining",
         "result",
@@ -332,10 +293,9 @@ class FastHold:
         "order_key",
     )
 
-    def __init__(self, env: Environment, resources: list[Resource], priority: int, order_key=None):
+    def __init__(self, env: Environment, resources: list[Resource], order_key=None):
         self.env = env
         self.resources = resources
-        self.priority = priority
         self.order_key = order_key
         self.reqs: list[Request] = []
         self.result = Event(env)
@@ -364,7 +324,7 @@ class FastHold:
         if i == len(resources):
             self._granted()
             return
-        req = resources[i].request(self.priority, self.order_key, self._on_grant)  # simlint: ignore[resource-release]
+        req = resources[i].request(self.order_key, self._on_grant)  # simlint: ignore[resource-release]
         self.reqs.append(req)
 
     def _on_grant(self, _v: None) -> None:
@@ -481,7 +441,7 @@ class FastHold:
         if i == len(resources):
             self._hold_step()
             return
-        req = resources[i].request(self.priority, self.order_key, self._on_regrant)  # simlint: ignore[resource-release]
+        req = resources[i].request(self.order_key, self._on_regrant)  # simlint: ignore[resource-release]
         self.reqs[i] = req
 
     def _on_regrant(self, _v: None) -> None:
@@ -502,108 +462,35 @@ class FastHold:
         self._done()
 
 
-class Container:
-    """A continuous quantity with blocking ``get`` and capacity-bounded ``put``."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "",
-    ):
-        if not capacity > 0:  # also rejects NaN
-            raise ValueError(f"capacity of container {name!r} must be positive, got {capacity!r}")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self.name = name
-        self._level = init
-        self._getters: list[tuple[float, Event]] = []
-        self._putters: list[tuple[float, Event]] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; blocks (pending event) while it would overflow."""
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        ev = Event(self.env)
-        self._putters.append((amount, ev))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; blocks while the level is insufficient."""
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        ev = Event(self.env)
-        self._getters.append((amount, ev))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                amount, ev = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._level += amount
-                    self._putters.pop(0)
-                    ev.succeed(amount)
-                    progressed = True
-            if self._getters:
-                amount, ev = self._getters[0]
-                if amount <= self._level:
-                    self._level -= amount
-                    self._getters.pop(0)
-                    ev.succeed(amount)
-                    progressed = True
-
-
 class Store:
-    """A FIFO object queue with blocking ``get`` and optional capacity."""
+    """An unbounded FIFO object queue with blocking ``get``.
 
-    def __init__(self, env: Environment, capacity: float = float("inf"), name: str = ""):
+    ``put`` never blocks: its event fires at once, before that of any
+    getter the item serves.
+    """
+
+    def __init__(self, env: Environment, name: str = ""):
         self.env = env
-        self.capacity = capacity
         self.name = name
         self.items: list[Any] = []
         self._getters: list[Event] = []
-        self._putters: list[tuple[Any, Event]] = []
 
     def put(self, item: Any) -> Event:
         ev = Event(self.env)
-        self._putters.append((item, ev))
-        self._settle()
+        self.items.append(item)
+        ev.succeed(item)
+        self._serve()
         return ev
 
     def get(self) -> Event:
         ev = Event(self.env)
         self._getters.append(ev)
-        self._settle()
+        self._serve()
         return ev
 
-    def _settle(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            item, ev = self._putters.pop(0)
-            self.items.append(item)
-            ev.succeed(item)
+    def _serve(self) -> None:
         while self._getters and self.items:
-            ev = self._getters.pop(0)
-            ev.succeed(self.items.pop(0))
-        # putters may have been unblocked by the getters draining items
-        while self._putters and len(self.items) < self.capacity:
-            item, ev = self._putters.pop(0)
-            self.items.append(item)
-            ev.succeed(item)
-            while self._getters and self.items:
-                g = self._getters.pop(0)
-                g.succeed(self.items.pop(0))
+            self._getters.pop(0).succeed(self.items.pop(0))
 
     def __len__(self) -> int:
         return len(self.items)

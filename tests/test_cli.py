@@ -130,6 +130,23 @@ def test_evaluate_missing_spec_fails_cleanly():
 
 
 @pytest.mark.parametrize(
+    "entry",
+    [
+        '{"t_s": NaN, "kind": "nfs_stall", "duration_s": 1.0}',
+        '{"t_s": 0.1, "kind": "disk_fail", "disk": 1.5}',
+    ],
+)
+def test_evaluate_bad_fault_schedule_fails_before_simulating(entry, tmp_path, capsys):
+    f = tmp_path / "faults.json"
+    f.write_text('{"seed": 1, "entries": [%s]}' % entry)
+    with pytest.raises(SystemExit, match="cannot load fault schedule"):
+        main(["evaluate", "btio", "--class", "S", "--nprocs", "4", "--configs", "raid5",
+              "--block-step", "9", "--ior-gib", "1", "--faults", str(f)])
+    captured = capsys.readouterr()
+    assert "characterizing" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["characterize", "--configs", "jbod", "--jobs", "-1"],

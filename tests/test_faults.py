@@ -15,7 +15,7 @@ import pytest
 
 from repro.clusters import aohyper_config, build_system
 from repro.core import Methodology
-from repro.faults import FaultInjector, FaultSchedule, FaultSpec
+from repro.faults import FaultInjector, FaultSchedule, FaultScheduleError, FaultSpec
 from repro.simengine.core import Environment
 from repro.storage.base import KiB, MiB
 from repro.workloads.apps import BTIOApplication, MadBenchApplication
@@ -100,6 +100,31 @@ class TestSchedule:
             FaultSchedule.from_dict(
                 {"entries": [{"t_s": 0.1, "kind": "disk_fail", "blast_radius": 9}]}
             )
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            # NaN used to pass every `x < 0` check: a NaN t_s injected at t = 0
+            ({"t_s": float("nan"), "kind": "nfs_stall", "duration_s": 1.0}, "fault time"),
+            ({"t_s": 0.1, "kind": "nfs_stall", "duration_s": float("nan")}, "duration_s"),
+            ({"t_s": 0.1, "kind": "latency_spike", "duration_s": 1.0, "factor": float("nan")},
+             "factor"),
+            ({"t_s": 0.1, "kind": "disk_fail", "rebuild_rate_Bps": float("nan")},
+             "rebuild_rate_Bps"),
+            ({"t_s": 0.1, "kind": "disk_fail", "hot_spare_delay_s": float("nan")},
+             "hot_spare_delay_s"),
+            # a fractional member index used to crash the rebuild
+            ({"t_s": 0.1, "kind": "disk_fail", "disk": 1.5}, "disk index"),
+            ({"t_s": 0.1, "kind": "disk_fail", "disk": True}, "disk index"),
+            ({"t_s": 0.1, "kind": "disk_fail", "rebuild_bytes": 4096.5}, "rebuild_bytes"),
+            ({"t_s": 0.1, "kind": "disk_fail", "rebuild_bytes": True}, "rebuild_bytes"),
+            # rebuild I/O has no priority of its own
+            ({"t_s": 0.1, "kind": "disk_fail", "rebuild_priority": -7}, "rebuild_priority"),
+        ],
+    )
+    def test_from_dict_rejects_bad_entry(self, entry, match):
+        with pytest.raises(FaultScheduleError, match=match):
+            FaultSchedule.from_dict({"entries": [entry]})
 
 
 # ----------------------------------------------------------------------

@@ -272,8 +272,15 @@ def test_finished_operations_leave_no_cyclic_garbage():
             )
         )
         res = Resource(env, capacity=1)
+
+        def hold():
+            req = res.request()
+            yield req
+            yield env.timeout(0.01)
+            res.release(req)
+
         for _ in range(3):
-            env.process(res.using(0.01))
+            env.process(hold())
         env.run()
         assert res.count == 0 and not res.queue
         # a contended two-holder FastHold rotation: every quantum

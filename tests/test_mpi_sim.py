@@ -170,7 +170,7 @@ class TestPointToPoint:
         env = system.env
         net = system.cluster.comm_network
 
-        def broken(src, dst, nbytes, count=1, priority=0, order_key=None):
+        def broken(src, dst, nbytes, count=1, order_key=None):
             return env.event().fail(ConnectionError("link down"))
 
         monkeypatch.setattr(net, "transfer", broken)

@@ -18,7 +18,6 @@ from repro.storage.base import GiB, MiB
 def test_node_defaults():
     env = Environment()
     n = Node(env, "x")
-    assert n.cpu.capacity == n.spec.cores
     assert n.array is None
 
 
@@ -34,34 +33,6 @@ def test_compute_time_scales_with_flops():
     n = Node(env, "x", NodeSpec(core_gflops=2.0))
     assert n.compute_time(2e9) == pytest.approx(1.0)
     assert n.compute_time(4e9) == pytest.approx(2.0)
-
-
-def test_compute_occupies_a_core():
-    env = Environment()
-    n = Node(env, "x", NodeSpec(cores=1, core_gflops=1.0))
-
-    def prog():
-        yield from n.compute(1e9)
-        return env.now
-
-    assert env.run(env.process(prog())) == pytest.approx(1.0)
-
-
-def test_cores_limit_parallel_compute():
-    env = Environment()
-    n = Node(env, "x", NodeSpec(cores=2, core_gflops=1.0))
-    done = []
-
-    def prog(tag):
-        yield from n.compute(1e9)
-        done.append((tag, env.now))
-
-    for t in range(4):
-        env.process(prog(t))
-    env.run()
-    times = sorted(t for _tag, t in done)
-    assert times[:2] == [pytest.approx(1.0)] * 2
-    assert times[2:] == [pytest.approx(2.0)] * 2
 
 
 def test_memcpy_time():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simengine import AllOf, AnyOf, Environment, Event, FlatOp, SimulationError
+from repro.simengine import AllOf, Environment, Event, FlatOp, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -177,19 +177,6 @@ def test_all_of_empty_fires_immediately():
     assert env.now == 0.0
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-    value = env.run(env.any_of([env.timeout(5, "slow"), env.timeout(1, "fast")]))
-    assert value == "fast"
-    assert env.now == 1.0
-
-
-def test_any_of_empty_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        env.any_of([])
-
-
 def test_run_until_time_stops_clock():
     env = Environment()
     env.timeout(10)
@@ -259,25 +246,14 @@ def test_immediate_resume_on_processed_event():
 def test_nested_all_any_composition():
     env = Environment()
     inner = env.all_of([env.timeout(2, 1), env.timeout(1, 2)])
-    value = env.run(env.any_of([inner, env.timeout(10, "late")]))
-    assert value == [1, 2]
-    assert env.now == 2.0
+    value = env.run(env.all_of([inner, env.timeout(3, "late")]))
+    assert value == [[1, 2], "late"]
+    assert env.now == 3.0
 
 
 # ----------------------------------------------------------------------
-# combinator callback pruning and absolute-time wake-ups
+# join callback pruning and absolute-time wake-ups
 # ----------------------------------------------------------------------
-def test_anyof_prunes_losing_callbacks():
-    """A fired AnyOf detaches itself from the still-pending events."""
-    env = Environment()
-    fast = env.timeout(1)
-    slow = env.timeout(100)
-    any_ev = env.any_of([fast, slow])
-    assert any(cb == any_ev._on_child for cb in slow.callbacks)
-    env.run(any_ev)
-    assert all(cb != any_ev._on_child for cb in slow.callbacks)
-
-
 def test_allof_failfast_prunes_pending_callbacks():
     """AllOf that fails fast detaches from the events still pending."""
     env = Environment()
@@ -288,16 +264,6 @@ def test_allof_failfast_prunes_pending_callbacks():
     with pytest.raises(RuntimeError):
         env.run(all_ev)
     assert all(cb != all_ev._on_child for cb in slow.callbacks)
-
-
-def test_anyof_pending_events_still_usable_after_prune():
-    """Losing events fire normally for other waiters after the prune."""
-    env = Environment()
-    fast = env.timeout(1, "fast")
-    slow = env.timeout(2, "slow")
-    assert env.run(env.any_of([fast, slow])) == "fast"
-    assert env.run(slow) == "slow"
-    assert env.now == 2.0
 
 
 def test_wake_at_absolute_time():

@@ -1,19 +1,11 @@
-"""Unit tests for Resource / PriorityResource / Container / Store."""
+"""Unit tests for Resource / Store."""
 
 from types import MethodType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simengine import (
-    Container,
-    Environment,
-    FlatOp,
-    PriorityResource,
-    Resource,
-    SimulationError,
-    Store,
-)
+from repro.simengine import Environment, FlatOp, Resource, SimulationError, Store
 from repro.simengine.resources import _tie_rank
 
 
@@ -44,7 +36,10 @@ def test_resource_fifo_order():
     order = []
 
     def worker(tag, hold):
-        yield from res.using(hold)
+        req = res.request()
+        yield req
+        yield env.timeout(hold)
+        res.release(req)
         order.append(tag)
 
     for i, tag in enumerate("abc"):
@@ -184,9 +179,8 @@ def test_resource_capacity_validation():
 @pytest.mark.parametrize("capacity", [float("nan"), 1.5, 2.0, True, -1, "2", None])
 def test_resource_rejects_non_integer_capacity(capacity):
     # NaN used to queue every request forever and 1.5 acted as 2
-    for cls in (Resource, PriorityResource):
-        with pytest.raises(ValueError, match="'disk0.head'.*integer >= 1"):
-            cls(Environment(), capacity=capacity, name="disk0.head")
+    with pytest.raises(ValueError, match="'disk0.head'.*integer >= 1"):
+        Resource(Environment(), capacity=capacity, name="disk0.head")
 
 
 def test_resource_accepts_integral_capacity():
@@ -221,11 +215,6 @@ class _ScanResource(Resource):
         return queue.pop(0)
 
 
-class _AppendPriorityResource(PriorityResource):
-    def _enqueue(self, req):
-        self.queue.append(req)
-
-
 def _grant_log(cls, capacity, batches):
     """Play ``batches`` (one per sim-second) of requests and releases;
     return the grant order as request tags.  Even tags wait through a
@@ -241,11 +230,11 @@ def _grant_log(cls, capacity, batches):
                 if res.users:
                     res.release(res.users[op[1] % len(res.users)])
                 continue
-            _, key, prio = op
+            _, key = op
             if tag % 2 == 0:
-                res.request(prio, key, _Waiter(log, tag).granted)
+                res.request(key, _Waiter(log, tag).granted)
             else:
-                req = res.request(prio, key)
+                req = res.request(key)
                 req.callbacks.append(lambda _ev, tag=tag: log.append(tag))
             tag += 1
     while res.users:
@@ -257,7 +246,7 @@ def _grant_log(cls, capacity, batches):
 
 
 _op = st.one_of(
-    st.tuples(st.just("req"), st.one_of(st.none(), st.integers(0, 3)), st.integers(0, 2)),
+    st.tuples(st.just("req"), st.one_of(st.none(), st.integers(0, 3))),
     st.tuples(st.just("rel"), st.integers(0, 3)),
 )
 _batches = st.lists(st.lists(_op, max_size=8), min_size=1, max_size=4)
@@ -267,90 +256,6 @@ _batches = st.lists(st.lists(_op, max_size=8), min_size=1, max_size=4)
 @given(_batches, st.sampled_from([1, 2]))
 def test_cohort_insertion_grants_in_scan_order(batches, capacity):
     assert _grant_log(Resource, capacity, batches) == _grant_log(_ScanResource, capacity, batches)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_batches, st.sampled_from([1, 2]))
-def test_priority_resource_grants_independent_of_insertion(batches, capacity):
-    assert _grant_log(PriorityResource, capacity, batches) == _grant_log(
-        _AppendPriorityResource, capacity, batches
-    )
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def worker(tag, prio):
-        req = res.request(priority=prio)
-        yield req
-        yield env.timeout(1)
-        res.release(req)
-        order.append(tag)
-
-    def spawn():
-        # occupy the resource so later requests queue
-        req = res.request()
-        yield req
-        env.process(worker("low", 5))
-        env.process(worker("high", 0))
-        env.process(worker("mid", 3))
-        yield env.timeout(1)
-        res.release(req)
-
-    env.process(spawn())
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_container_put_get():
-    env = Environment()
-    c = Container(env, capacity=100, init=10)
-    env.run(c.put(40))
-    assert c.level == 50
-    env.run(c.get(30))
-    assert c.level == 20
-
-
-def test_container_get_blocks_until_available():
-    env = Environment()
-    c = Container(env, capacity=100, init=0)
-    got = c.get(25)
-    assert not got.triggered
-
-    def producer():
-        yield env.timeout(1)
-        yield c.put(25)
-
-    env.process(producer())
-    env.run()
-    assert got.triggered
-    assert c.level == 0
-
-
-def test_container_put_blocks_when_full():
-    env = Environment()
-    c = Container(env, capacity=10, init=10)
-    put = c.put(5)
-    assert not put.triggered
-    env.run(c.get(8))
-    assert put.triggered
-    assert c.level == 7
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    # NaN capacity used to fail on the init bounds instead
-    with pytest.raises(ValueError, match="capacity of container 'pool' must be positive"):
-        Container(env, capacity=float("nan"), name="pool")
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    c = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        c.put(-1)
 
 
 def test_store_fifo():
@@ -377,12 +282,11 @@ def test_store_get_blocks_until_put():
     assert got.value == "late"
 
 
-def test_store_capacity_blocks_put():
+def test_store_put_fires_before_the_getter_it_serves():
     env = Environment()
-    s = Store(env, capacity=1)
-    env.run(s.put(1))
-    p2 = s.put(2)
-    assert not p2.triggered
-    assert env.run(s.get()) == 1
-    assert p2.triggered
-    assert len(s) == 1
+    s = Store(env)
+    got = s.get()
+    seen = _record_pushes(env)
+    put = s.put("x")
+    assert [ev for _w, _p, ev in seen] == [put, got]
+    assert put.value == got.value == "x" and len(s) == 0

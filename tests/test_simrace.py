@@ -167,9 +167,9 @@ def test_sleep_continuation_is_reachable():
 
 
 def test_request_waiter_is_reachable():
-    # a grant calls the waiter of request(): by keyword or as the third
+    # a grant calls the waiter of request(): by keyword or as the second
     # positional argument, it is a root like a _push callable
-    for call in ("res.request(waiter=self._granted)", "res.request(0, None, self._granted)"):
+    for call in ("res.request(waiter=self._granted)", "res.request(None, self._granted)"):
         fs = findings(
             f"""
             class Op:
@@ -384,7 +384,14 @@ def test_pop_recorder_names_generator_grant_as_request():
     with capture(rec):
         env = Environment()
         res = Resource(env, capacity=1)
-        env.process(res.using(0.5))
+
+        def hold():
+            req = res.request()
+            yield req
+            yield env.timeout(0.5)
+            res.release(req)
+
+        env.process(hold())
         env.run()
     assert [name for _env, _when, _prio, name in rec.pops] == [
         "Initialize",
@@ -457,7 +464,7 @@ class _KeyedHold(FastHold):
         self._q = quantum
         self.label = label
         self.log = log
-        super().__init__(env, resources, 0, order_key)
+        super().__init__(env, resources, order_key)
 
     def _start(self, event):
         self._acquire()
