@@ -5,7 +5,7 @@ deterministic, dimensionally consistent and leak-free.  This package
 holds the two guards:
 
 * :mod:`repro.analysis.simlint` — AST-based static rules
-  (``repro lint`` / ``scripts/simlint.py``);
+  (``repro lint``);
 * :mod:`repro.analysis.sanitizer` — runtime invariant checks
   (``REPRO_SANITIZE=1`` / ``repro evaluate --sanitize``);
 * :mod:`repro.analysis.simrace` — schedule-race detector: static

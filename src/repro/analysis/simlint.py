@@ -26,11 +26,6 @@ checks the failure classes this codebase has actually met:
     guarantee.  Wrap in ``sorted(...)`` or use an insertion-ordered
     ``dict`` as an ordered set.
 
-``resource-release``
-    a function acquires a slot via ``.request()`` but the matching
-    ``.release()`` is missing or not inside a ``try/finally`` — the
-    leak class PR 2 patched ad hoc with teardown guards.
-
 ``unit-mix``
     adding/subtracting/comparing two unit-suffixed names of the same
     dimension but different units (``*_bytes`` vs ``*_mib``, ``*_s``
@@ -59,7 +54,7 @@ checks the failure classes this codebase has actually met:
     Pure data generators (yielding tuples or names, e.g.
     ``PageCache.coalesce``) are not flagged.
 
-The first four rules apply only inside the simulation packages
+The first three rules apply only inside the simulation packages
 (:data:`SIM_PACKAGES`, which includes the workload-grammar and
 trace-ingestion layers — their outputs feed the DES and its caches);
 ``generator-serve`` only inside the storage and hardware layers;
@@ -93,7 +88,6 @@ RULES: tuple[str, ...] = (
     "wall-clock",
     "unseeded-random",
     "set-iteration",
-    "resource-release",
     "unit-mix",
     "fault-rng",
     "generator-serve",
@@ -554,53 +548,6 @@ class _Linter(ast.NodeVisitor):
     def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
         self._visit_comp(node, node.generators)
 
-    # -- resource-release --------------------------------------------------
-    def _check_releases(self, fn: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> None:
-        if not self.sim_scope:
-            return
-        requests: list[ast.Call] = []
-        releases: list[ast.Call] = []
-        finally_bodies: list[list[ast.stmt]] = []
-        for node in _walk_same_scope(fn):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr == "request":
-                    requests.append(node)
-                elif node.func.attr == "release":
-                    releases.append(node)
-            elif isinstance(node, ast.Try) and node.finalbody:
-                finally_bodies.append(node.finalbody)
-        if not requests:
-            return
-        for body in finally_bodies:
-            stack: list[ast.AST] = list(body)
-            while stack:
-                node = stack.pop()
-                if isinstance(node, _SCOPE_NODES):
-                    continue
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "release"
-                ):
-                    return  # release guaranteed on all paths
-                stack.extend(ast.iter_child_nodes(node))
-        first = min(requests, key=lambda n: (n.lineno, n.col_offset))
-        if releases:
-            self.flag(
-                first,
-                "resource-release",
-                f"{fn.name}() acquires a slot via .request() but releases it "
-                "outside try/finally — the release is not guaranteed on all "
-                "paths (exceptions / teardown leak the slot)",
-            )
-        else:
-            self.flag(
-                first,
-                "resource-release",
-                f"{fn.name}() acquires a slot via .request() and never "
-                "releases it",
-            )
-
     # -- generator-serve ---------------------------------------------------
     def _check_generator_serve(
         self, fn: Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -627,12 +574,10 @@ class _Linter(ast.NodeVisitor):
                 return
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_releases(node)
         self._check_generator_serve(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_releases(node)
         self._check_generator_serve(node)
         self.generic_visit(node)
 
@@ -733,7 +678,7 @@ def lint_paths(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point: ``repro lint`` / ``scripts/simlint.py``.
+    """CLI entry point of ``repro lint``.
 
     The schedule-race rules (:data:`repro.analysis.simrace.RACE_RULES`)
     run alongside the simlint ones: one invocation, one merged finding
@@ -766,12 +711,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.rules is not None:
         lint_rules = [r for r in args.rules if r in RULES]
         race_rules = [r for r in args.rules if r in RACE_RULES]
-    findings = []
+    found: set[Finding] = set()
     if args.rules is None or lint_rules:
-        findings.extend(lint_paths(args.paths, rules=lint_rules))
+        found.update(lint_paths(args.paths, rules=lint_rules))
     if args.rules is None or race_rules:
-        findings.extend(lint_race_paths(args.paths, rules=race_rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        # a syntax error is found by both passes: the set keeps one
+        found.update(lint_race_paths(args.paths, rules=race_rules))
+    findings = sorted(found, key=lambda f: (f.path, f.line, f.col, f.rule))
     if args.fmt == "json":
         print(json.dumps([f.as_dict() for f in findings], indent=2))
     else:

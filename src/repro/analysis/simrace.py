@@ -36,8 +36,8 @@ continuations of the flat state machines' waits:
     behaviour a function of push order by construction.
 
 Suppressions use the shared pragma syntax (``# simlint:
-ignore[rule]`` / ``# simlint: skip-file``); ``repro lint`` and
-``scripts/simlint.py`` pick these rules up alongside the simlint ones.
+ignore[rule]`` / ``# simlint: skip-file``); ``repro lint`` picks these
+rules up alongside the simlint ones.
 
 **Runtime perturbation** (:mod:`repro.simengine.schedule`) records tie
 groups during a run, then re-executes under reversed and seeded-random
@@ -104,13 +104,13 @@ _SEQ_NAMES = frozenset({"_seq", "seq", "_order"})
 #: the calendar: ``env._push(when, priority, fn)``, the continuation
 #: ``k`` of the flat state machines' ``_await(ev, k)`` /
 #: ``_sleep(delay, k)`` / ``_wake(at, k)``, and the ``waiter`` of
-#: ``res.request(order_key, waiter)``, which the grant calls
+#: ``res.request(waiter, order_key)``, which the grant calls
 _CONTINUATION_ARGS: dict[str, tuple[int, Optional[str]]] = {
     "_push": (2, None),
     "_await": (1, None),
     "_sleep": (1, None),
     "_wake": (1, None),
-    "request": (1, "waiter"),
+    "request": (0, "waiter"),
 }
 
 _FnNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
@@ -126,7 +126,7 @@ def _callback_roots(tree: ast.AST) -> tuple[set[str], list[ast.Lambda]]:
     Roots are the arguments of ``<expr>.callbacks.append(...)`` calls,
     the callable of ``<expr>._push(when, priority, fn)``, the
     continuation of ``<expr>._await``/``_sleep``/``_wake`` and the
-    ``waiter`` of ``<expr>.request(...)`` (second positional argument or
+    ``waiter`` of ``<expr>.request(...)`` (first positional argument or
     keyword): plain names, bound methods (matched by attribute name),
     lambdas, and — for factory calls like ``append(make_cb(x))`` — the
     factory name (its nested defs become reachable through the closure

@@ -17,7 +17,7 @@ Subcommands mirror the methodology's phases:
   (the JSON/YAML grammar; see :mod:`repro.workloads.grammar`), or
   ``workload fuzz`` seeded random-walk specs over it.
 * ``lint`` — run the simlint static checks (determinism, units,
-  resource-release safety, schedule-race rules; see
+  serve-path shape, schedule-race rules; see
   :mod:`repro.analysis.simlint` and :mod:`repro.analysis.simrace`).
 * ``race`` — the differential schedule-race matrix: sanitizer x
   seeded tie-break perturbations over one workload,
@@ -260,6 +260,10 @@ def cmd_lint(args) -> int:
     """Run the simlint static checks (see repro.analysis.simlint)."""
     from .analysis.simlint import main as simlint_main
 
+    for path in args.paths:
+        if not Path(path).exists():
+            print(f"repro: error: {path}: no such file or directory", file=sys.stderr)
+            return 2
     argv = list(args.paths)
     if args.format != "text":
         argv += ["--format", args.format]
@@ -892,6 +896,27 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _float_at_least(low: float, strict: bool = False):
+    """argparse type: a number >= ``low`` (> ``low`` if ``strict``);
+    NaN is always refused."""
+    op = ">" if strict else ">="
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (value > low if strict else value >= low):  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be {op} {low:g}, got {text}")
+        return value
+
+    return parse
+
+
+_positive_float = _float_at_least(0.0, strict=True)
+_non_negative_float = _float_at_least(0.0)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with the CLI's one-line error format: ``repro: error: ...``
     and exit 2, without the usage dump."""
@@ -1058,11 +1083,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--jobs", type=_positive_int, default=None,
                     help="sweep worker processes (default: 1, or the "
                          "manifest's value on resume)")
-    sw.add_argument("--timeout", type=float, default=None, metavar="S",
+    sw.add_argument("--timeout", type=_positive_float, default=None, metavar="S",
                     help="per-task wall-clock budget in seconds (default 300)")
-    sw.add_argument("--retries", type=int, default=None, metavar="N",
+    sw.add_argument("--retries", type=_positive_int, default=None, metavar="N",
                     help="attempts per task before quarantine (default 3)")
-    sw.add_argument("--backoff", type=float, default=None, metavar="S",
+    sw.add_argument("--backoff", type=_non_negative_float, default=None, metavar="S",
                     help="base retry backoff in seconds (default 0.5)")
     sw.add_argument("--seed", type=int, default=None,
                     help="backoff-jitter seed (default 0; results never "
@@ -1110,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
     wf.set_defaults(func=cmd_workload)
 
     ln = sub.add_parser("lint", help="simlint static checks (determinism, "
-                                     "units, resource-release safety, "
+                                     "units, serve-path shape, "
                                      "schedule races)")
     ln.add_argument("paths", nargs="*", default=["src"],
                     help="files or directories to lint (default: src)")
@@ -1133,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "characterization sweep")
     rc.add_argument("--seeds", nargs="+", type=int, default=[0],
                     help="seeds for the shuffled tie-break plans (default: 0)")
-    rc.add_argument("--tol", type=float, default=0.02,
+    rc.add_argument("--tol", type=_non_negative_float, default=0.02,
                     help="timing-sensitivity tolerance (default: 0.02)")
     rc.add_argument("--out", default=None, metavar="FILE",
                     help="write the repro.race-report/1 JSON to FILE")

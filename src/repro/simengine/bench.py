@@ -80,26 +80,36 @@ def _timeout_chain(n: int) -> Environment:
     Timeout(env, 0.001).callbacks.append(rearm)
     return env
 
-def _request_release(cycles: int, waiters: int) -> Environment:
-    env = Environment()
-    res = Resource(env, capacity=1)
-    state = {"left": cycles}
+class _Cycler:
+    """One waiter of ``request_release``: each grant queues its next
+    request and releases the granted one."""
 
-    def granted(req: Event) -> None:
+    __slots__ = ("res", "state", "req")
+
+    def __init__(self, res, state):
+        self.res = res
+        self.state = state
+        self.req = res.request(self.granted)
+
+    def granted(self, _v: None) -> None:
+        state = self.state
         if state["left"] > 0:
             # benchmark driver: all waiters are interchangeable, so the
             # grant order cannot change what is measured
             state["left"] -= 1  # simlint: ignore[tie-order-rmw]
-            # callback-driven churn: every granted request is released on
-            # the next grant of the chain, ending with the cycle budget
-            nxt = res.request()  # simlint: ignore[resource-release]
-            if nxt.callbacks is not None:
-                nxt.callbacks.append(granted)
-            res.release(req)
+            # churn: queue this holder's next request, then hand the
+            # slot to the head of the queue, until the budget runs out
+            held = self.req
+            self.req = self.res.request(self.granted)
+            self.res.release(held)
 
+
+def _request_release(cycles: int, waiters: int) -> Environment:
+    env = Environment()
+    res = Resource(env, capacity=1)
+    state = {"left": cycles}
     for _ in range(waiters):
-        req = res.request()  # simlint: ignore[resource-release]
-        req.callbacks.append(granted)
+        _Cycler(res, state)
     return env
 
 

@@ -97,7 +97,7 @@ class Event:
         return self._value
 
     # -- triggering ----------------------------------------------------
-    def succeed(self, value: Any = None, priority: int = 1) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
@@ -108,10 +108,10 @@ class Event:
             raise SimulationError(f"{self!r} scheduled twice")
         self._scheduled = True
         env = self.env
-        env._push(env._now, priority, self)
+        env._push(env._now, 1, self)
         return self
 
-    def fail(self, exception: BaseException, priority: int = 1) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
         Every process waiting on the event will see ``exception`` raised
@@ -123,7 +123,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, priority)
+        self.env._schedule(self)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -197,7 +197,7 @@ class Process(Event):
     the simulation if nobody is waiting).
     """
 
-    __slots__ = ("generator", "_target", "name")
+    __slots__ = ("generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -211,7 +211,6 @@ class Process(Event):
         self._scheduled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         Initialize(env, self)
 
     @property
@@ -220,8 +219,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
-        env = self.env
-        env._active_process = self
         send = self.generator.send
         while True:
             try:
@@ -230,11 +227,9 @@ class Process(Event):
                 else:
                     target = self.generator.throw(event._value)
             except StopIteration as exc:
-                env._active_process = None
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
-                env._active_process = None
                 if not self._failure_handled(exc):
                     raise
                 return
@@ -242,7 +237,6 @@ class Process(Event):
             try:
                 callbacks = target.callbacks
             except AttributeError:
-                env._active_process = None
                 exc = SimulationError(
                     f"process {self.name!r} yielded non-event {target!r}"
                 )
@@ -251,8 +245,6 @@ class Process(Event):
             if callbacks is not None:
                 # Target still pending or scheduled: wait for it.
                 callbacks.append(self._resume)
-                self._target = target
-                env._active_process = None
                 return
             # Target already processed: resume immediately with its value.
             event = target
@@ -261,7 +253,7 @@ class Process(Event):
         """Fail this process event; return True if somebody is waiting."""
         self._ok = False
         self._value = exc
-        self.env._schedule(self, priority=1)
+        self.env._schedule(self)
         return bool(self.callbacks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -435,7 +427,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Union[Event, MethodType]]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         if Environment._init_hooks:
             for hook in Environment._init_hooks:
                 hook(self)
@@ -445,10 +436,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event construction ----------------------------------------------
     def event(self) -> Event:
@@ -485,11 +472,11 @@ class Environment:
         self._seq += 1
         heappush(self._queue, (when, priority, self._seq, item))
 
-    def _schedule(self, event: Event, priority: int = 1) -> None:
+    def _schedule(self, event: Event) -> None:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
-        self._push(self._now, priority, event)
+        self._push(self._now, 1, event)
 
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
@@ -573,7 +560,3 @@ class Environment:
         if stop_time is not None:
             self._now = stop_time
         return None
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")

@@ -5,9 +5,10 @@ network link, an NFS server thread pool, a RAID member head.  Every one
 is FIFO and deterministic; waiters that arrive at the same sim-time are
 ordered by their ``order_key``.
 
-* :class:`Resource` — ``capacity`` slots; processes ``yield res.request()``
-  and must release.  A flat state machine passes ``waiter=`` instead:
-  its grant is a direct calendar entry that calls the waiter.
+* :class:`Resource` — ``capacity`` slots, claimed by flat state
+  machines: each request passes a ``waiter``, and its grant is a
+  direct calendar entry that calls the waiter.  The holder must
+  release.
 * :class:`FastHold` — the flat state machine that holds resources for
   a service time in quanta.
 * :class:`Store` — an unbounded FIFO queue of Python objects between
@@ -17,9 +18,9 @@ ordered by their ``order_key``.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from .core import PENDING, Environment, Event, SimulationError, Wake
+from .core import Environment, Event, SimulationError, Wake
 
 __all__ = [
     "Request",
@@ -28,19 +29,13 @@ __all__ = [
     "FastHold",
 ]
 
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
+class Request:
+    """A claim on a :class:`Resource` slot, queued or held.
 
-    Fires when the slot is granted; its value is the request itself
-    while the slot is held, and ``None`` once released.  Must be
-    released exactly once via :meth:`Resource.release`.
-
-    A request made with a ``waiter`` (see :meth:`Resource.request`)
-    never fires as an event: the grant pushes the waiter itself as a
-    direct calendar entry, with the key this event would have taken,
-    and drops the reference to it.  Callbacks appended to such a
-    request never run; the holder learns of the grant only through the
-    waiter.
+    A plain record, not an event: the holder learns of the grant only
+    through the ``waiter`` it passed to :meth:`Resource.request`, which
+    the grant pushes as a direct calendar entry and then drops.  Must
+    be released exactly once via :meth:`Resource.release`.
 
     Requests are made only by :meth:`Resource.request`, which fills
     every slot.  ``order_key`` is a semantic tie-break among waiters
@@ -101,43 +96,32 @@ class Resource:
         return len(self.users)
 
     def request(
-        self, order_key=None, waiter: Optional[Callable[[None], None]] = None
+        self, waiter: Callable[[None], None], order_key=None
     ) -> Request:
-        """Claim a slot; the returned event fires when granted.
+        """Claim a slot for ``waiter``, a flat state machine's
+        continuation: a bound method (the kernel's direct-entry type).
+
+        The grant calls ``waiter(None)`` from a priority-1 direct
+        calendar entry at the grant time: at once if a slot is free and
+        nobody queues, else at the release that frees one.  Release the
+        returned request as usual.
 
         ``order_key`` (optional, orderable) breaks ties among waiters
         that arrive at the same sim-time; see :class:`Request`.
-
-        ``waiter`` (optional) is a flat state machine's continuation, a
-        bound method (the kernel's direct-entry type).  The grant then
-        calls ``waiter(None)`` from a priority-1 direct calendar entry
-        at the grant time, the key the request event itself would take,
-        and the returned request never fires as an event.  Release it
-        as usual.
         """
-        # Event.__init__ and the grant inlined: one request per grant on
-        # every hold, and a granted request is born in its final state
         req = _new(Request)
-        env = req.env = self.env
-        req.callbacks = []
-        req._ok = True
         req.resource = self
         self._order += 1
         req._order = self._order
         req._released = False
+        env = self.env
         now = req.t_arrival = env._now
         req.order_key = order_key
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(req)
-            # the grant, i.e. req.succeed(req): the entry still goes
-            # through the env._push funnel
-            req._value = req
-            req._scheduled = True
             req._waiter = None
-            env._push(now, 1, req if waiter is None else waiter)
+            env._push(now, 1, waiter)
         else:
-            req._value = PENDING
-            req._scheduled = False
             # taken off again by the grant (see _grant_next)
             req._waiter = waiter
             self._enqueue(req)
@@ -204,9 +188,6 @@ class Resource:
                 san.resource_misuse(msg)
             raise SimulationError(msg) from None
         req._released = True
-        # drop the grant's self-reference, so a finished request is
-        # freed by refcount instead of waiting for the cyclic collector
-        req._value = None
         if self.queue:
             self._grant_next()
 
@@ -215,21 +196,14 @@ class Resource:
         queue = self.queue
         users = self.users
         while queue and len(users) < self.capacity:
-            nxt = self._pop_next()
+            # _enqueue keeps the queue in grant order
+            nxt = queue.pop(0)
             users.append(nxt)
-            # nxt.succeed(nxt), inlined as in request(): a queued
-            # request is still pending until this grant
-            nxt._value = nxt
-            nxt._scheduled = True
             waiter = nxt._waiter
             # a kept waiter would close the cycle request -> bound
             # method -> holder -> request
             nxt._waiter = None
-            env._push(env._now, 1, nxt if waiter is None else waiter)
-
-    def _pop_next(self) -> Request:
-        # _enqueue keeps the queue in grant order
-        return self.queue.pop(0)
+            env._push(env._now, 1, waiter)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -324,7 +298,7 @@ class FastHold:
         if i == len(resources):
             self._granted()
             return
-        req = resources[i].request(self.order_key, self._on_grant)  # simlint: ignore[resource-release]
+        req = resources[i].request(self._on_grant, self.order_key)
         self.reqs.append(req)
 
     def _on_grant(self, _v: None) -> None:
@@ -441,7 +415,7 @@ class FastHold:
         if i == len(resources):
             self._hold_step()
             return
-        req = resources[i].request(self.order_key, self._on_regrant)  # simlint: ignore[resource-release]
+        req = resources[i].request(self._on_regrant, self.order_key)
         self.reqs[i] = req
 
     def _on_regrant(self, _v: None) -> None:

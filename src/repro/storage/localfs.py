@@ -638,7 +638,7 @@ class _LocalSerializedWrite(FlatOp):
 
     def _start(self, _v):
         lock = self._lock = self.fs._ilock(self.inode)
-        self._grant = lock.request(waiter=self._locked)  # simlint: ignore[resource-release]
+        self._grant = lock.request(self._locked)
 
     def _locked(self, _v):
         self._sleep(self.req.count * self.per_op_s, self._after_cpu)

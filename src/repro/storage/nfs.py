@@ -296,7 +296,7 @@ class _ServerService(FlatOp):
         super().__init__(srv.env)
 
     def _start(self, _v):
-        self._req = self.srv.threads.request(waiter=self._thread)  # simlint: ignore[resource-release]
+        self._req = self.srv.threads.request(self._thread)
 
     def _thread(self, _v):
         env = self.env

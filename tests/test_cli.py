@@ -151,6 +151,14 @@ def test_evaluate_bad_fault_schedule_fails_before_simulating(entry, tmp_path, ca
     [
         ["characterize", "--configs", "jbod", "--jobs", "-1"],
         ["sweep", "run", "--workloads", "btio:S:4", "--jobs", "0"],
+        ["sweep", "run", "--workloads", "btio:S:4", "--timeout", "-1"],
+        ["sweep", "run", "--workloads", "btio:S:4", "--timeout", "0"],
+        ["sweep", "run", "--workloads", "btio:S:4", "--timeout", "nan"],
+        ["sweep", "run", "--workloads", "btio:S:4", "--retries", "0"],
+        ["sweep", "run", "--workloads", "btio:S:4", "--backoff", "nan"],
+        ["sweep", "run", "--workloads", "btio:S:4", "--backoff", "-0.5"],
+        ["race", "btio", "--tol", "-1"],
+        ["race", "btio", "--tol", "nan"],
     ],
 )
 def test_bad_jobs_exit_2_with_one_error_line(argv, capsys):
@@ -159,7 +167,13 @@ def test_bad_jobs_exit_2_with_one_error_line(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("repro: error: ")
-    assert "--jobs" in err[0]
+    assert argv[-2] in err[0]
+
+
+def test_lint_missing_path_exits_2_with_one_error_line(capsys):
+    assert main(["lint", "nosuchdir"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["repro: error: nosuchdir: no such file or directory"]
 
 
 @pytest.mark.parametrize(

@@ -273,14 +273,21 @@ def test_finished_operations_leave_no_cyclic_garbage():
         )
         res = Resource(env, capacity=1)
 
-        def hold():
-            req = res.request()
-            yield req
-            yield env.timeout(0.01)
-            res.release(req)
+        class Hold(FlatOp):
+            def _start(self, _v):
+                self.req = res.request(self._granted)
 
+            def _granted(self, _v):
+                self._sleep(0.01, self._done)
+
+            def _done(self, _v):
+                res.release(self.req)
+                self._finish()
+
+        # three flat holders: two queue, each holding its waiter until
+        # its grant
         for _ in range(3):
-            env.process(hold())
+            Hold(env)
         env.run()
         assert res.count == 0 and not res.queue
         # a contended two-holder FastHold rotation: every quantum

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.sanitizer import SanitizerError, SimSanitizer, sanitize_enabled
 from repro.simengine.core import Environment, Event, SimulationError
+from repro.simengine.resources import FastHold
 
 from conftest import run_proc
 
@@ -20,6 +21,16 @@ def sanitized(system):
 
 def checks_of(san):
     return [v.check for v in san.violations]
+
+
+class _Holder:
+    def granted(self, _v):
+        pass
+
+
+def claim(res):
+    """A raw slot request whose waiter does nothing."""
+    return res.request(_Holder().granted)
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +120,15 @@ def test_same_time_insert_during_callback_is_legitimate(sanitized):
     system, san = sanitized
     env = system.env
 
+    def child():
+        yield env.timeout(0.25)
+
     def proc():
         yield env.timeout(1.0)
-        # waking this event inserts key (1.0, 0, seq) — sorting before
-        # the (1.0, 1, ...) timeout that is resuming us right now
-        env.event().succeed(priority=0)
+        # starting a process inserts its Initialize at key (1.0, 0, seq)
+        # — sorting before the (1.0, 1, ...) timeout that is resuming us
+        # right now
+        env.process(child())
         yield env.timeout(0.5)
 
     run_proc(env, proc())
@@ -128,7 +143,7 @@ def test_same_time_insert_during_callback_is_legitimate(sanitized):
 def test_double_release_raises_and_records(sanitized):
     system, san = sanitized
     head = system.server_node.array.disks[0].head
-    req = head.request()
+    req = claim(head)
     head.release(req)
     with pytest.raises(SanitizerError, match="double release"):
         head.release(req)
@@ -138,8 +153,8 @@ def test_double_release_raises_and_records(sanitized):
 def test_release_of_queued_never_granted_raises(sanitized):
     system, san = sanitized
     head = system.server_node.array.disks[0].head
-    held = [head.request() for _ in range(head.capacity)]
-    queued = head.request()
+    held = [claim(head) for _ in range(head.capacity)]
+    queued = claim(head)
     assert queued in head.queue
     with pytest.raises(SanitizerError, match="never granted"):
         head.release(queued)
@@ -150,7 +165,7 @@ def test_release_of_queued_never_granted_raises(sanitized):
 
 def test_misuse_without_sanitizer_still_raises_plain_error(system):
     head = system.server_node.array.disks[0].head
-    req = head.request()
+    req = claim(head)
     head.release(req)
     with pytest.raises(SimulationError):
         head.release(req)
@@ -160,15 +175,32 @@ def test_misuse_without_sanitizer_still_raises_plain_error(system):
 # leaks
 
 
+class _LeakyHold(FastHold):
+    """A flat holder that finishes its hold without releasing."""
+
+    def _start(self, _v):
+        self._acquire()
+
+    def _granted(self):
+        self._begin_hold(0.01, 0.01)
+
+    def _release_and_done(self):
+        self._done()  # the planted leak: no release
+
+    def _done(self):
+        self.result.succeed(None)
+
+
 def test_leaked_slot_detected_at_finish(sanitized):
     system, san = sanitized
     head = system.server_node.array.disks[0].head
-    req = head.request()
-    system.env.run()  # drain init + grant events: the calendar is empty
+    hold = _LeakyHold(system.env, [head])
+    system.env.run()  # drain the hold: the calendar is empty
+    assert hold.result.processed
     report = san.finish()
     assert "leak" in checks_of(san)
     assert any("still held" in v["message"] for v in report["violations"])
-    head.release(req)
+    head.release(hold.reqs[0])
 
 
 def test_leak_check_skipped_while_calendar_busy(sanitized):
@@ -176,7 +208,7 @@ def test_leak_check_skipped_while_calendar_busy(sanitized):
     system, san = sanitized
     env = system.env
     head = system.server_node.array.disks[0].head
-    req = head.request()
+    req = claim(head)
     env.timeout(1.0)  # pending event: the calendar is not drained
     san.check_leaks()
     assert san.clean

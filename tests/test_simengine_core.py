@@ -222,14 +222,6 @@ def test_run_until_event_exhaustion_raises():
         env.run(until=never)
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7)
-    assert env.peek() == 7
-    env2 = Environment()
-    assert env2.peek() == float("inf")
-
-
 def test_immediate_resume_on_processed_event():
     """Yielding an already-processed event resumes without deadlock."""
     env = Environment()

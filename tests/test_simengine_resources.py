@@ -6,44 +6,78 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simengine import Environment, FlatOp, Resource, SimulationError, Store
-from repro.simengine.resources import _tie_rank
+from repro.simengine.core import Event
+from repro.simengine.resources import Request, _tie_rank
+
+
+class _Waiter:
+    def __init__(self, log, tag):
+        self.log = log
+        self.tag = tag
+
+    def granted(self, _v):
+        self.log.append(self.tag)
+
+
+def _request(res, log, tag):
+    return res.request(_Waiter(log, tag).granted)
 
 
 def test_resource_grants_up_to_capacity():
     env = Environment()
     res = Resource(env, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
+    log = []
+    r1, r2, r3 = (_request(res, log, tag) for tag in (1, 2, 3))
     env.run(until=0)
-    assert r1.triggered and r2.triggered and not r3.triggered
+    assert log == [1, 2] and res.users == [r1, r2] and res.queue == [r3]
     assert res.count == 2
-    assert len(res.queue) == 1
 
 
 def test_resource_release_wakes_waiter():
     env = Environment()
     res = Resource(env, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    assert r1.triggered and not r2.triggered
+    log = []
+    r1 = _request(res, log, 1)
+    r2 = _request(res, log, 2)
+    assert res.users == [r1] and res.queue == [r2]
     res.release(r1)
     env.run()
-    assert r2.triggered
+    assert log == [1, 2] and res.users == [r2]
+
+
+def test_request_is_a_record_and_needs_a_waiter():
+    res = Resource(Environment(), capacity=1)
+    with pytest.raises(TypeError):
+        res.request()
+    req = _request(res, [], "a")
+    assert type(req) is Request and not isinstance(req, Event)
+
+
+class _Worker:
+    """Hold the resource for ``hold`` seconds, then log the tag."""
+
+    def __init__(self, env, res, tag, hold, order):
+        self.env = env
+        self.res = res
+        self.tag = tag
+        self.hold = hold
+        self.order = order
+        self.req = res.request(self._granted)
+
+    def _granted(self, _v):
+        self.env._push(self.env.now + self.hold, 1, self._done)
+
+    def _done(self, _v):
+        self.res.release(self.req)
+        self.order.append(self.tag)
 
 
 def test_resource_fifo_order():
     env = Environment()
     res = Resource(env, capacity=1)
     order = []
-
-    def worker(tag, hold):
-        req = res.request()
-        yield req
-        yield env.timeout(hold)
-        res.release(req)
-        order.append(tag)
-
-    for i, tag in enumerate("abc"):
-        env.process(worker(tag, 1.0))
+    for tag in "abc":
+        _Worker(env, res, tag, 1.0, order)
     env.run()
     assert order == ["a", "b", "c"]
     assert env.now == 3.0
@@ -52,7 +86,7 @@ def test_resource_fifo_order():
 def test_resource_release_unheld_raises():
     env = Environment()
     res = Resource(env, capacity=1)
-    req = res.request()
+    req = _request(res, [], "a")
     res.release(req)
     with pytest.raises(SimulationError):
         res.release(req)
@@ -76,72 +110,51 @@ def test_uncontended_grant_is_one_push():
     env = Environment()
     res = Resource(env, capacity=1)
     seen = _record_pushes(env)
-    req = res.request()
-    assert seen == [(0.0, 1, req)]
-    assert req.triggered and req.value is req and res.users == [req]
+    log = []
+    w = _Waiter(log, "a")
+    req = res.request(w.granted)
+    assert seen == [(0.0, 1, w.granted)] and res.users == [req]
     env.run()
-    assert req.processed
+    assert log == ["a"]
 
 
 def test_grant_at_release_is_one_push():
     env = Environment()
     res = Resource(env, capacity=1)
-    first = res.request()
+    log = []
+    first = _request(res, log, "a")
     env.run(until=1.0)
     seen = _record_pushes(env)
-    waiter = res.request()
-    assert seen == [] and not waiter.triggered
+    w = _Waiter(log, "b")
+    waiter = res.request(w.granted)
+    assert seen == [] and res.queue == [waiter]
     res.release(first)
-    assert seen == [(1.0, 1, waiter)]
-    assert waiter.value is waiter and res.users == [waiter] and not res.queue
-
-
-def test_released_request_drops_its_value():
-    # the grant's value is the request itself only while the slot is
-    # held: a released request no longer refers to itself
-    env = Environment()
-    res = Resource(env, capacity=1)
-    req = res.request()
-    env.run()
-    assert req.value is req
-    res.release(req)
-    assert req.triggered and req.value is None
-
-
-class _Waiter:
-    def __init__(self, log, tag):
-        self.log = log
-        self.tag = tag
-
-    def granted(self, _v):
-        self.log.append(self.tag)
+    assert seen == [(1.0, 1, w.granted)]
+    assert res.users == [waiter] and not res.queue
 
 
 def test_waiter_grant_is_one_direct_entry():
-    # the grant pushes the waiter itself at the request's own key, and
-    # the request drops it (no request -> waiter -> holder cycle)
+    # the grant pushes the waiter itself, and the request drops it (no
+    # request -> waiter -> holder cycle)
     env = Environment()
     res = Resource(env, capacity=1)
     log = []
     seen = _record_pushes(env)
     w = _Waiter(log, "a")
-    req = res.request(waiter=w.granted)
+    req = res.request(w.granted)
     assert seen == [(0.0, 1, w.granted)] and req._waiter is None
-    assert req.value is req and res.users == [req]
     env.run(until=1.0)
     assert log == ["a"]
-    # granted at a release, like a queued Request event
-    queued = res.request(waiter=_Waiter(log, "b").granted)
+    # granted at a release
+    queued = _request(res, log, "b")
     assert queued._waiter is not None and len(seen) == 1
     res.release(req)
     assert seen[1][:2] == (1.0, 1) and type(seen[1][2]) is MethodType
     assert queued._waiter is None and res.users == [queued]
     env.run()
     assert log == ["a", "b"]
-    # the request never fires as an event
-    assert not req.processed and not queued.processed
     res.release(queued)
-    assert queued.value is None
+    assert queued._released and not res.users
 
 
 def test_flat_op_start_is_one_direct_entry():
@@ -157,18 +170,6 @@ def test_flat_op_start_is_one_direct_entry():
     assert type(entry) is MethodType and entry.__self__ is op
     assert env.run(op.result) == "done"
     assert [p for _w, p, _e in seen] == [0, 1] and seen[1][2] is op.result
-
-
-def test_granted_request_cannot_be_triggered_again():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    req = res.request()
-    with pytest.raises(SimulationError):
-        req.succeed(req)
-    queued = res.request()
-    res.release(req)
-    with pytest.raises(SimulationError):
-        queued.fail(RuntimeError("late"))
 
 
 def test_resource_capacity_validation():
@@ -198,27 +199,27 @@ class _ScanResource(Resource):
     def _enqueue(self, req):
         self.queue.append(req)
 
-    def _pop_next(self):
+    def _grant_next(self):
+        # a release frees one slot, so the grant takes one waiter:
+        # move the scan's pick to the head of the queue first
         queue = self.queue
-        if len(queue) > 1 and queue[1].t_arrival == queue[0].t_arrival:
-            t0 = queue[0].t_arrival
-            best = 0
-            best_rank = _tie_rank(queue[0])
-            for i in range(1, len(queue)):
-                req = queue[i]
-                if req.t_arrival != t0:
-                    break
-                rank = _tie_rank(req)
-                if rank < best_rank:
-                    best, best_rank = i, rank
-            return queue.pop(best)
-        return queue.pop(0)
+        t0 = queue[0].t_arrival
+        best = 0
+        best_rank = _tie_rank(queue[0])
+        for i in range(1, len(queue)):
+            req = queue[i]
+            if req.t_arrival != t0:
+                break
+            rank = _tie_rank(req)
+            if rank < best_rank:
+                best, best_rank = i, rank
+        queue.insert(0, queue.pop(best))
+        super()._grant_next()
 
 
 def _grant_log(cls, capacity, batches):
     """Play ``batches`` (one per sim-second) of requests and releases;
-    return the grant order as request tags.  Even tags wait through a
-    ``waiter``, odd ones through the request event's callbacks."""
+    return the grant order as request tags."""
     env = Environment()
     res = cls(env, capacity=capacity)
     log = []
@@ -231,11 +232,7 @@ def _grant_log(cls, capacity, batches):
                     res.release(res.users[op[1] % len(res.users)])
                 continue
             _, key = op
-            if tag % 2 == 0:
-                res.request(key, _Waiter(log, tag).granted)
-            else:
-                req = res.request(key)
-                req.callbacks.append(lambda _ev, tag=tag: log.append(tag))
+            res.request(_Waiter(log, tag).granted, key)
             tag += 1
     while res.users:
         env.run()

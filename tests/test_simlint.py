@@ -136,48 +136,6 @@ def test_sorted_set_iteration_is_clean():
 
 
 # ---------------------------------------------------------------------------
-# resource-release
-
-
-def test_request_without_release_fires():
-    fs = findings(
-        """
-        def leaky(res):
-            req = res.request()
-            work(req)
-        """
-    )
-    assert rules_of(fs) == ["resource-release"]
-    assert "never releases" in fs[0].message
-
-
-def test_release_outside_finally_fires():
-    fs = findings(
-        """
-        def risky(res):
-            req = res.request()
-            work(req)
-            res.release(req)
-        """
-    )
-    assert rules_of(fs) == ["resource-release"]
-    assert "finally" in fs[0].message
-
-
-def test_release_in_finally_is_clean():
-    assert findings(
-        """
-        def safe(res):
-            req = res.request()
-            try:
-                work(req)
-            finally:
-                res.release(req)
-        """
-    ) == []
-
-
-# ---------------------------------------------------------------------------
 # unit-mix
 
 
@@ -307,9 +265,16 @@ def test_bare_ignore_and_skip_file():
 # syntax errors, repo cleanliness, CLI
 
 
-def test_syntax_error_is_reported_not_raised():
+def test_syntax_error_is_reported_not_raised(tmp_path, capsys):
     fs = findings("def broken(:\n")
     assert [f.rule for f in fs] == ["syntax"]
+    # through the CLI it is one finding, whichever rule families run
+    bad = tmp_path / "bad.py"
+    bad.write_text("def broken(:\n")
+    for rules in ([], ["wall-clock"], ["tie-order-rmw"], ["wall-clock", "tie-order-rmw"]):
+        argv = [str(bad)] + (["--rules", *rules] if rules else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().out.count("[syntax]") == 1, rules
 
 
 def test_finding_render_and_dict_roundtrip():
@@ -344,7 +309,7 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
 def test_all_rules_documented():
     assert set(RULES) == {
         "wall-clock", "unseeded-random", "set-iteration",
-        "resource-release", "unit-mix", "fault-rng", "generator-serve",
+        "unit-mix", "fault-rng", "generator-serve",
     }
 
 

@@ -167,9 +167,9 @@ def test_sleep_continuation_is_reachable():
 
 
 def test_request_waiter_is_reachable():
-    # a grant calls the waiter of request(): by keyword or as the second
+    # a grant calls the waiter of request(): by keyword or as the first
     # positional argument, it is a root like a _push callable
-    for call in ("res.request(waiter=self._granted)", "res.request(None, self._granted)"):
+    for call in ("res.request(waiter=self._granted)", "res.request(self._granted, 7)"):
         fs = findings(
             f"""
             class Op:
@@ -377,30 +377,6 @@ def test_pop_recorder_names_direct_entries():
     ]
 
 
-def test_pop_recorder_names_generator_grant_as_request():
-    # a generator process still yields the request itself, so its grant
-    # is the Request event, not a direct entry
-    rec = PopRecorder()
-    with capture(rec):
-        env = Environment()
-        res = Resource(env, capacity=1)
-
-        def hold():
-            req = res.request()
-            yield req
-            yield env.timeout(0.5)
-            res.release(req)
-
-        env.process(hold())
-        env.run()
-    assert [name for _env, _when, _prio, name in rec.pops] == [
-        "Initialize",
-        "Request",
-        "Timeout",
-        "Process",
-    ]
-
-
 # ---------------------------------------------------------------------------
 # layer 3: quick differential matrix over BT-IO
 # ---------------------------------------------------------------------------
@@ -492,17 +468,14 @@ def _rotation_grant_log():
     ):
         _KeyedHold(env, [res], total, 0.02, key, label, log)
 
-    def arrive(ev):
-        req = res.request(order_key=15)
-
-        def got(_):
+    class Foreign:
+        def got(self, _v):
             log.append((round(env._now, 9), "foreign"))
-            Timeout(env, 0.005).callbacks.append(lambda e: res.release(req))
+            Timeout(env, 0.005).callbacks.append(lambda e: res.release(self.req))
 
-        if req.triggered:
-            got(req)
-        else:
-            req.callbacks.append(got)
+    def arrive(ev):
+        foreign = Foreign()
+        foreign.req = res.request(foreign.got, order_key=15)
 
     Timeout(env, 0.07).callbacks.append(arrive)
     env.run()
