@@ -201,7 +201,7 @@ class SimSanitizer:
         self._t0 = self.env.now
         self._last_key = None
         self._last_seq = None
-        self._busy0 = {name: busy for name, busy, _res in self._busy_walk()}
+        self._busy0 = {name: c.busy_s for name, _kind, c, _res in self.system.hardware()}
         for ledger in (
             self.iolib_bytes,
             self.fs_bytes,
@@ -310,49 +310,14 @@ class SimSanitizer:
     def _resource_walk(self) -> Iterator[tuple[str, Any]]:
         """Every leak-checkable resource, deterministically ordered."""
         system = self.system
-
-        def disks(array: Any, owner: str) -> Iterator[tuple[str, Any]]:
-            for d in array.disks:
-                yield f"{owner}:{d.name}.head", d.head
-
-        yield from disks(system.server_node.array, "ionode")
-        for node in system.compute:
-            if node.array is not None:
-                yield from disks(node.array, node.name)
-        nets = [("comm", system.cluster.comm_network)]
-        if not system.cluster.shared_network:
-            nets.append(("data", system.cluster.data_network))
-        for label, net in nets:
-            for direction, links in (("up", net.uplinks), ("down", net.downlinks)):
-                for name, link in links.items():
-                    yield f"{label}:{name}:{direction}", link.channel
+        for name, kind, _counters, resource in system.hardware():
+            yield (f"{name}.head" if kind == "disk" else name), resource
         yield f"{system.nfs_server.name}.threads", system.nfs_server.threads
         for fs in [system.export] + [
             system.local_fs[n] for n in sorted(system.local_fs)
         ]:
             for fileid in sorted(fs._inode_locks):
                 yield f"{fs.name}.ilock{fileid}", fs._inode_locks[fileid]
-
-    def _busy_walk(self) -> Iterator[tuple[str, float, Any]]:
-        """``(name, cumulative_busy_s, resource)`` of every resource
-        whose busy counter feeds utilization verdicts."""
-        system = self.system
-
-        def disks(array: Any, owner: str) -> Iterator[tuple[str, float, Any]]:
-            for d in array.disks:
-                yield f"{owner}:{d.name}", d.stats.busy_s, d.head
-
-        yield from disks(system.server_node.array, "ionode")
-        for node in system.compute:
-            if node.array is not None:
-                yield from disks(node.array, node.name)
-        nets = [("comm", system.cluster.comm_network)]
-        if not system.cluster.shared_network:
-            nets.append(("data", system.cluster.data_network))
-        for label, net in nets:
-            for direction, links in (("up", net.uplinks), ("down", net.downlinks)):
-                for name, link in links.items():
-                    yield f"{label}:{name}:{direction}", link.busy_s, link.channel
 
     def check_leaks(self) -> None:
         """Flag held or queued slots once the calendar is drained.
@@ -385,10 +350,10 @@ class SimSanitizer:
         """
         interval = self.env.now - self._t0
         limit = interval * (1.0 + _REL_EPS) + _ABS_EPS
-        for name, busy, resource in self._busy_walk():
+        for name, _kind, counters, resource in self.system.hardware():
             if resource.users:
                 continue
-            delta = busy - self._busy0.get(name, 0.0)
+            delta = counters.busy_s - self._busy0.get(name, 0.0)
             if delta > limit:
                 self._record(
                     "utilization",

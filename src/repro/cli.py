@@ -1013,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trace file format (default: chrome, for "
                          "chrome://tracing / Perfetto; csv = portable "
                          "capture replayable via `evaluate --trace`)")
-    rp.add_argument("--window", type=float, default=None,
+    rp.add_argument("--window", type=_positive_float, default=None,
                     help="utilization sampling window in simulated seconds "
                          "(default: 0.05, width doubles on long runs)")
     rp.set_defaults(func=cmd_report)
@@ -1124,11 +1124,11 @@ def build_parser() -> argparse.ArgumentParser:
     wc.set_defaults(func=cmd_workload)
     wf = wsub.add_parser("fuzz", help="generate seeded random-walk specs "
                                       "over the grammar (race-matrix corpus)")
-    wf.add_argument("--n", type=int, default=1,
+    wf.add_argument("--n", type=_positive_int, default=1,
                     help="number of specs (seeds seed..seed+n-1; default 1)")
     wf.add_argument("--seed", type=int, default=0,
                     help="base seed; each spec is a pure function of its seed")
-    wf.add_argument("--max-phases", type=int, default=6,
+    wf.add_argument("--max-phases", type=_positive_int, default=6,
                     help="maximum top-level phase/loop nodes per spec")
     wf.add_argument("--out", default=None, metavar="DIR",
                     help="write each spec as DIR/<name>.json instead of stdout")

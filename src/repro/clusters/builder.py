@@ -10,8 +10,8 @@ the access type (paper Table I: Local / Global) purely by path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Iterator
 
 from ..simengine import Environment
 from ..hardware import (
@@ -151,6 +151,36 @@ class System:
 
     def node(self, name: str) -> Node:
         return self.cluster.node(name)
+
+    def arrays(self) -> Iterator[tuple[str, RAIDArray]]:
+        """``(owner, array)``: the I/O node's, then each compute node's."""
+        yield "ionode", self.server_node.array
+        for node in self.compute:
+            if node.array is not None:
+                yield node.name, node.array
+
+    def hardware(self) -> Iterator[tuple[str, str, Any, Any]]:
+        """The one inventory of busy-counted hardware, in a fixed order.
+
+        Yields ``(name, kind, counters, resource)`` for every disk
+        (``"ionode:ionode.array.d0"``, kind ``"disk"``), then every link
+        (``"comm:n3:up"``/``"data:n3:up"``, kind ``"link"``; the data
+        network only when it is separate).  ``counters.busy_s`` is the
+        cumulative busy time (the disk's ``DiskStats``, the ``Link``
+        itself); ``resource`` is the disk head or link channel.  The
+        topology is fixed once built, so a caller may resolve this once
+        and re-read only the counters.
+        """
+        for owner, array in self.arrays():
+            for d in array.disks:
+                yield f"{owner}:{d.name}", "disk", d.stats, d.head
+        nets = [("comm", self.cluster.comm_network)]
+        if not self.cluster.shared_network:
+            nets.append(("data", self.cluster.data_network))
+        for label, net in nets:
+            for direction, links in (("up", net.uplinks), ("down", net.downlinks)):
+                for name, link in links.items():
+                    yield f"{label}:{name}:{direction}", "link", link, link.channel
 
     def __repr__(self) -> str:  # pragma: no cover
         c = self.config

@@ -18,8 +18,8 @@ states:
 1. **warm-up** — the first occurrences run through the full DES
    (cache warm-up, allocation, contention all simulated);
 2. **verified** — once at least ``warmup`` occurrences ran *and* the
-   last two agree within ``rel_tol`` (bitwise in ``exact`` mode), the
-   phase is steady: its per-occurrence cost is known;
+   last two agree within ``rel_tol``, the phase is steady: its
+   per-occurrence cost is known;
 3. **extrapolated** — remaining occurrences are closed analytically:
    the caller charges the steady duration with a single calendar
    entry and applies the state side effects (file growth, cache
@@ -31,14 +31,12 @@ correctness degrades to speed, never the other way around.
 
 ``ReplaySettings(enabled=False)`` (``phase_fastpath=False`` on
 :meth:`~repro.core.methodology.Methodology.evaluate`,
-``--no-phase-fastpath`` on the CLI) disables extrapolation;
-``ReplaySettings(exact=True)`` only extrapolates phases whose observed
-timings repeat bit-for-bit.
+``--no-phase-fastpath`` on the CLI) disables extrapolation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
@@ -75,8 +73,6 @@ class ReplaySettings:
     #: that wobble; the locked steady value is the *mean* of the
     #: verification window, cancelling it.
     rel_tol: float = 0.02
-    #: require bit-identical occurrence timings before extrapolating
-    exact: bool = False
 
 
 @dataclass
@@ -351,13 +347,8 @@ class PhaseReplayAccelerator:
                     # lock the mean of the verified window: occurrence
                     # wobble (flusher/slot alignment) cancels, so the
                     # extrapolated total tracks full replay closer than
-                    # any single occurrence would (exact mode locks the
-                    # bit-identical value itself)
-                    st.steady = (
-                        st.last
-                        if self.settings.exact
-                        else sum(st.window) / len(st.window)
-                    )
+                    # any single occurrence would
+                    st.steady = sum(st.window) / len(st.window)
                 return
             st.streak = 0
             if st.seen >= self.settings.max_warmup:
@@ -370,8 +361,6 @@ class PhaseReplayAccelerator:
                     g.disabled = True
 
     def _agree(self, a: float, b: float) -> bool:
-        if self.settings.exact:
-            return a == b
         if a == b:
             return True
         return abs(a - b) <= self.settings.rel_tol * max(abs(a), abs(b))
@@ -410,7 +399,6 @@ class PhaseReplayAccelerator:
             **self.stats.as_dict(),
             "enabled": self.settings.enabled,
             "rel_tol": self.settings.rel_tol,
-            "exact": self.settings.exact,
             "phases_fully_simulated": sum(
                 1 for p in detail if p["extrapolated"] == 0
             ),

@@ -14,11 +14,14 @@ a run where nothing is busy is limited by the application itself
 paper draws for BT-IO full ("limited by computing and/or
 communication") vs simple ("limited by I/O").
 
-Busy counters are cumulative over a system's lifetime, which starts
-at t=0 with every counter at zero, so a whole-run query needs no
-baseline.  Utilization over a later *interval* needs the counter
-values at the interval's start: :func:`capture_utilization` takes
-that baseline and :func:`snapshot_utilization` diffs against it.
+The disks and links, and their names, are those of
+:meth:`~repro.clusters.builder.System.hardware` — the one inventory
+the sampler, the metrics registry and the sanitizer walk too.  Busy
+counters are cumulative over a system's lifetime, which starts at t=0
+with every counter at zero, so a whole-run query needs no baseline.
+Utilization over a later *interval* needs the counter values at the
+interval's start: :func:`capture_utilization` takes that baseline and
+:func:`snapshot_utilization` diffs against it.
 """
 
 from __future__ import annotations
@@ -154,46 +157,12 @@ class UtilizationReport:
         return "\n".join(lines)
 
 
-def _iter_busy_holders(system: System):
-    """Yield ``(name, kind, holder)`` for every disk and link, in a
-    deterministic order, where ``holder.busy_s`` is the live cumulative
-    busy counter.  Periodic samplers resolve this once and re-read only
-    the counters — the topology is fixed after the system is built, so
-    rebuilding the name strings every window is pure waste."""
-
-    def disks(array, owner):
-        for d in array.disks:
-            yield f"{owner}:{d.name}", "disk", d.stats
-
-    yield from disks(system.server_node.array, "ionode")
-    for node in system.compute:
-        if node.array is not None:
-            yield from disks(node.array, node.name)
-
-    nets = {id(system.cluster.comm_network): ("comm", system.cluster.comm_network)}
-    nets[id(system.cluster.data_network)] = (
-        "data" if not system.cluster.shared_network else "comm",
-        system.cluster.data_network,
-    )
-    for label, net in nets.values():
-        for direction, links in (("up", net.uplinks), ("down", net.downlinks)):
-            for name, link in links.items():
-                yield f"{label}:{name}:{direction}", "link", link
-
-
-def _iter_busy(system: System):
-    """Yield ``(name, kind, cumulative_busy_s)`` for every disk and
-    link, in a deterministic order."""
-    for name, kind, holder in _iter_busy_holders(system):
-        yield name, kind, holder.busy_s
-
-
 def capture_utilization(system: System) -> UtilizationSnapshot:
     """Capture the cumulative busy counters of every disk and link —
     the baseline of a subsequent :func:`snapshot_utilization` diff."""
     return UtilizationSnapshot(
         t_s=system.env.now,
-        busy={name: (kind, busy) for name, kind, busy in _iter_busy(system)},
+        busy={name: (kind, c.busy_s) for name, kind, c, _res in system.hardware()},
     )
 
 
@@ -218,9 +187,9 @@ def snapshot_utilization(
     start = max(since_s, baseline.t_s if baseline is not None else 0.0)
     interval = max(env.now - start, 1e-12)
     report = UtilizationReport(interval_s=interval)
-    for name, kind, busy in _iter_busy(system):
+    for name, kind, counters, _res in system.hardware():
         prior = base_busy.get(name)
-        delta = max(busy - (prior[1] if prior is not None else 0.0), 0.0)
+        delta = max(counters.busy_s - (prior[1] if prior is not None else 0.0), 0.0)
         # busy time is charged when a hold *starts*, so a transfer in
         # flight at snapshot time can push the fraction past 1 — cap
         # that transient, nothing else

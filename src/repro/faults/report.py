@@ -239,10 +239,7 @@ def build_degraded_report(
 
     # -- overhead traffic ----------------------------------------------
     rebuild: dict[str, dict] = {}
-    arrays = [("ionode", system.server_node.array)] + [
-        (n.name, n.array) for n in system.compute if n.array is not None
-    ]
-    for owner, array in arrays:
+    for owner, array in system.arrays():
         st = array.rebuild_stats
         if st.bytes_read or st.bytes_written or st.completed or st.aborted:
             rebuild[owner] = {

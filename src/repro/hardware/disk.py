@@ -25,7 +25,7 @@ streams interleave fairly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as _np
 
@@ -140,11 +140,6 @@ class Disk:
         self._head_pos = 0  # byte offset after the last op
         self._ra_start = -1  # readahead window [start, end)
         self._ra_end = -1
-        # measurement origin for :attr:`utilization` — set by
-        # mark_measurement() at run start so the busy fraction covers
-        # the measured run, not setup time before it
-        self._mark_t = 0.0
-        self._mark_busy = 0.0
 
     # -- cost model ------------------------------------------------------
     #: forward gaps up to this size are crossed by letting the platter
@@ -329,26 +324,3 @@ class Disk:
     ) -> Event:
         """Serve a (possibly bulk) request; the event fires at completion."""
         return _FastServe(self, op, offset, nbytes, count, stride).result
-
-    def mark_measurement(self) -> None:
-        """Start the utilization measurement interval *now*.
-
-        Time and busy seconds accumulated before the mark (system
-        setup, characterization sweeps) no longer dilute or inflate
-        :attr:`utilization`.
-        """
-        self._mark_t = self.env.now
-        self._mark_busy = self.stats.busy_s
-
-    @property
-    def utilization(self) -> float:
-        """Busy fraction of the head over the measured interval.
-
-        Measured from the last :meth:`mark_measurement` (build time
-        when never marked) to now, counting only busy seconds accrued
-        within that interval.
-        """
-        elapsed = self.env.now - self._mark_t
-        if elapsed <= 0:
-            return 0.0
-        return (self.stats.busy_s - self._mark_busy) / elapsed

@@ -161,10 +161,6 @@ class Link:
         self._down_until = 0.0
         self._latency_factor = 1.0
         self._latency_until = 0.0
-        # measurement origin for :attr:`utilization` (see
-        # mark_measurement): excludes pre-run setup time
-        self._mark_t = 0.0
-        self._mark_busy = 0.0
 
     # -- fault injection -------------------------------------------------
     def fail_until(self, t_s: float) -> None:
@@ -205,20 +201,6 @@ class Link:
         if nbytes < 0 or count < 1:
             raise ValueError("invalid transfer geometry")
         return _FastSend(self, nbytes, count, order_key).result
-
-    def mark_measurement(self) -> None:
-        """Start the utilization measurement interval *now*."""
-        self._mark_t = self.env.now
-        self._mark_busy = self.busy_s
-
-    @property
-    def utilization(self) -> float:
-        """Busy fraction over the measured interval (since the last
-        :meth:`mark_measurement`; build time when never marked)."""
-        elapsed = self.env.now - self._mark_t
-        if elapsed <= 0:
-            return 0.0
-        return (self.busy_s - self._mark_busy) / elapsed
 
 
 class Network:

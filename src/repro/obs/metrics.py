@@ -153,7 +153,7 @@ class MetricsRegistry:
     Usage::
 
         registry = MetricsRegistry(system)
-        registry.begin_run()          # baseline + sampler + marks
+        registry.begin_run()          # baselines + sampler
         app.run(system)
         registry.end_run()
         registry.deltas()             # {level: {counter: per-run value}}
@@ -171,29 +171,15 @@ class MetricsRegistry:
     def _components(self):
         """Yield ``(level, scope, stats_dict)`` for every component."""
         system = self.system
-
-        def disks(array, owner):
-            for d in array.disks:
-                yield "disk", f"{owner}:{d.name}", _scalar_fields(d.stats)
-
-        yield from disks(system.server_node.array, "ionode")
-        for node in system.compute:
-            if node.array is not None:
-                yield from disks(node.array, node.name)
-
-        nets = {id(system.cluster.comm_network): ("comm", system.cluster.comm_network)}
-        nets[id(system.cluster.data_network)] = (
-            "data" if not system.cluster.shared_network else "comm",
-            system.cluster.data_network,
-        )
-        for label, net in nets.values():
-            for direction, links in (("up", net.uplinks), ("down", net.downlinks)):
-                for name, link in links.items():
-                    yield "network", f"{label}:{name}:{direction}", {
-                        "busy_s": link.busy_s,
-                        "bytes_carried": link.bytes_carried,
-                        "messages": link.messages,
-                    }
+        for name, kind, counters, _res in system.hardware():
+            if kind == "disk":
+                yield "disk", name, _scalar_fields(counters)
+            else:
+                yield "network", name, {
+                    "busy_s": counters.busy_s,
+                    "bytes_carried": counters.bytes_carried,
+                    "messages": counters.messages,
+                }
 
         filesystems = [system.export, *system.local_fs.values()]
         for fs in filesystems:
@@ -203,18 +189,6 @@ class MetricsRegistry:
         for mount in system.nfs_mounts.values():
             yield "nfs", mount.name, _scalar_fields(mount.stats)
             yield "cache", mount.cache.name, _scalar_fields(mount.cache.stats)
-
-    def _iter_disks_and_links(self):
-        system = self.system
-        yield from system.server_node.array.disks
-        for node in system.compute:
-            if node.array is not None:
-                yield from node.array.disks
-        nets = {id(system.cluster.comm_network): system.cluster.comm_network}
-        nets[id(system.cluster.data_network)] = system.cluster.data_network
-        for net in nets.values():
-            yield from net.uplinks.values()
-            yield from net.downlinks.values()
 
     # -- lifecycle -----------------------------------------------------
     def snapshot(self) -> CounterSnapshot:
@@ -226,15 +200,13 @@ class MetricsRegistry:
         return CounterSnapshot(t_s=self.system.env.now, values=values)
 
     def begin_run(self, window_s: Optional[float] = None, sample: bool = True) -> None:
-        """Baseline the counters, mark the measured interval on every
-        disk and link, and start the windowed utilization sampler."""
+        """Baseline the counters and busy times of the measured run, and
+        start the windowed utilization sampler."""
         from ..core.utilization import capture_utilization
 
         self.baseline = self.snapshot()
         self.final = None
         self._busy_baseline = capture_utilization(self.system)
-        for resource in self._iter_disks_and_links():
-            resource.mark_measurement()
         if sample:
             from .sampler import UtilizationSampler
 

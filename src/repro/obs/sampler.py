@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.utilization import UtilizationWindow, _iter_busy_holders
+from ..core.utilization import UtilizationWindow
 
 __all__ = ["UtilizationSampler"]
 
@@ -36,7 +36,7 @@ class UtilizationSampler:
         window_s: Optional[float] = None,
         max_windows: int = 256,
     ):
-        if window_s is not None and window_s <= 0:
+        if window_s is not None and not window_s > 0:  # also NaN
             raise ValueError("window_s must be positive")
         if max_windows < 2:
             raise ValueError("max_windows must be at least 2")
@@ -57,9 +57,9 @@ class UtilizationSampler:
         counters instead of re-enumerating (and re-naming) every
         resource.
         """
-        self._holders = tuple(_iter_busy_holders(self.system))
+        self._holders = tuple(self.system.hardware())
         self._last_t = self.system.env.now
-        self._last_vals = [h.busy_s for _, _, h in self._holders]
+        self._last_vals = [c.busy_s for _, _, c, _ in self._holders]
         self._active = True
         self.system.env.process(self._run(), name="obs.sampler")
 
@@ -92,8 +92,8 @@ class UtilizationSampler:
         kinds = {}
         vals = []
         last_vals = self._last_vals
-        for i, (name, kind, holder) in enumerate(self._holders):
-            total = holder.busy_s
+        for i, (name, kind, counters, _res) in enumerate(self._holders):
+            total = counters.busy_s
             vals.append(total)
             delta = total - last_vals[i]
             if delta > 0.0:

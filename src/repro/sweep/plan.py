@@ -85,30 +85,28 @@ def parse_workload_arg(text: str) -> dict:
     """
     parts = text.split(":")
     kind = parts[0]
+    if kind not in ("btio", "madbench"):
+        raise PlanError(
+            f"unknown workload kind {kind!r} (want btio:... or madbench:...; "
+            "spec files go through --workload-spec, fuzz seeds through "
+            "--fuzz-seeds)"
+        )
+
+    def part(i: int, default):
+        return parts[i] if len(parts) > i else default
+
     try:
         if kind == "btio":
-            clazz = parts[1] if len(parts) > 1 else "A"
-            nprocs = int(parts[2]) if len(parts) > 2 else 16
-            subtype = parts[3] if len(parts) > 3 else "full"
-            if subtype not in ("full", "simple"):
-                raise PlanError(f"bad BT-IO subtype {subtype!r}")
-            return {"kind": "btio", "clazz": clazz, "nprocs": nprocs,
-                    "subtype": subtype}
-        if kind == "madbench":
-            kpix = int(parts[1]) if len(parts) > 1 else 6
-            nprocs = int(parts[2]) if len(parts) > 2 else 16
-            filetype = parts[3] if len(parts) > 3 else "shared"
-            if filetype not in ("unique", "shared"):
-                raise PlanError(f"bad MADbench filetype {filetype!r}")
-            return {"kind": "madbench", "kpix": kpix, "nprocs": nprocs,
-                    "filetype": filetype}
-    except (ValueError, IndexError) as exc:
+            desc = {"kind": "btio", "clazz": part(1, "A"),
+                    "nprocs": int(part(2, 16)), "subtype": part(3, "full")}
+        else:
+            desc = {"kind": "madbench", "kpix": int(part(1, 6)),
+                    "nprocs": int(part(2, 16)), "filetype": part(3, "shared")}
+        # the workload's own config validates class, geometry and type
+        descriptor_app(desc)
+    except ValueError as exc:
         raise PlanError(f"bad workload descriptor {text!r}: {exc}")
-    raise PlanError(
-        f"unknown workload kind {kind!r} (want btio:... or madbench:...; "
-        "spec files go through --workload-spec, fuzz seeds through "
-        "--fuzz-seeds)"
-    )
+    return desc
 
 
 def spec_descriptor(doc: dict, label: str) -> dict:

@@ -159,6 +159,12 @@ def test_evaluate_bad_fault_schedule_fails_before_simulating(entry, tmp_path, ca
         ["sweep", "run", "--workloads", "btio:S:4", "--backoff", "-0.5"],
         ["race", "btio", "--tol", "-1"],
         ["race", "btio", "--tol", "nan"],
+        ["report", "btio", "--window", "nan"],
+        ["report", "btio", "--window", "0"],
+        ["report", "btio", "--window", "-1"],
+        ["workload", "fuzz", "--n", "0"],
+        ["workload", "fuzz", "--n", "-1"],
+        ["workload", "fuzz", "--max-phases", "0"],
     ],
 )
 def test_bad_jobs_exit_2_with_one_error_line(argv, capsys):

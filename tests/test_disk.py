@@ -94,7 +94,7 @@ def test_stats_accumulate():
     assert d.stats.reads == 2
     assert d.stats.bytes_written == 4 * MiB
     assert d.stats.bytes_read == 2 * MiB
-    assert 0 < d.utilization <= 1.0
+    assert 0 < d.stats.busy_s / env.now <= 1.0
 
 
 def test_invalid_requests_rejected():

@@ -128,4 +128,4 @@ def test_link_utilization_tracked():
     env = Environment()
     net = make_net(env)
     env.run(net.transfer("a", "b", 10 * MiB))
-    assert 0.5 < net.uplinks["a"].utilization <= 1.0
+    assert 0.5 < net.uplinks["a"].busy_s / env.now <= 1.0

@@ -108,6 +108,13 @@ def test_sampler_merges_windows_and_doubles_width():
         assert b.t0_s == pytest.approx(a.t1_s)
 
 
+@pytest.mark.parametrize("window_s", [0.0, -1.0, float("nan")])
+def test_sampler_rejects_non_positive_window(window_s):
+    system = build_system(Environment(), small_config())
+    with pytest.raises(ValueError, match="window_s must be positive"):
+        UtilizationSampler(system, window_s=window_s)
+
+
 def test_instrumentation_preserves_run_results():
     """The sampler only reads state: an instrumented run's simulated
     timings are identical to an uninstrumented one."""

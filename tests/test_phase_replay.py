@@ -18,9 +18,9 @@ from repro.workloads.btio import BTIOConfig, run_btio
 from repro.workloads.madbench import MadBenchConfig, run_madbench
 
 
-def _run(app, cfg, config_name, enabled, exact=False):
+def _run(app, cfg, config_name, enabled):
     system = build_system(Environment(), aohyper_config(config_name))
-    system.replay_settings = ReplaySettings(enabled=enabled, exact=exact)
+    system.replay_settings = ReplaySettings(enabled=enabled)
     return app(system, cfg)
 
 
@@ -118,22 +118,6 @@ def test_evaluate_without_fastpath_never_extrapolates():
     # positive control: the same runs do extrapolate with the fast path on
     fast = m.evaluate(app, n_jobs=2, phase_fastpath=True)
     assert any(report.replay.extrapolated > 0 for report in fast.values())
-
-
-def test_exact_mode_only_extrapolates_bit_identical_phases():
-    acc = PhaseReplayAccelerator(ReplaySettings(exact=True, warmup=2, confirm=2))
-    key = ("k",)
-    # wobbling within any tolerance but not bit-identical: never steady
-    for d in (1.0, 1.0 + 1e-12, 1.0, 1.0 + 1e-12, 1.0, 1.0 + 1e-12, 1.0, 1.0 + 1e-12):
-        assert acc.steady(key) is None
-        acc.observe(key, d)
-    assert acc.stats.extrapolated == 0
-    # bit-identical: steady after warmup + confirm, locked exactly
-    acc2 = PhaseReplayAccelerator(ReplaySettings(exact=True, warmup=2, confirm=2))
-    for _ in range(3):
-        assert acc2.steady(key) is None
-        acc2.observe(key, 0.125)
-    assert acc2.steady(key) == 0.125
 
 
 def test_tolerance_setting_admits_wobble():

@@ -31,7 +31,7 @@ from repro.sweep import (
     run_sweep_task,
 )
 from repro.core.pool import backoff_s
-from repro.sweep.store import ResultStore, StoreError
+from repro.sweep.store import StoreError
 
 QUICK_CHAR = char_params(
     (256 * KiB, 1 * MiB), char_file_bytes=8 * MiB, ior_file_bytes=64 * MiB
@@ -92,6 +92,11 @@ class TestPlan:
             build_plan(["jbod"], collect_workloads(), collect_faults([]), QUICK_CHAR)
         with pytest.raises(PlanError, match="unknown workload kind"):
             collect_workloads(named=["iozone:1"])
+
+    @pytest.mark.parametrize("text", ["btio:A:5", "madbench:0"])
+    def test_invalid_workload_geometry_rejected_at_parse(self, text):
+        with pytest.raises(PlanError, match="bad workload descriptor"):
+            collect_workloads(named=[text])
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.simengine import Environment
+from repro.analysis.sanitizer import SimSanitizer
 from repro.core.utilization import capture_utilization, snapshot_utilization
-from repro.hardware.disk import Disk
-from repro.hardware.network import GIGABIT, Network
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.base import IORequest, MiB
 from repro.clusters.builder import build_system
 from repro.workloads.btio import BTIOConfig, run_btio
@@ -91,34 +91,33 @@ def test_busy_prelude_not_overreported():
     assert full.hottest(kind="disk", n=1)[0].busy_s > 0
 
 
-def test_disk_utilization_uses_measured_interval(env):
-    """Regression: Disk.utilization divided by env.now including
-    pre-run setup time, understating the busy fraction."""
-    disk = Disk(env)
-    env.run(env.timeout(10.0))  # setup idle time
-    disk.mark_measurement()
-    t0 = env.now
-    env.run(disk.submit("write", 0, 1 * MiB, count=64))
-    busy = disk.stats.busy_s
-    expected = busy / (env.now - t0)
-    assert disk.utilization == pytest.approx(expected)
-    assert disk.utilization > 0.9  # busy nearly the whole interval
-    # the old computation would have diluted it under busy/(10+run)
-    assert disk.utilization > busy / env.now * 5
+def test_shared_network_links_listed_once_under_comm():
+    system = build_system(Environment(), small_config(separate_data_network=False))
+    links = [name for name, kind, _c, _r in system.hardware() if kind == "link"]
+    assert links and all(name.startswith("comm:") for name in links)
+    assert len(links) == len(set(links))
+    # one uplink and one downlink per endpoint (compute nodes + I/O node)
+    assert len(links) == 2 * (system.config.n_compute + 1)
 
 
-def test_link_utilization_uses_measured_interval(env):
-    net = Network(env, ["a", "b"], GIGABIT)
-    env.run(env.timeout(10.0))
-    up = net.uplinks["a"]
-    down = net.downlinks["b"]
-    up.mark_measurement()
-    down.mark_measurement()
-    t0 = env.now
-    env.run(net.transfer("a", "b", 1 * MiB, count=32))
-    assert up.utilization == pytest.approx(up.busy_s / (env.now - t0))
-    assert up.utilization > 0.9
-    assert down.utilization > 0.9
+def test_every_consumer_walks_the_same_inventory():
+    system = build_system(Environment(), small_config("raid5"))
+    names = [name for name, _k, _c, _r in system.hardware()]
+    assert any(n.startswith("data:") for n in names)
+    assert [r.name for r in snapshot_utilization(system).resources] == names
+    assert list(capture_utilization(system).busy) == names
+    registry = MetricsRegistry(system)
+    scopes = [
+        scope for level, scope, _s in registry._components() if level in ("disk", "network")
+    ]
+    assert scopes == names
+    san = SimSanitizer(system).attach()
+    try:
+        assert list(san._busy0) == names
+        walked = [name.removesuffix(".head") for name, _r in san._resource_walk()]
+        assert walked[: len(names)] == names
+    finally:
+        san.detach()
 
 
 def test_render(system):
