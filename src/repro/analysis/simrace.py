@@ -13,7 +13,7 @@ Three layers, cheapest first:
 **Static rules** (:data:`RACE_RULES`) extend the simlint framework to
 code reachable from what the calendar calls: ``Event.callbacks``
 registrations, direct entries pushed through ``_push`` and the
-continuations of the flat state machines' waits:
+continuations of the flat state machines' waits and sub-steps:
 
 ``tie-order-rmw``
     a callback-reachable function read-modify-writes shared mutable
@@ -113,6 +113,24 @@ _CONTINUATION_ARGS: dict[str, tuple[int, Optional[str]]] = {
     "request": (0, "waiter"),
 }
 
+#: flat sub-steps — helper objects with no calendar footprint of their
+#: own, constructed by name — and the argument they call from a
+#: calendar step: the continuation ``k`` of the page-cache client steps
+#: (:mod:`repro.storage.cache`), of the NFS round trip, retransmit loop
+#: and stream, and of the LocalFS throttle, and the journaled LocalFS
+#: operation's ``effect``
+_SUBSTEP_ARGS: dict[str, tuple[int, Optional[str]]] = {
+    "WriteBack": (3, "k"),
+    "DirtyInsert": (4, "k"),
+    "ReadScan": (5, "k"),
+    "FillRuns": (4, "k"),
+    "_RoundTrip": (6, "k"),
+    "_FlatRetransmit": (4, "k"),
+    "_FlatStream": (6, "k"),
+    "_FlatThrottle": (2, "k"),
+    "_LocalJournaled": (2, "effect"),
+}
+
 _FnNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
@@ -125,9 +143,10 @@ def _callback_roots(tree: ast.AST) -> tuple[set[str], list[ast.Lambda]]:
 
     Roots are the arguments of ``<expr>.callbacks.append(...)`` calls,
     the callable of ``<expr>._push(when, priority, fn)``, the
-    continuation of ``<expr>._await``/``_sleep``/``_wake`` and the
+    continuation of ``<expr>._await``/``_sleep``/``_wake``, the
     ``waiter`` of ``<expr>.request(...)`` (first positional argument or
-    keyword): plain names, bound methods (matched by attribute name),
+    keyword) and what a flat sub-step calls (:data:`_SUBSTEP_ARGS`):
+    plain names, bound methods (matched by attribute name),
     lambdas, and — for factory calls like ``append(make_cb(x))`` — the
     factory name (its nested defs become reachable through the closure
     walk).
@@ -135,11 +154,15 @@ def _callback_roots(tree: ast.AST) -> tuple[set[str], list[ast.Lambda]]:
     names: set[str] = set()
     lambdas: list[ast.Lambda] = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        if not isinstance(node, ast.Call):
             continue
         func = node.func
         keyword: Optional[str] = None
-        if (
+        if isinstance(func, ast.Name):
+            index, keyword = _SUBSTEP_ARGS.get(func.id, (-1, None))
+        elif not isinstance(func, ast.Attribute):
+            continue
+        elif (
             func.attr == "append"
             and isinstance(func.value, ast.Attribute)
             and func.value.attr == "callbacks"

@@ -47,6 +47,7 @@ with a one-line error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -590,7 +591,6 @@ def perf_outputs(args) -> dict[str, Path]:
 def cmd_perf(args) -> int:
     """Benchmark the methodology pipeline itself (serial/parallel/cached)."""
     import json
-    import os
     import platform
     import tempfile
     import time
@@ -1169,11 +1169,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "sanitize", False):
-        import os
-
         # propagate to pool worker processes
         os.environ["REPRO_SANITIZE"] = "1"
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (``| head``): send what is still
+        # buffered to devnull so the flush at exit cannot raise again,
+        # and exit without a traceback; the command did not finish
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from ..simengine import Environment
 from ..storage.base import AccessMode, AccessType, GiB, KiB, MiB
-from ..clusters.builder import System, SystemConfig, build_system
+from ..clusters.builder import SystemConfig, build_system
 from ..tracing import IOTracer, PhaseDetector, PhaseEvent
 from ..workloads.iozone import run_iozone
 from ..workloads.ior import run_ior

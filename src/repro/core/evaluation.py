@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..storage.base import AccessMode, AccessType
-from .characterize import AppMeasure, AppProfile
+from .characterize import AppProfile
 from .perftable import PerformanceTable
 
 __all__ = [

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..storage.base import AccessMode, AccessType
@@ -67,16 +67,6 @@ class PerformanceTable:
 
     def add(self, row: PerfRow) -> None:
         self.rows.append(row)
-
-    def add_measure(
-        self,
-        op: str,
-        block_bytes: int,
-        rate_Bps: float,
-        access: AccessType = AccessType.LOCAL,
-        mode: AccessMode = AccessMode.SEQUENTIAL,
-    ) -> None:
-        self.add(PerfRow(op, block_bytes, access, mode, rate_Bps))
 
     def __len__(self) -> int:
         return len(self.rows)

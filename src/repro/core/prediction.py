@@ -130,12 +130,6 @@ class PhasePrediction:
             return 0.0
         return self.total_bytes / self.limiting_rate_Bps
 
-    @property
-    def per_occurrence_s(self) -> float:
-        if not self.occurrences:
-            return 0.0
-        return self.predicted_time_s / self.occurrences
-
 
 def predict_phase_times(
     config_name: str,

@@ -9,7 +9,7 @@ time/throughput bar data of Figs. 12/15/17/18.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from ..storage.base import MiB
 from .evaluation import EvaluationReport, UsedPercentageTable

@@ -38,7 +38,7 @@ class LinkSpec:
 
     def __post_init__(self) -> None:
         # the tail latency is slept on the calendar with no check of
-        # its own (see _FastSend._done)
+        # its own (see _FastRoute._done)
         if not self.latency_s >= 0:
             raise ValueError(f"link latency must be >= 0, got {self.latency_s!r}")
 
@@ -49,47 +49,6 @@ class LinkSpec:
 
 GIGABIT = LinkSpec()
 TEN_GIGABIT = LinkSpec(raw_bandwidth_Bps=1250.0 * 1000 * 1000, latency_s=30e-6)
-
-
-class _FastSend(FastHold):
-    """One transfer across a link: wait out an outage, hold the channel
-    for the serialisation time, then pay the tail message's latency."""
-
-    __slots__ = ("link", "nbytes", "count")
-
-    def __init__(self, link: "Link", nbytes: int, count: int, order_key=None):
-        self.link = link
-        self.nbytes = nbytes
-        self.count = count
-        super().__init__(link.env, [link.channel], order_key)
-
-    def _start(self, _v) -> None:
-        link = self.link
-        env = self.env
-        if env._now < link._down_until:
-            # ride out the outage; re-check on wake (it may have been
-            # extended meanwhile)
-            env._push(link._down_until, 1, self._start)
-            return
-        self._acquire()
-
-    def _granted(self) -> None:
-        link = self.link
-        total = link.hold_time(self.nbytes, self.count)
-        link.busy_s += total
-        link.bytes_carried += self.nbytes * self.count
-        link.messages += self.count
-        self._begin_hold(total, link.QUANTUM_S)
-
-    def _done(self) -> None:
-        # propagation latency of the tail message (pipelined with the
-        # rest); never negative: LinkSpec checks the base latency and
-        # spike factors are positive
-        env = self.env
-        env._push(env._now + self.link.effective_latency_s, 1, self._latency_done)
-
-    def _latency_done(self, _v) -> None:
-        self.result.succeed(self.nbytes * self.count)
 
 
 class _FastRoute(FastHold):
@@ -143,7 +102,8 @@ class _FastRoute(FastHold):
 
 
 class Link:
-    """A single simplex link; transfers serialise FIFO on it."""
+    """A single simplex link; transfers (see :meth:`Network.transfer`)
+    serialise FIFO on it."""
 
     QUANTUM_S = 0.010
 
@@ -195,12 +155,6 @@ class Link:
             nbytes * count / self.spec.bandwidth_Bps
             + count * self.spec.per_message_cpu_s
         )
-
-    def transfer(self, nbytes: int, count: int = 1, order_key=None) -> Event:
-        """Move ``count`` messages of ``nbytes`` each across the link."""
-        if nbytes < 0 or count < 1:
-            raise ValueError("invalid transfer geometry")
-        return _FastSend(self, nbytes, count, order_key).result
 
 
 class Network:
@@ -257,6 +211,10 @@ class Network:
         """
         if src not in self.uplinks or dst not in self.uplinks:
             raise KeyError(f"unknown endpoint in transfer {src!r}->{dst!r}")
+        if nbytes < 0:
+            raise ValueError(f"transfer nbytes must be >= 0, got {nbytes!r}")
+        if count < 1:
+            raise ValueError(f"transfer count must be >= 1, got {count!r}")
         if src == dst:
             return self.env.timeout(1e-6 + nbytes * count / (2000.0 * MiB))
         return _FastRoute(

@@ -10,11 +10,11 @@ networks, one for communication and one for data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..simengine import Environment
-from .network import LinkSpec, Network, GIGABIT
+from .network import Network
 from .raid import RAIDArray, RAIDConfig
 
 __all__ = ["NodeSpec", "Node", "Cluster"]

@@ -143,7 +143,7 @@ class MPIFile:
         return (kind, epoch)
 
     def _independent(self, req: IORequest) -> Event:
-        return _FlatIndependent(self, req).result
+        return _FlatIndependentMulti(self, [req]).result
 
     def _independent_multi(self, reqs: list[IORequest]) -> Event:
         return _FlatIndependentMulti(self, reqs).result
@@ -287,99 +287,18 @@ class MPIFile:
             )
 
 
-class _FlatIndependentBase(FlatOp):
-    """The fully simulated service of one independent request, shared
-    by the single and batched operations: the direct filesystem path,
-    or data sieving (dense covering reads plus an in-memory extract)
-    for sparse reads under ``ds_read``."""
+class _FlatIndependentMulti(FlatOp):
+    """A batch of independent requests (:meth:`MPIFile.write_at_multi`;
+    a single :meth:`~MPIFile.write_at` is a batch of one), served in
+    order.  A verified-steady request is charged its known duration
+    (state applied through ``absorb``); any other is simulated through
+    the direct filesystem path, or by data sieving (dense covering
+    reads plus an in-memory extract) for sparse reads under
+    ``ds_read``, and observed by the phase replay."""
 
-    __slots__ = ("f", "_bk", "_subs", "_si", "_plan")
-
-    def _body(self, req, k):
-        f = self.f
-        self._bk = k
-        if req.op == "read" and f.hints.ds_read:
-            from ..iolib.sieving import plan_sieve, should_sieve
-
-            if should_sieve(req, f.hints.ds_buffer_bytes):
-                # data sieving: dense covering reads + in-memory extract
-                plan = plan_sieve(req, f.hints.ds_buffer_bytes)
-                san = self.env.sanitizer
-                if san is not None:
-                    san.note_overfetch(
-                        req.op,
-                        sum(s.total_bytes for s in plan.requests) - req.total_bytes,
-                    )
-                self._plan = plan
-                self._subs = plan.requests
-                self._si = 0
-                self._sieve_next()
-                return
-        self._await(f.fs.submit_direct(f.inode, req), self._body_end)
-
-    def _sieve_next(self, _v=None):
-        f = self.f
-        if self._si < len(self._subs):
-            sub = self._subs[self._si]
-            self._si += 1
-            self._await(f.fs.submit_direct(f.inode, sub), self._sieve_next)
-            return
-        self._sleep(f.ctx.node.memcpy_time(self._plan.fetched_bytes), self._body_end)
-
-    def _body_end(self, _v=None):
-        self._bk()
-
-
-class _FlatIndependent(_FlatIndependentBase):
-    """One independent request: a verified-steady phase is charged its
-    known duration (state applied through ``absorb``); any other is
-    simulated and observed by the phase replay."""
-
-    __slots__ = ("req", "t0", "key", "group", "scope")
-
-    def __init__(self, f, req):
-        self.f = f
-        self.req = req
-        super().__init__(f.env)
-
-    def _start(self, _v):
-        f = self.f
-        req = self.req
-        self.t0 = self.env.now
-        replay = f.ctx.world.replay
-        key = self.key = f._phase_key(req)
-        group = self.group = f._phase_group(key)
-        scope = self.scope = f._phase_scope(key[1])
-        steady = replay.steady(key, group, scope)
-        if steady is not None:
-            # verified-steady phase: charge the known duration and
-            # apply the state side effects analytically
-            f.fs.absorb(f.inode, req)
-            if steady > 0.0:
-                self._sleep(steady, self._steady_done)
-                return
-            self._steady_done(None)
-            return
-        self._body(req, self._body_done)
-
-    def _steady_done(self, _v):
-        self.f._trace(self.req, self.t0, collective=False)
-        self._finish(self.req.total_bytes)
-
-    def _body_done(self):
-        f = self.f
-        f.ctx.world.replay.observe(
-            self.key, self.env.now - self.t0, self.group, self.scope
-        )
-        f._trace(self.req, self.t0, collective=False)
-        self._finish(self.req.total_bytes)
-
-
-class _FlatIndependentMulti(_FlatIndependentBase):
-    """A batch of independent requests (:meth:`MPIFile.write_at_multi`),
-    served in order like :class:`_FlatIndependent`."""
-
-    __slots__ = ("reqs", "i", "total", "t0", "_cur", "_key", "_scope")
+    __slots__ = (
+        "f", "reqs", "i", "total", "t0", "_cur", "_key", "_group", "_scope", "_subs", "_si", "_plan"
+    )
 
     def __init__(self, f, reqs):
         self.f = f
@@ -400,14 +319,16 @@ class _FlatIndependentMulti(_FlatIndependentBase):
         while self.i < n:
             req = reqs[self.i]
             key = f._phase_key(req)
+            group = f._phase_group(key)
             scope = f._phase_scope(key[1])
-            steady = replay.steady(key, f._phase_group(key), scope)
+            steady = replay.steady(key, group, scope)
             if steady is None:
                 self._cur = req
                 self._key = key
+                self._group = group
                 self._scope = scope
                 self.t0 = env.now
-                self._body(req, self._one_done)
+                self._simulate(req)
                 return
             # Coalesce the run of consecutive steady parts into one
             # calendar entry; per-part trace times replay the
@@ -433,14 +354,42 @@ class _FlatIndependentMulti(_FlatIndependentBase):
                 return
         self._finish(self.total)
 
-    def _one_done(self):
+    def _simulate(self, req):
+        f = self.f
+        if req.op == "read" and f.hints.ds_read:
+            from ..iolib.sieving import plan_sieve, should_sieve
+
+            if should_sieve(req, f.hints.ds_buffer_bytes):
+                # data sieving: dense covering reads + in-memory extract
+                plan = plan_sieve(req, f.hints.ds_buffer_bytes)
+                san = self.env.sanitizer
+                if san is not None:
+                    san.note_overfetch(
+                        req.op,
+                        sum(s.total_bytes for s in plan.requests) - req.total_bytes,
+                    )
+                self._plan = plan
+                self._subs = plan.requests
+                self._si = 0
+                self._sieve_next()
+                return
+        self._await(f.fs.submit_direct(f.inode, req), self._one_done)
+
+    def _sieve_next(self, _v=None):
+        f = self.f
+        if self._si < len(self._subs):
+            sub = self._subs[self._si]
+            self._si += 1
+            self._await(f.fs.submit_direct(f.inode, sub), self._sieve_next)
+            return
+        self._sleep(f.ctx.node.memcpy_time(self._plan.fetched_bytes), self._one_done)
+
+    def _one_done(self, _v=None):
         f = self.f
         req = self._cur
         # observe under the pre-execution key: that is the state
         # steady() will be consulted with next time
-        f.ctx.world.replay.observe(
-            self._key, self.env.now - self.t0, f._phase_group(self._key), self._scope
-        )
+        f.ctx.world.replay.observe(self._key, self.env.now - self.t0, self._group, self._scope)
         f._trace(req, self.t0, collective=False)
         self.total += req.total_bytes
         self.i += 1

@@ -197,7 +197,7 @@ class PopRecorder(Perturber):
     Each pop appends ``(env_idx, when, priority, name)`` to
     :attr:`pops`, where ``name`` is the event's type name or, for a
     direct entry, the method's qualified name (e.g.
-    ``_FastSend._latency_done``); diffing two streams localizes the
+    ``_FastRoute._latency_done``); diffing two streams localizes the
     first entry whose firing position moved — the earliest observable
     effect of a flip.
     """

@@ -140,10 +140,6 @@ class PageCache:
 
     # -- state queries -----------------------------------------------------
     @property
-    def resident_bytes(self) -> int:
-        return len(self._segs) * self.spec.segment_bytes
-
-    @property
     def dirty_bytes(self) -> int:
         return self._dirty_total
 

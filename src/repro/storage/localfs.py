@@ -9,7 +9,9 @@ path.  It combines:
   shared client steps of :mod:`repro.storage.cache`, with background
   flushing, dirty throttling and filesystem readahead;
 * per-operation syscall and memcpy CPU costs;
-* journalled metadata operations (create/unlink pay a journal write).
+* journalled metadata operations: create, unlink and fsync each pay
+  CPU, then write back the file's dirty segments (fsync only), then a
+  journal write, then apply their effect.
 
 Writes are absorbed by the page cache and reach the device through
 write-back.  Because the cache tracks *dirty bytes per segment*, the
@@ -136,7 +138,7 @@ class LocalFS:
     # ------------------------------------------------------------------
     def create(self, path: str) -> Event:
         """Create (or truncate) a file; value is the :class:`Inode`."""
-        return _LocalCreate(self, path).result
+        return _LocalJournaled(self, self.spec.create_s, lambda: self._created(path)).result
 
     def open(self, path: str, create: bool = False) -> Event:
         """Open an existing file; value is the :class:`Inode`."""
@@ -153,7 +155,31 @@ class LocalFS:
         inode = self._inodes.get(path)
         if inode is None:
             raise FileNotFoundError(path)
-        return _LocalUnlink(self, path, inode).result
+        return _LocalJournaled(
+            self, self.spec.unlink_s, lambda: self._unlinked(path, inode)
+        ).result
+
+    def _created(self, path: str) -> Inode:
+        """Journaled effect of :meth:`create`: a new inode, or the
+        existing one truncated."""
+        inode = self._inodes.get(path)
+        if inode is None:
+            inode = Inode(self._next_fileid, path)
+            self._next_fileid += 1
+            self._inodes[path] = inode
+            self._by_id[inode.fileid] = inode
+        else:
+            inode.size = 0
+            self.cache.drop_file(inode.fileid)
+        self.stats.creates += 1
+        return inode
+
+    def _unlinked(self, path: str, inode: Inode) -> None:
+        """Journaled effect of :meth:`unlink`: drop the inode and its
+        cached segments."""
+        self.cache.drop_file(inode.fileid)
+        del self._inodes[path]
+        del self._by_id[inode.fileid]
 
     def stat(self, path: str) -> Inode:
         if path not in self._inodes:
@@ -271,7 +297,7 @@ class LocalFS:
 
     def fsync(self, inode: Inode) -> Event:
         """Flush the file's dirty segments to the device."""
-        return _LocalFsync(self, inode).result
+        return _LocalJournaled(self, self.spec.syscall_s, lambda: None, inode.fileid).result
 
     def sync(self) -> Event:
         """Flush everything dirty and drain the array's cache."""
@@ -509,23 +535,28 @@ class _LocalFlusher(FlatOp):
         self._loop()
 
 
-class _LocalFsync(FlatOp):
-    """fsync: flush the file's dirty segments, then write a journal
-    record."""
+class _LocalJournaled(FlatOp):
+    """A journaled metadata operation (create, unlink, fsync): ``cpu_s``
+    of CPU, write-back of the dirty segments of file ``flush_fileid``
+    (fsync; no file flushes nothing), a journal write, then ``effect()``
+    is the result."""
 
-    __slots__ = ("fs", "inode")
+    __slots__ = ("fs", "cpu_s", "effect", "flush_fileid")
 
-    def __init__(self, fs, inode):
+    def __init__(self, fs, cpu_s, effect, flush_fileid=None):
         self.fs = fs
-        self.inode = inode
+        self.cpu_s = cpu_s
+        self.effect = effect
+        self.flush_fileid = flush_fileid
         super().__init__(fs.env)
 
     def _start(self, _v):
-        self._sleep(self.fs.spec.syscall_s, self._after_cpu)
+        self._sleep(self.cpu_s, self._after_cpu)
 
     def _after_cpu(self, _v):
         fs = self.fs
-        entries = fs.cache.dirty_segments(limit=None, fileid=self.inode.fileid)
+        fileid = self.flush_fileid
+        entries = [] if fileid is None else fs.cache.dirty_segments(limit=None, fileid=fileid)
         WriteBack(fs, self, entries, self._flushed)
 
     def _flushed(self, _v=None):
@@ -536,42 +567,7 @@ class _LocalFsync(FlatOp):
         )
 
     def _journaled(self, _v):
-        self._finish(None)
-
-
-class _LocalCreate(FlatOp):
-    """create: CPU, a journal write, then a new (or truncated) inode."""
-
-    __slots__ = ("fs", "path")
-
-    def __init__(self, fs, path):
-        self.fs = fs
-        self.path = path
-        super().__init__(fs.env)
-
-    def _start(self, _v):
-        self._sleep(self.fs.spec.create_s, self._after_cpu)
-
-    def _after_cpu(self, _v):
-        fs = self.fs
-        self._await(
-            fs.array.submit("write", fs._journal_offset(), fs.spec.journal_write_bytes),
-            self._journaled,
-        )
-
-    def _journaled(self, _v):
-        fs = self.fs
-        inode = fs._inodes.get(self.path)
-        if inode is None:
-            inode = Inode(fs._next_fileid, self.path)
-            fs._next_fileid += 1
-            fs._inodes[self.path] = inode
-            fs._by_id[inode.fileid] = inode
-        else:
-            inode.size = 0
-            fs.cache.drop_file(inode.fileid)
-        fs.stats.creates += 1
-        self._finish(inode)
+        self._finish(self.effect())
 
 
 class _LocalOpen(FlatOp):
@@ -590,35 +586,6 @@ class _LocalOpen(FlatOp):
     def _opened(self, _v):
         self.fs.stats.opens += 1
         self._finish(self.inode)
-
-
-class _LocalUnlink(FlatOp):
-    """unlink: CPU, a journal write, then drop the inode and its cache."""
-
-    __slots__ = ("fs", "path", "inode")
-
-    def __init__(self, fs, path, inode):
-        self.fs = fs
-        self.path = path
-        self.inode = inode
-        super().__init__(fs.env)
-
-    def _start(self, _v):
-        self._sleep(self.fs.spec.unlink_s, self._after_cpu)
-
-    def _after_cpu(self, _v):
-        fs = self.fs
-        self._await(
-            fs.array.submit("write", fs._journal_offset(), fs.spec.journal_write_bytes),
-            self._journaled,
-        )
-
-    def _journaled(self, _v):
-        fs = self.fs
-        fs.cache.drop_file(self.inode.fileid)
-        del fs._inodes[self.path]
-        del fs._by_id[self.inode.fileid]
-        self._finish(None)
 
 
 class _LocalSerializedWrite(FlatOp):

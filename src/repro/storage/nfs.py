@@ -10,7 +10,10 @@ numbers:
 * every operation is an **RPC** over the data network — a request
   message, a server-side service (thread pool + the server's own
   :class:`~repro.storage.localfs.LocalFS`, with *its* page cache and
-  RAID write-back behind it) and a reply message;
+  RAID write-back behind it) and a reply message.  A synchronous RPC
+  (a sparse direct request, a metadata operation, a COMMIT) is one
+  round trip, and a request sent while the server is stalled
+  retransmits until it resumes;
 * bulk data moves in ``rsize``/``wsize`` chunks with a bounded slot
   table, so large transfers pipeline and approach wire speed while
   small strided operations pay per-RPC latency — the contrast behind
@@ -116,16 +119,6 @@ class NFSServer:
     @property
     def stalled(self) -> bool:
         return self.env.now < self.stall_until
-
-    def service_op(self, work_event_factory, rpc_count: int = 1) -> Event:
-        """Hold a server thread while performing backend work.
-
-        ``work_event_factory`` is a zero-argument callable returning the
-        backend event (e.g. a LocalFS submit) — created *after* the
-        thread is granted, as real nfsd threads do.  The returned event
-        fires with the backend event's value.
-        """
-        return _ServerService(self, work_event_factory, rpc_count).result
 
 
 class NFSMount:
@@ -283,8 +276,11 @@ class NFSMount:
 # service paths: flat state machines on the kernel calendar
 # ----------------------------------------------------------------------
 class _ServerService(FlatOp):
-    """:meth:`NFSServer.service_op`: a granted thread sits out a stall,
-    pays the per-RPC CPU, then runs the backend work."""
+    """Server-side service of ``rpc_count`` RPCs: a granted nfsd thread
+    sits out a stall, pays the per-RPC CPU, then runs the backend work
+    — ``factory()`` builds its event (e.g. a LocalFS submit) only once
+    the thread is granted, as real nfsd threads do.  The result fires
+    with the backend event's value."""
 
     __slots__ = ("srv", "factory", "rpc_count", "_req")
 
@@ -404,43 +400,86 @@ class _FlatRetransmit:
         self._tick()
 
 
-class _FlatServerWindow(FlatOp):
-    """One window of a stream, server side: thread-pool service of ``w``
-    RPCs, then their replies over the network."""
+class _RoundTrip:
+    """One synchronous RPC round trip: ``count`` requests of ``send_b``
+    payload bytes to the server, the :class:`_FlatRetransmit` loop if
+    the server is stalled, thread-pool service of ``factory``'s backend
+    work, then ``count`` replies of ``reply_b`` payload bytes; calls
+    ``k(value)`` with the backend's value.
 
-    __slots__ = ("m", "w", "start_index", "reply_b", "factory")
+    A sub-step with no calendar footprint of its own: it borrows the
+    parent op's :meth:`FlatOp._await`.  :meth:`serve` enters at the
+    service step (a stream window, whose request already went out with
+    its window).  RPC counters stay with the callers.
+    """
 
-    def __init__(self, m, w, start_index, reply_b, factory):
+    __slots__ = ("m", "op", "count", "send_b", "reply_b", "factory", "k", "_value")
+
+    def __init__(self, m, op, count, send_b, reply_b, factory, k):
         self.m = m
-        self.w = w
-        self.start_index = start_index
+        self.op = op
+        self.count = count
+        self.send_b = send_b
         self.reply_b = reply_b
         self.factory = factory
-        super().__init__(m.env)
+        self.k = k
 
-    def _start(self, _v):
+    def send(self):
         m = self.m
-        self._await(
-            _ServerService(
-                m.server, lambda: self.factory(self.w, self.start_index), self.w
-            ).result,
-            self._served,
+        self.op._await(
+            m.network.transfer(
+                m.node.name,
+                m.server.node.name,
+                self.send_b + m.spec.rpc_header_bytes,
+                count=self.count,
+            ),
+            self._sent,
         )
 
-    def _served(self, _v):
+    def _sent(self, _v):
         m = self.m
-        self._await(
+        if m.server.stalled:
+            _FlatRetransmit(m, self.op, self.send_b, self.count, self.serve)
+            return
+        self.serve()
+
+    def serve(self, _v=None):
+        self.op._await(
+            _ServerService(self.m.server, self.factory, self.count).result, self._served
+        )
+
+    def _served(self, value):
+        m = self.m
+        self._value = value
+        self.op._await(
             m.network.transfer(
                 m.server.node.name,
                 m.node.name,
                 self.reply_b + m.spec.rpc_header_bytes,
-                count=self.w,
+                count=self.count,
             ),
             self._replied,
         )
 
     def _replied(self, _v):
-        self._finish(None)
+        self.k(self._value)
+
+
+class _FlatServerWindow(FlatOp):
+    """One window of a stream, server side: the service-and-reply tail
+    of a :class:`_RoundTrip` for ``w`` RPCs."""
+
+    __slots__ = ("m", "w", "reply_b", "factory")
+
+    def __init__(self, m, w, start_index, reply_b, factory):
+        self.m = m
+        self.w = w
+        self.reply_b = reply_b
+        self.factory = lambda: factory(w, start_index)
+        super().__init__(m.env)
+
+    def _start(self, _v):
+        _RoundTrip(self.m, self, self.w, 0, self.reply_b, self.factory, self._finish).serve()
 
 
 class _FlatStream:
@@ -566,51 +605,16 @@ class _FlatDirect(FlatOp):
     def _after_latency(self, _v):
         m = self.m
         req = self.req
-        send_payload = req.nbytes if req.op == "write" else 8
-        self._await(
-            m.network.transfer(
-                m.node.name,
-                m.server.node.name,
-                send_payload + m.spec.rpc_header_bytes,
-                count=req.count,
-            ),
-            self._after_send,
-        )
-
-    def _after_send(self, _v):
-        m = self.m
-        req = self.req
-        if m.server.stalled:
-            send_payload = req.nbytes if req.op == "write" else 8
-            _FlatRetransmit(m, self, send_payload, req.count, self._service)
-            return
-        self._service()
-
-    def _service(self, _v=None):
-        m = self.m
-        req = self.req
         inode = self.inode
         if req.op == "write":
+            send_b, reply_b = req.nbytes, 8
             backend = lambda: m.server.export.submit_serialized_write(
                 inode, req, m.spec.server_small_op_s
             )
         else:
+            send_b, reply_b = 8, req.nbytes
             backend = lambda: m.server.export.submit(inode, req)
-        self._await(m.server.service_op(backend, rpc_count=req.count), self._after_service)
-
-    def _after_service(self, _v):
-        m = self.m
-        req = self.req
-        reply_payload = 8 if req.op == "write" else req.nbytes
-        self._await(
-            m.network.transfer(
-                m.server.node.name,
-                m.node.name,
-                reply_payload + m.spec.rpc_header_bytes,
-                count=req.count,
-            ),
-            self._after_reply,
-        )
+        _RoundTrip(m, self, req.count, send_b, reply_b, backend, self._after_reply).send()
 
     def _after_reply(self, _v):
         m = self.m
@@ -623,15 +627,14 @@ class _FlatDirect(FlatOp):
 
 
 class _FlatMetaRpc(FlatOp):
-    """A metadata RPC: client CPU, request, thread-pool service of the
-    backend operation, reply."""
+    """A metadata RPC: client CPU, then a :class:`_RoundTrip` serving
+    the backend operation."""
 
-    __slots__ = ("m", "factory", "_result")
+    __slots__ = ("m", "factory")
 
     def __init__(self, m, factory):
         self.m = m
         self.factory = factory
-        self._result = None
         super().__init__(m.env)
 
     def _start(self, _v):
@@ -639,34 +642,11 @@ class _FlatMetaRpc(FlatOp):
         self._sleep(m.spec.getattr_s + m.spec.client_rpc_cpu_s, self._after_cpu)
 
     def _after_cpu(self, _v):
-        m = self.m
-        self._await(
-            m.network.transfer(m.node.name, m.server.node.name, m.spec.rpc_header_bytes),
-            self._after_send,
-        )
+        _RoundTrip(self.m, self, 1, 0, 0, self.factory, self._after_reply).send()
 
-    def _after_send(self, _v):
-        m = self.m
-        if m.server.stalled:
-            _FlatRetransmit(m, self, 0, 1, self._service)
-            return
-        self._service()
-
-    def _service(self, _v=None):
-        m = self.m
-        self._await(m.server.service_op(self.factory), self._after_service)
-
-    def _after_service(self, result):
-        m = self.m
-        self._result = result
-        self._await(
-            m.network.transfer(m.server.node.name, m.node.name, m.spec.rpc_header_bytes),
-            self._after_reply,
-        )
-
-    def _after_reply(self, _v):
+    def _after_reply(self, result):
         self.m.stats.rpcs += 1
-        self._finish(self._result)
+        self._finish(result)
 
 
 class _NFSIO(FlatOp):
@@ -751,8 +731,9 @@ class _NFSIO(FlatOp):
 
 
 class _FlatCommit(FlatOp):
-    """fsync / close: push the file's dirty runs, then a COMMIT round
-    trip (a durable export fsyncs server-side); close adds client CPU."""
+    """fsync / close: push the file's dirty runs, then a COMMIT
+    :class:`_RoundTrip` (a durable export fsyncs server-side); close
+    adds client CPU."""
 
     __slots__ = ("m", "inode", "close")
 
@@ -765,33 +746,16 @@ class _FlatCommit(FlatOp):
     def _start(self, _v):
         m = self.m
         entries = m.cache.dirty_segments(limit=None, fileid=self.inode.fileid)
-        if entries:
-            WriteBack(m, self, entries, self._pushed)
-            return
-        self._pushed()
+        WriteBack(m, self, entries, self._pushed)
 
     def _pushed(self, _v=None):
-        m = self.m
-        self._await(
-            m.network.transfer(m.node.name, m.server.node.name, m.spec.rpc_header_bytes),
-            self._sent,
-        )
-
-    def _sent(self, _v):
         m = self.m
         inode = self.inode
         if m.spec.commit_durable:
             factory = lambda: m.server.export.fsync(inode)
         else:
             factory = lambda: None
-        self._await(m.server.service_op(factory), self._served)
-
-    def _served(self, _v):
-        m = self.m
-        self._await(
-            m.network.transfer(m.server.node.name, m.node.name, m.spec.rpc_header_bytes),
-            self._replied,
-        )
+        _RoundTrip(m, self, 1, 0, 0, factory, self._replied).send()
 
     def _replied(self, _v):
         m = self.m

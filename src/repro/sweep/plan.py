@@ -96,6 +96,8 @@ def parse_workload_arg(text: str) -> dict:
         return parts[i] if len(parts) > i else default
 
     try:
+        if len(parts) > 4:
+            raise ValueError(f"{len(parts) - 1} fields after {kind!r}, at most 3")
         if kind == "btio":
             desc = {"kind": "btio", "clazz": part(1, "A"),
                     "nprocs": int(part(2, 16)), "subtype": part(3, "full")}

@@ -54,32 +54,6 @@ class IOEvent:
         """Pattern signature used by phase detection (geometry, not time)."""
         return (self.op, self.nbytes, self.count, self.mode.value, self.path)
 
-    def replay_key(self, phase_epoch: int = 0) -> tuple:
-        """The independent-I/O key the phase-replay accelerator uses
-        for this event's geometry.
-
-        Mirrors the geometry prefix of ``MPIFile._phase_key``: the
-        :meth:`signature` geometry plus the issuing rank and its
-        barrier epoch (so repetitions of the same pattern in different
-        barrier-delimited program phases — MADbench2's S vs W writes —
-        stay distinct phases), with the raw stride instead of the
-        classified mode.  Offsets are deliberately absent: successive
-        occurrences of an appending phase land at different offsets but
-        share the key.  The live replay key carries one extra trailing
-        element — the filesystem's ``state_token`` (cache-residency /
-        flush regime) — which only exists during simulation, so it is
-        omitted here.
-        """
-        return (
-            self.rank,
-            phase_epoch,
-            self.path,
-            self.op,
-            self.nbytes,
-            self.count,
-            self.stride if self.stride is not None else 0,
-        )
-
 
 @dataclass(frozen=True)
 class PhaseEvent:

@@ -139,7 +139,3 @@ class IOTracer:
         span = max(e.t_end for e in evs) - min(e.t_start for e in evs)
         total = sum(e.total_bytes for e in evs)
         return total / span if span > 0 else 0.0
-
-    def block_size_table(self, op: str) -> dict[int, int]:
-        """nbytes -> number of individual operations (paper Tables II/V/VIII)."""
-        return dict(self.summary(op).block_sizes)

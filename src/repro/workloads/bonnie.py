@@ -13,9 +13,8 @@ covers bonnie++'s three classic test families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..simengine import Environment
 from ..storage.base import IORequest, KiB, MiB
 from ..clusters.builder import System
 

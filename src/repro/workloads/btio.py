@@ -27,10 +27,9 @@ does (Figs. 12 and 15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
-from ..storage.base import MiB
 from ..clusters.builder import System
 from ..tracing import IOTracer
 

@@ -16,10 +16,9 @@ write`` and ``random read/write`` passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ..simengine import Environment
-from ..storage.base import AccessMode, IORequest, KiB, MiB
+from ..storage.base import AccessMode, IORequest, KiB
 from ..clusters.builder import System
 
 __all__ = ["IOzoneRow", "IOzoneResult", "run_iozone", "DEFAULT_BLOCKS"]
@@ -52,9 +51,6 @@ class IOzoneResult:
             if r.test == test and r.block_bytes == block_bytes:
                 return r.rate_Bps
         raise KeyError((test, block_bytes))
-
-    def by_test(self, test: str) -> list[IOzoneRow]:
-        return [r for r in self.rows if r.test == test]
 
 
 #: (test name, op, stride factor or None, random?) in run order

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..storage.base import MiB
 from ..clusters.builder import System
 from ..tracing import IOTracer
 
@@ -66,10 +65,6 @@ class MadBenchConfig:
     def block_bytes(self) -> int:
         """Per-process share of one matrix = one I/O operation."""
         return self.matrix_bytes // self.nprocs
-
-    @property
-    def file_bytes_per_proc(self) -> int:
-        return self.block_bytes * self.nbin
 
 
 @dataclass

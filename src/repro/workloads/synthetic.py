@@ -9,7 +9,7 @@ I/O path without hand-writing a program per case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..clusters.builder import System

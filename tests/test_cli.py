@@ -228,3 +228,22 @@ def test_perf_outputs_default_beside_out(tmp_path):
     # the default --out keeps every file together in the working directory
     args = build_parser().parse_args(["perf"])
     assert {p.parent for p in perf_outputs(args).values()} == {Path(".")}
+
+
+def test_stdout_closed_early_exits_without_traceback():
+    # ``repro ... | head``: the reader closes the pipe before the
+    # command writes; no BrokenPipeError traceback reaches stderr
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "workload", "fuzz", "--n", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

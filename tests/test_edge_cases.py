@@ -1,7 +1,5 @@
 """Edge cases and failure paths across the stack."""
 
-import pytest
-
 from repro.simengine import Environment
 from repro.hardware import Node, NodeSpec, Network, GIGABIT, RAIDArray, RAIDConfig, RAIDLevel
 from repro.storage import LocalFS, NFSMount, NFSServer, NFSSpec

@@ -1,7 +1,5 @@
 """Configuration-analysis tests: factor extraction, diffs, ranking."""
 
-import pytest
-
 from repro.clusters import aohyper_config, cluster_a_config
 from repro.core.characterize import AppMeasure, AppProfile
 from repro.core.factors import diff_factors, extract_factors, rank_configurations

@@ -4,7 +4,6 @@ import pytest
 
 from repro.simengine import Environment
 from repro.clusters.builder import build_system
-from repro.storage.base import MiB
 from repro.workloads.madbench import MadBenchConfig, characterize_madbench, run_madbench
 from conftest import small_config
 

@@ -1,7 +1,5 @@
 """Collective-operation tests: synchronisation semantics and cost shapes."""
 
-import pytest
-
 from repro.simengine import Environment
 from repro.clusters.builder import build_system
 from conftest import small_config

@@ -1,8 +1,5 @@
 """MPI-IO tests: opens, independent vs collective, two-phase, hints."""
 
-import pytest
-
-from repro.mpi.io import IOHints
 from repro.simengine import Environment
 from repro.storage.base import KiB, MiB
 from repro.clusters.builder import build_system

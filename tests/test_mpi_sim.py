@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi.sim import MPIWorld, Rendezvous
+from repro.mpi.sim import Rendezvous
 from repro.simengine import Environment
 from conftest import small_config
 from repro.clusters.builder import build_system

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simengine import Environment
-from repro.hardware.network import GIGABIT, Link, LinkSpec, Network
+from repro.hardware.network import GIGABIT, LinkSpec, Network
 from repro.storage.base import MiB
 
 
@@ -109,11 +109,13 @@ def test_add_endpoint():
 def test_invalid_transfer_geometry():
     env = Environment()
     net = make_net(env)
-    link = Link(env, GIGABIT)
-    with pytest.raises(ValueError):
-        link.transfer(-1)
-    with pytest.raises(ValueError):
-        link.transfer(10, count=0)
+    with pytest.raises(ValueError, match="nbytes"):
+        net.transfer("a", "b", -100000)
+    with pytest.raises(ValueError, match="count"):
+        net.transfer("a", "b", 10, count=0)
+    env.run()
+    for link in (net.uplinks["a"], net.downlinks["b"]):
+        assert (link.busy_s, link.bytes_carried, link.messages) == (0.0, 0, 0)
 
 
 def test_estimate_point_to_point_close_to_simulated():

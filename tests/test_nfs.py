@@ -141,6 +141,32 @@ class TestDirectPath:
         assert got == 4 * MiB
 
 
+class TestStall:
+    @pytest.mark.parametrize("op", ["fsync", "create", "sparse_direct"])
+    def test_rpc_sent_into_a_stall_retransmits(self, op):
+        # every synchronous RPC shares one round trip: sent while the
+        # server is wedged, it retransmits until the stall ends, then
+        # completes after little more than one service and reply
+        env, srv, (c0, _) = build()
+        inode = env.run(c0.create("/f"))
+        env.run(c0.fsync(inode))  # nothing dirty: the COMMIT is the only RPC
+        rpcs, commits = c0.stats.rpcs, c0.stats.commits
+        srv.stall(5.0)
+        stall_end = srv.stall_until
+        if op == "fsync":
+            env.run(c0.fsync(inode))
+            assert c0.stats.commits == commits + 1
+        elif op == "create":
+            env.run(c0.create("/g"))
+            assert c0.stats.rpcs == rpcs + 1
+        else:
+            sparse = IORequest("write", 0, 2 * KiB, count=4, stride=8 * KiB)
+            env.run(c0.submit_direct(inode, sparse))
+            assert c0.stats.rpcs == rpcs + 4
+        assert c0.stats.retransmits > 0
+        assert stall_end <= env.now <= stall_end + 0.05
+
+
 class TestContention:
     def test_two_writers_share_server(self):
         env, srv, (c0, c1) = build()

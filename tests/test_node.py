@@ -12,7 +12,7 @@ from repro.hardware import (
     RAIDConfig,
     RAIDLevel,
 )
-from repro.storage.base import GiB, MiB
+from repro.storage.base import MiB
 
 
 def test_node_defaults():

@@ -102,7 +102,7 @@ class TestAgainstSimulation:
         """The static prediction should land within ~3x of the simulated
         I/O time for a collective streaming workload (the model ignores
         overlap and metadata, so it is approximate by design)."""
-        from repro.core import Methodology, characterize_app
+        from repro.core import Methodology
         from repro.storage.base import KiB
         from repro.workloads.apps import BTIOApplication
         from repro.workloads.btio import BTIOConfig

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simengine import Environment
 from repro.hardware.disk import Disk, DiskSpec, READ, WRITE
-from repro.hardware.network import GIGABIT, Link
+from repro.hardware.network import GIGABIT, Link, Network
 from repro.hardware.raid import RAIDConfig, RAIDLevel
 from repro.storage.base import IORequest, classify_mode
 from repro.tracing import IOEvent, PhaseDetector, detect_phases
@@ -72,8 +72,8 @@ def test_link_hold_time_monotonic(nbytes, count):
 @given(st.integers(1, 16 * MiB))
 def test_link_rate_never_exceeds_effective_bandwidth(nbytes):
     env = Environment()
-    link = Link(env, GIGABIT)
-    env.run(link.transfer(nbytes))
+    net = Network(env, ["a", "b"], GIGABIT)
+    env.run(net.transfer("a", "b", nbytes))
     assert nbytes / env.now <= GIGABIT.bandwidth_Bps * 1.001
 
 

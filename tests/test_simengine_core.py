@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simengine import AllOf, Environment, Event, FlatOp, SimulationError
+from repro.simengine import Environment, FlatOp, SimulationError
 
 
 def test_clock_starts_at_zero():

@@ -31,7 +31,7 @@ from repro.analysis.simrace import (
     run_race_matrix,
 )
 from repro.hardware.disk import READ, Disk, DiskSpec
-from repro.hardware.network import GIGABIT, Link
+from repro.hardware.network import GIGABIT, Network
 from repro.simengine import Environment
 from repro.simengine.core import Timeout
 from repro.simengine.resources import FastHold, Resource
@@ -183,6 +183,43 @@ def test_request_waiter_is_reachable():
             """
         )
         assert "tie-order-rmw" in rules_of(fs), call
+
+
+def test_substep_continuation_is_reachable():
+    # a flat sub-step calls its continuation (or a journaled op its
+    # effect) from a calendar step: by keyword or position it is a root
+    for call in (
+        "WriteBack(self.c, self, [], self._after)",
+        "_RoundTrip(m, self, 1, 0, 0, None, k=self._after)",
+        "_LocalJournaled(self, 0.1, lambda: self._after(None))",
+    ):
+        fs = findings(
+            f"""
+            class Op:
+                def _start(self, _v):
+                    m = self.m
+                    {call}
+
+                def _after(self, _v):
+                    s = self.shared
+                    s["v"] = s["v"] * 2
+            """
+        )
+        assert "tie-order-rmw" in rules_of(fs), call
+
+
+def test_storage_substep_continuations_are_reachable():
+    # the NFS round trip's callers finish in their continuations, and
+    # the journaled LocalFS op's effects run from its journal step
+    from repro.storage import localfs, nfs
+
+    for mod, names in (
+        (nfs, {"_after_reply", "_replied", "_pushed"}),
+        (localfs, {"_created", "_unlinked", "_flushed", "_batch_done"}),
+    ):
+        tree = ast.parse(Path(mod.__file__).read_text())
+        reachable = {getattr(fn, "name", None) for fn in _reachable_callbacks(tree)}
+        assert names <= reachable, mod.__name__
 
 
 def test_fasthold_grant_steps_are_reachable():
@@ -366,13 +403,14 @@ def test_pop_recorder_names_direct_entries():
     rec = PopRecorder()
     with capture(rec):
         env = Environment()
-        Link(env, GIGABIT).transfer(1000)
+        Network(env, ["a", "b"], GIGABIT).transfer("a", "b", 1000)
         env.run()
     assert [name for _env, _when, _prio, name in rec.pops] == [
-        "_FastSend._start",
-        "FastHold._on_grant",
+        "_FastRoute._start",
+        "FastHold._on_grant",  # the sender's uplink
+        "FastHold._on_grant",  # the receiver's downlink
         "FastHold._final_sleep_done",
-        "_FastSend._latency_done",
+        "_FastRoute._latency_done",
         "Event",
     ]
 

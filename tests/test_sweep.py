@@ -93,7 +93,9 @@ class TestPlan:
         with pytest.raises(PlanError, match="unknown workload kind"):
             collect_workloads(named=["iozone:1"])
 
-    @pytest.mark.parametrize("text", ["btio:A:5", "madbench:0"])
+    @pytest.mark.parametrize(
+        "text", ["btio:A:5", "madbench:0", "btio:S:4:full:extra", "madbench:2:4:shared:zzz:yyy"]
+    )
     def test_invalid_workload_geometry_rejected_at_parse(self, text):
         with pytest.raises(PlanError, match="bad workload descriptor"):
             collect_workloads(named=[text])

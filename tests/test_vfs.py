@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.storage.base import IORequest, MiB
-from repro.storage.vfs import FileHandle, VFS
+from repro.storage.base import MiB
+from repro.storage.vfs import FileHandle
 
 
 def test_mounts_resolve_by_longest_prefix(system):
