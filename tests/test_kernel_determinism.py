@@ -10,7 +10,9 @@ order — fails here, even when the tables happen to agree.
 
 Cells: the Aohyper quick characterization tables (iolib/localfs/nfs)
 for jbod, raid1 and raid5; all eight iozone workloads and IOR on each
-device; BT-IO class S; a RAID 5 and a RAID 10 rebuild beside
+device; BT-IO class S; three MPI-IO programs (COMM_SELF files,
+``cb_nodes=1`` collective buffering, data-sieved sparse reads) with
+barriers between their steps; a RAID 5 and a RAID 10 rebuild beside
 foreground reads and writes; and eight synthetic rotation scenarios —
 holders time-slicing one resource (plain rotation, a mid-window
 arrival, a pivot behind an uncontended prefix, idle suffix resources)
@@ -330,6 +332,82 @@ def _golden_btio(device: str) -> dict:
     }
 
 
+def _mpi_comm_self(mpi, done):
+    """MADbench-style unique file per process: COMM_SELF open, writes,
+    reads, independent close."""
+    f = yield mpi.file_open_self(f"/nfs/self.{mpi.rank}", "w")
+    done("open", mpi)
+    for i in range(3):
+        yield f.write_at(i * MiB, 1 * MiB)
+    done("write", mpi)
+    yield mpi.barrier()
+    for i in range(3):
+        yield f.read_at(i * MiB, 1 * MiB)
+    done("read", mpi)
+    yield f.close()
+    done("close", mpi)
+    yield mpi.barrier()
+    done("barrier", mpi)
+
+
+def _mpi_one_aggregator(mpi, done):
+    """Two-phase collective buffering through a single aggregator; the
+    repeated appends go steady and are absorbed by the phase replay."""
+    f = yield mpi.file_open("/nfs/cb", "w")
+    done("open", mpi)
+    block = 256 * KiB
+    for step in range(6):
+        base = step * mpi.size * block
+        yield f.write_at_all(base + mpi.rank * block, block)
+    done("write_all", mpi)
+    yield mpi.barrier()
+    for step in range(3):
+        base = step * mpi.size * block
+        yield f.read_at_all(base + mpi.rank * block, block)
+    done("read_all", mpi)
+    yield f.close()
+    done("close", mpi)
+    yield mpi.barrier()
+    done("barrier", mpi)
+
+
+def _mpi_sieved_read(mpi, done):
+    """Sparse independent reads served by data sieving (``ds_read``)."""
+    f = yield mpi.file_open("/nfs/ds", "w")
+    yield f.write_at_all(mpi.rank * 2 * MiB, 2 * MiB)
+    done("write_all", mpi)
+    yield mpi.barrier()
+    for _ in range(2):
+        yield f.read_at(mpi.rank * 2 * MiB, 4 * KiB, count=64, stride=16 * KiB)
+    done("sieved_read", mpi)
+    yield mpi.barrier()
+    yield f.close()
+    done("close", mpi)
+
+
+#: name -> (rank program, MPI-IO hints)
+_MPI_CELLS = {
+    "comm_self": (_mpi_comm_self, {}),
+    "cb_nodes_1": (_mpi_one_aggregator, {"cb_nodes": 1}),
+    "ds_read": (_mpi_sieved_read, {"ds_read": True}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_mpi(name: str) -> dict:
+    program, hints = _MPI_CELLS[name]
+    times: list = []
+
+    def done(tag, mpi):
+        times.append([tag, mpi.rank, mpi.now])
+
+    with calendar_digest() as cal:
+        system = build_system(Environment(), small_config("jbod", n_compute=2))
+        world = system.world(4, io_hints=hints)
+        system.env.run(world.run_program(lambda mpi: program(mpi, done)))
+    return {"completions": times, "calendar": cal}
+
+
 def _golden_scenario(build) -> dict:
     times: list = []
     with calendar_digest() as cal:
@@ -407,6 +485,7 @@ def _golden_cells() -> dict:
         "btio": {"jbod": _golden_btio("jbod")},
         "scenarios": {n: _golden_scenario(b) for n, b in sorted(_GOLDEN_SCENARIOS.items())},
         "degraded": {n: _golden_degraded(n) for n in _DEGRADED_CELLS},
+        "mpi": {n: _golden_mpi(n) for n in _MPI_CELLS},
     }
 
 
@@ -450,6 +529,13 @@ def test_degraded_rebuild_matches_golden(name):
     assert len(got["completions"]) == len(_DEGRADED_FOREGROUND) + 1
     assert got["rebuild_stats"]["completed"] == 1
     assert got == _golden()["degraded"][name]
+
+
+@pytest.mark.parametrize("name", list(_MPI_CELLS))
+def test_mpi_matches_golden(name):
+    got = _golden_mpi(name)
+    assert {c[1] for c in got["completions"]} == {0, 1, 2, 3}
+    assert got == _golden()["mpi"][name]
 
 
 # ----------------------------------------------------------------------
