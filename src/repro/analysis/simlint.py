@@ -43,21 +43,23 @@ checks the failure classes this codebase has actually met:
 ``generator-serve``
     a generator-based serve loop (a function yielding simulation
     events, or delegating with ``yield from``) inside
-    :mod:`repro.storage` / :mod:`repro.hardware`.  Every service path
-    there is a flat callback state machine (``FlatOp`` /
-    ``FastHold``), and each behaviour has exactly one implementation;
-    per-event generator resumes cost roughly half the wall time the
-    flat paths save, so serve code must be written flat.  The only
-    generators allowed are long-lived daemons with no flat
-    counterpart (the RAID rebuild, cached-write and flusher
-    processes), each marked ``# simlint: ignore[generator-serve]``.
-    Pure data generators (yielding tuples or names, e.g.
-    ``PageCache.coalesce``) are not flagged.
+    :mod:`repro.storage` / :mod:`repro.hardware` / :mod:`repro.mpi`.
+    Every service path there is a flat callback state machine
+    (``FlatOp`` / ``FastHold``), and each behaviour has exactly one
+    implementation; per-event generator resumes cost roughly half the
+    wall time the flat paths save, so serve code must be written flat.
+    The only generators allowed are long-lived daemons with no flat
+    counterpart (the RAID rebuild and flusher processes) and
+    ``RankContext.replay_region``, which delegates to a rank program's
+    own generator body; each is marked
+    ``# simlint: ignore[generator-serve]``.  Pure data generators
+    (yielding tuples or names, e.g. ``PageCache.coalesce``) are not
+    flagged.
 
 The first three rules apply only inside the simulation packages
 (:data:`SIM_PACKAGES`, which includes the workload-grammar and
 trace-ingestion layers — their outputs feed the DES and its caches);
-``generator-serve`` only inside the storage and hardware layers;
+``generator-serve`` only inside the storage, hardware and MPI layers;
 ``unit-mix`` applies everywhere.  Intentional
 exceptions are allowlisted with ``# simlint: ignore[rule]`` (or a bare
 ``# simlint: ignore``) on the offending line, and whole files with
@@ -95,7 +97,7 @@ RULES: tuple[str, ...] = (
 
 #: packages whose serve paths must stay flat callback state machines —
 #: the scope of the ``generator-serve`` rule
-SERVE_PACKAGES: frozenset[str] = frozenset({"storage", "hardware"})
+SERVE_PACKAGES: frozenset[str] = frozenset({"storage", "hardware", "mpi"})
 
 #: packages whose code runs inside (or feeds) the DES — the scope of
 #: the determinism rules.  ``workloads`` and ``tracing`` are in scope
@@ -230,7 +232,7 @@ def _is_faults_path(path: str) -> bool:
 
 
 def _is_serve_path(path: str) -> bool:
-    """Does ``path`` live in a flat-serve-path package (storage/hardware)?"""
+    """Does ``path`` live in a flat-serve-path package (storage/hardware/mpi)?"""
     parts = Path(path).parts
     for i, part in enumerate(parts):
         if part == "repro" and i + 1 < len(parts):

@@ -116,15 +116,16 @@ _CONTINUATION_ARGS: dict[str, tuple[int, Optional[str]]] = {
 #: flat sub-steps — helper objects with no calendar footprint of their
 #: own, constructed by name — and the argument they call from a
 #: calendar step: the continuation ``k`` of the page-cache client steps
-#: (:mod:`repro.storage.cache`), of the NFS round trip, retransmit loop
-#: and stream, and of the LocalFS throttle, and the journaled LocalFS
-#: operation's ``effect``
+#: (:mod:`repro.storage.cache`), of the NFS round trip, request send,
+#: retransmit loop and stream, and of the LocalFS throttle, and the
+#: journaled LocalFS operation's ``effect``
 _SUBSTEP_ARGS: dict[str, tuple[int, Optional[str]]] = {
     "WriteBack": (3, "k"),
     "DirtyInsert": (4, "k"),
     "ReadScan": (5, "k"),
     "FillRuns": (4, "k"),
     "_RoundTrip": (6, "k"),
+    "_RpcSend": (4, "k"),
     "_FlatRetransmit": (4, "k"),
     "_FlatStream": (6, "k"),
     "_FlatThrottle": (2, "k"),

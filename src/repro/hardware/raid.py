@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ..simengine import Environment, Event
+from ..simengine import Environment, Event, FlatOp
 from .disk import Disk, DiskSpec, READ, WRITE, MiB
 
 __all__ = ["RAIDLevel", "RAIDConfig", "RAIDArray", "DataLossError", "RebuildStats"]
@@ -174,7 +174,7 @@ class RAIDArray:
 
         Dirty cache contents have nowhere to go; dropping them models
         the data loss.  Space waiters are woken so their
-        ``_cached_write`` loops re-check :attr:`_data_lost` and raise
+        :class:`_CachedWrite` loops re-check :attr:`_data_lost` and raise
         instead of sleeping on an event that would never fire.
         """
         self._pending_flush.clear()
@@ -353,10 +353,7 @@ class RAIDArray:
                 f"on a {self.config.level.value} organisation"
             )
         if op == WRITE and cached and self.config.write_back:
-            return self.env.process(
-                self._cached_write(offset, nbytes, count, stride),
-                name=f"{self.name}.wb",
-            )
+            return _CachedWrite(self, offset, nbytes * count).result
         return self._media(op, offset, nbytes, count, stride)
 
     def flush(self) -> Event:
@@ -368,36 +365,8 @@ class RAIDArray:
         return self._dirty
 
     # ------------------------------------------------------------------
-    # write-back cache
+    # write-back cache (writers: :class:`_CachedWrite`)
     # ------------------------------------------------------------------
-    def _cached_write(self, offset, nbytes, count, stride):  # simlint: ignore[generator-serve]
-        spec = self.config.disk
-        total = nbytes * count
-        absorbed = 0
-        while absorbed < total:
-            if self._data_lost:
-                raise DataLossError(
-                    f"array {self.name!r} lost data while a cached write was "
-                    "waiting for controller-cache space"
-                )
-            space = self.config.cache_bytes - self._dirty
-            if space <= 0:
-                ev = self.env.event()
-                self._space_waiters.append(ev)
-                yield ev
-                continue
-            chunk = min(total - absorbed, space)
-            self._dirty += chunk
-            self._pending_flush.append((offset + absorbed, chunk))
-            absorbed += chunk
-            if not self._flusher_running:
-                self._flusher_running = True
-                self._drained = self.env.event()
-                self.env.process(self._flusher(), name=f"{self.name}.flusher")
-            # absorbing into cache costs bus time only
-            yield self.env.timeout(chunk / spec.bus_rate_Bps + spec.command_overhead_s)
-        return total
-
     def _flusher(self):  # simlint: ignore[generator-serve]
         while self._pending_flush:
             off, n = self._pending_flush.pop(0)
@@ -698,3 +667,52 @@ class RAIDArray:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RAIDArray {self.name!r} {self.config.level.value} x{self.config.ndisks}>"
+
+
+class _CachedWrite(FlatOp):
+    """A write absorbed by the controller write-back cache.
+
+    The write enters the cache in chunks as space allows: each chunk
+    is queued for the background flusher (started if idle) and costs
+    bus time only; with the cache full the writer waits for the
+    flusher to free space.  The result is the byte count.
+    """
+
+    __slots__ = ("arr", "offset", "total", "absorbed")
+
+    def __init__(self, arr: RAIDArray, offset: int, total: int):
+        self.arr = arr
+        self.offset = offset
+        self.total = total
+        self.absorbed = 0
+        super().__init__(arr.env)
+
+    def _absorb(self, _v=None) -> None:
+        arr = self.arr
+        if self.absorbed >= self.total:
+            self._finish(self.total)
+            return
+        if arr._data_lost:
+            self._fail(DataLossError(
+                f"array {arr.name!r} lost data while a cached write was "
+                "waiting for controller-cache space"
+            ))
+            return
+        space = arr.config.cache_bytes - arr._dirty
+        if space <= 0:
+            ev = arr.env.event()
+            arr._space_waiters.append(ev)
+            self._await(ev, self._absorb)
+            return
+        chunk = min(self.total - self.absorbed, space)
+        arr._dirty += chunk
+        arr._pending_flush.append((self.offset + self.absorbed, chunk))
+        self.absorbed += chunk
+        if not arr._flusher_running:
+            arr._flusher_running = True
+            arr._drained = arr.env.event()
+            arr.env.process(arr._flusher(), name=f"{arr.name}.flusher")
+        spec = arr.config.disk
+        self._sleep(chunk / spec.bus_rate_Bps + spec.command_overhead_s, self._absorb)
+
+    _start = _absorb

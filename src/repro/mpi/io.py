@@ -21,54 +21,57 @@ Opens come in the collective (``MPI_COMM_WORLD``) flavour and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..simengine import Event, FlatOp
 from ..storage.base import IORequest
-from .sim import RankContext
+from .sim import RankContext, _Collective
 
 __all__ = ["MPIFile", "open_collective", "open_self", "IOHints"]
 
 
 @dataclass(frozen=True)
 class IOHints:
-    """ROMIO-style hints controlling collective buffering and sieving."""
+    """ROMIO-style hints controlling collective buffering and sieving.
+
+    A hint out of range raises one ``ValueError`` naming the field.
+    """
 
     cb_nodes: Optional[int] = None  # None -> one aggregator per node
-    cb_buffer_bytes: int = 16 * 1024 * 1024
     collective: bool = True  # romio_cb_write/read enabled
     ds_read: bool = False  # romio_ds_read: data sieving for sparse reads
     ds_buffer_bytes: int = 4 * 1024 * 1024
 
+    def __post_init__(self):
+        if self.cb_nodes is not None and self.cb_nodes < 1:
+            raise ValueError(f"MPI-IO hint cb_nodes must be >= 1, got {self.cb_nodes!r}")
+        if self.ds_buffer_bytes <= 0:
+            raise ValueError(
+                f"MPI-IO hint ds_buffer_bytes must be > 0, got {self.ds_buffer_bytes!r}"
+            )
+
     @staticmethod
     def from_dict(d: dict) -> "IOHints":
-        return IOHints(
-            cb_nodes=d.get("cb_nodes"),
-            cb_buffer_bytes=d.get("cb_buffer_bytes", 16 * 1024 * 1024),
-            collective=d.get("collective", True),
-            ds_read=d.get("ds_read", False),
-            ds_buffer_bytes=d.get("ds_buffer_bytes", 4 * 1024 * 1024),
-        )
+        """Hints from a ``{field: value}`` dict; an unknown key raises."""
+        known = [f.name for f in fields(IOHints)]
+        for key in d:
+            if key not in known:
+                raise ValueError(
+                    f"unknown MPI-IO hint {key!r} (known: {', '.join(known)})"
+                )
+        return IOHints(**d)
 
 
 class MPIFile:
     """A rank's handle on an MPI file."""
 
-    def __init__(
-        self,
-        ctx: RankContext,
-        path: str,
-        inode,
-        fs,
-        hints: IOHints,
-        self_comm: bool = False,
-    ):
+    def __init__(self, ctx: RankContext, path: str, inode, fs, self_comm: bool = False):
         self.ctx = ctx
         self.path = path
         self.inode = inode
         self.fs = fs
-        self.hints = hints
+        self.hints = ctx.world.hints
         self.self_comm = self_comm
         self.env = ctx.env
 
@@ -164,62 +167,7 @@ class MPIFile:
         # paths never gather all ranks at one call site).
         if not self.hints.collective or self.self_comm:
             return self._independent(req)
-
-        def _op():
-            t0 = self.env.now
-            world = self.ctx.world
-            point, last = world.rendezvous.arrive(
-                f"cio:{self.path}:{req.op}", self.ctx.rank, (self.ctx.rank, req)
-            )
-            if last:
-                # Only the last-arriving rank consults the accelerator,
-                # so the extrapolate-or-simulate decision is made once
-                # per call site and every rank sees the same completion.
-                reqs = yield point.all_arrived
-                reqmap = dict(reqs.values())
-                replay = world.replay
-                active = {r: q for r, q in reqmap.items() if q.total_bytes > 0}
-                plan = _io_domains(world, self, req.op, active) if active else None
-                if plan is not None:
-                    san = self.env.sanitizer
-                    if san is not None:
-                        # overlapping requests collapse into a smaller
-                        # union of file domains; account the gap once
-                        # per collective call (this is the only rank
-                        # that computes the plan)
-                        covered = sum(d.total_bytes for _afs, d in plan[1])
-                        san.note_gap(req.op, plan[2] - covered)
-                key = _collective_key(self.path, req.op, self.ctx.phase_epoch, reqmap)
-                if plan is not None:
-                    # aggregator cache regimes: same rationale as the
-                    # independent key's state token
-                    key += (tuple(
-                        afs.state_token(self.inode, dreq) for afs, dreq in plan[1]
-                    ),)
-                # one logical phase per call site (the collective is
-                # already globally synchronized), but grouped so the
-                # scope rule couples it to concurrent phases
-                group = ("cg",) + key
-                scope = self._phase_scope(self.ctx.phase_epoch)
-                steady = replay.steady(key, group, scope)
-                if steady is not None:
-                    result = _absorb_two_phase(world, self, active, plan)
-                    if steady > 0.0:
-                        yield self.env.timeout(steady)
-                else:
-                    t1 = self.env.now
-                    result = yield self.env.process(
-                        _two_phase(world, self, req.op, active, plan),
-                        name=f"twophase.{req.op}",
-                    )
-                    replay.observe(key, self.env.now - t1, group, scope)
-                point.done.succeed(result)
-            else:
-                yield point.done
-            self._trace(req, t0, collective=True)
-            return req.total_bytes
-
-        return self.env.process(_op(), name=f"mpiio.r{self.ctx.rank}.{req.op}_all")
+        return _CollectiveIO(self, req).result
 
     # ------------------------------------------------------------------
     def sync(self) -> Event:
@@ -229,30 +177,11 @@ class MPIFile:
         """Collective close: flush once, then everyone drops the handle."""
         if self.self_comm:
             return self.close_self()
-
-        def _op():
-            world = self.ctx.world
-            point, last = world.rendezvous.arrive(f"fclose:{self.path}", self.ctx.rank, None)
-            if last:
-                yield point.all_arrived
-                yield self.fs.fsync(self.inode)
-                yield self.fs.close(self.inode)
-                point.done.succeed(None)
-            else:
-                yield point.done
-            return None
-
-        return self.env.process(_op(), name=f"mpiio.r{self.ctx.rank}.close")
+        return _CloseAll(self).result
 
     def close_self(self) -> Event:
         """Independent close (COMM_SELF files)."""
-
-        def _op():
-            yield self.fs.fsync(self.inode)
-            yield self.fs.close(self.inode)
-            return None
-
-        return self.env.process(_op(), name=f"mpiio.r{self.ctx.rank}.close")
+        return _CloseSelf(self).result
 
     @property
     def size(self) -> int:
@@ -453,113 +382,255 @@ def _io_domains(world, mfile: MPIFile, op: str, active: dict[int, IORequest]):
     return aggs, domains, total
 
 
-def _absorb_two_phase(world, mfile: MPIFile, active: dict[int, IORequest], plan) -> int:
-    """Apply a steady collective call's state side effects analytically:
-    the aggregator domains land in (or refresh) the target filesystems
-    exactly as the simulated I/O phase would, with no simulated time."""
-    if not active or plan is None:
-        return 0
-    _aggs, domains, total = plan
-    for afs, dreq in domains:
-        afs.absorb(mfile.inode, dreq)
-    return total
+class _CollectiveIO(_Collective):
+    """One rank's part in a two-phase collective read or write.
+
+    Only the last-arriving rank consults the phase-replay accelerator,
+    so the extrapolate-or-simulate decision is made once per call site
+    and every rank sees the same completion.  A steady call applies the
+    aggregator domains' state through ``absorb`` and is charged its
+    known duration; any other runs :class:`_TwoPhase` and is observed.
+    """
+
+    __slots__ = ("f", "req", "t0", "_key", "_group", "_scope", "_t1")
+
+    def __init__(self, f: MPIFile, req: IORequest):
+        self.f = f
+        self.req = req
+        self.t0 = f.env.now
+        ctx = f.ctx
+        super().__init__(ctx, f"cio:{f.path}:{req.op}", (ctx.rank, req))
+
+    def _last(self, reqs: dict) -> None:
+        f = self.f
+        op = self.req.op
+        world = f.ctx.world
+        reqmap = dict(reqs.values())
+        active = {r: q for r, q in reqmap.items() if q.total_bytes > 0}
+        key = _collective_key(f.path, op, f.ctx.phase_epoch, reqmap)
+        plan = None
+        if active:
+            plan = _io_domains(world, f, op, active)
+            san = self.env.sanitizer
+            if san is not None:
+                # overlapping requests collapse into a smaller union of
+                # file domains; account the gap once per collective call
+                # (this is the only rank that computes the plan)
+                covered = sum(d.total_bytes for _afs, d in plan[1])
+                san.note_gap(op, plan[2] - covered)
+            # aggregator cache regimes: same rationale as the
+            # independent key's state token
+            key += (tuple(afs.state_token(f.inode, dreq) for afs, dreq in plan[1]),)
+        # one logical phase per call site (the collective is already
+        # globally synchronized), but grouped so the scope rule couples
+        # it to concurrent phases
+        group = ("cg",) + key
+        scope = f._phase_scope(f.ctx.phase_epoch)
+        steady = world.replay.steady(key, group, scope)
+        if steady is not None:
+            if active:
+                for afs, dreq in plan[1]:
+                    afs.absorb(f.inode, dreq)
+            if steady > 0.0:
+                self._sleep(steady, self._release)
+            else:
+                self._release()
+            return
+        self._key = key
+        self._group = group
+        self._scope = scope
+        self._t1 = self.env.now
+        self._await(_TwoPhase(f, op, active, plan).result, self._observed)
+
+    def _observed(self, _v) -> None:
+        self.f.ctx.world.replay.observe(
+            self._key, self.env.now - self._t1, self._group, self._scope
+        )
+        self._release()
+
+    def _tail(self, _v) -> None:
+        self.f._trace(self.req, self.t0, collective=True)
+        self._finish(self.req.total_bytes)
 
 
-def _two_phase(world, mfile: MPIFile, op: str, active: dict[int, IORequest], plan=None):
+class _TwoPhase(FlatOp):
     """ROMIO's generalised two-phase collective buffering.
 
-    ``active`` maps rank -> its (non-empty) request.  Aggregators own
-    contiguous file domains (``plan``, precomputed by the caller via
-    :func:`_io_domains` or derived here); the exchange phase moves
-    every rank's bytes to/from the owning aggregators over the
-    communication network, the I/O phase moves whole domains through
-    the filesystem.
+    ``active`` maps rank -> its (non-empty) request; with none the call
+    moves nothing.  Aggregators own contiguous file domains (``plan``,
+    from :func:`_io_domains`); the exchange phase moves every rank's
+    bytes to the owning aggregators over the communication network,
+    the aggregators pack their collective buffers, the I/O phase moves
+    whole domains through the filesystem, and a read scatters the
+    bytes back.
     """
-    env = world.env
 
-    if not active:
-        return 0
-    aggs, domains, total = plan if plan is not None else _io_domains(world, mfile, op, active)
-    nagg = len(aggs)
+    __slots__ = ("world", "f", "op", "active", "plan")
 
-    # --- exchange phase -----------------------------------------------------
-    # Interleaved decompositions spread each rank's bytes roughly evenly
-    # over the aggregator domains.
-    net = world.cluster.comm_network
-    evs = []
-    for r, q in active.items():
-        share = q.total_bytes // nagg
-        for a in aggs:
-            if world.node_of(r) is world.node_of(a):
-                continue  # node-local exchange is a memcpy, charged below
-            if (op == "write") and share:
-                evs.append(net.transfer(world.node_of(r).name, world.node_of(a).name, share))
-    if op == "write" and evs:
-        yield env.all_of(evs)
+    def __init__(self, f: MPIFile, op: str, active: dict[int, IORequest], plan):
+        self.world = f.ctx.world
+        self.f = f
+        self.op = op
+        self.active = active
+        self.plan = plan
+        super().__init__(f.env)
 
-    # collective buffer packing at the aggregators
-    pack = world.node_of(aggs[0]).memcpy_time(total // nagg)
-    yield env.timeout(pack)
+    def _start(self, _v) -> None:
+        if not self.active:
+            self._finish(0)
+            return
+        if self.op == "write":
+            evs = self._exchange()
+            if evs:
+                self._await(self.env.all_of(evs), self._pack)
+                return
+        self._pack()
 
-    # --- I/O phase ------------------------------------------------------------
-    io_evs = [afs.submit_direct(mfile.inode, dreq) for afs, dreq in domains]
-    if io_evs:
-        yield env.all_of(io_evs)
-
-    # --- read scatter ------------------------------------------------------------
-    if op == "read":
+    def _exchange(self) -> list:
+        """Interleaved decompositions spread each rank's bytes roughly
+        evenly over the aggregator domains: one transfer per rank and
+        aggregator on another node (a node-local exchange is a memcpy,
+        charged by the packing), rank to aggregator for a write and
+        back for a read."""
+        world = self.world
+        net = world.cluster.comm_network
+        aggs = self.plan[0]
         evs = []
-        for r, q in active.items():
-            share = q.total_bytes // nagg
+        for r, q in self.active.items():
+            share = q.total_bytes // len(aggs)
+            node = world.node_of(r)
             for a in aggs:
-                if world.node_of(r) is world.node_of(a):
+                agg = world.node_of(a)
+                if agg is node or not share:
                     continue
-                if share:
-                    evs.append(
-                        net.transfer(world.node_of(a).name, world.node_of(r).name, share)
-                    )
+                if self.op == "write":
+                    evs.append(net.transfer(node.name, agg.name, share))
+                else:
+                    evs.append(net.transfer(agg.name, node.name, share))
+        return evs
+
+    def _pack(self, _v=None) -> None:
+        aggs, _domains, total = self.plan
+        self._sleep(self.world.node_of(aggs[0]).memcpy_time(total // len(aggs)), self._io)
+
+    def _io(self, _v) -> None:
+        f = self.f
+        evs = [afs.submit_direct(f.inode, dreq) for afs, dreq in self.plan[1]]
         if evs:
-            yield env.all_of(evs)
-    return total
+            self._await(self.env.all_of(evs), self._scatter)
+            return
+        self._scatter()
+
+    def _scatter(self, _v=None) -> None:
+        if self.op == "read":
+            evs = self._exchange()
+            if evs:
+                self._await(self.env.all_of(evs), self._done)
+                return
+        self._done()
+
+    def _done(self, _v=None) -> None:
+        self._finish(self.plan[2])
+
+
+class _CloseAll(_Collective):
+    """Collective close: the last rank flushes and closes the file once."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: MPIFile):
+        self.f = f
+        super().__init__(f.ctx, f"fclose:{f.path}")
+
+    def _last(self, _data) -> None:
+        self._await(self.f.fs.fsync(self.f.inode), self._synced)
+
+    def _synced(self, _v) -> None:
+        self._await(self.f.fs.close(self.f.inode), self._closed)
+
+    def _closed(self, _v) -> None:
+        self._release()
+
+
+class _CloseSelf(FlatOp):
+    """Independent close of a COMM_SELF file: flush, then close."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: MPIFile):
+        self.f = f
+        super().__init__(f.env)
+
+    def _start(self, _v) -> None:
+        self._await(self.f.fs.fsync(self.f.inode), self._synced)
+
+    def _synced(self, _v) -> None:
+        self._await(self.f.fs.close(self.f.inode), self._closed)
+
+    def _closed(self, _v) -> None:
+        self._finish(None)
+
+
+def _create_or_open(fs, path: str, mode: str) -> Event:
+    """Create (truncate) ``path`` for a writing mode or when it is
+    missing; open it otherwise."""
+    if "w" in mode or not fs.exists(path):
+        return fs.create(path)
+    return fs.open(path)
+
+
+class _OpenAll(_Collective):
+    """MPI_File_open on COMM_WORLD: the last rank creates or opens the
+    file once; then each rank whose node resolves the path to a
+    filesystem without it (distinct per-node local filesystems)
+    materialises it there."""
+
+    __slots__ = ("path", "mode", "fs")
+
+    def __init__(self, ctx: RankContext, path: str, mode: str):
+        self.path = path
+        self.mode = mode
+        super().__init__(ctx, f"fopen:{path}", mode)
+
+    def _last(self, _modes) -> None:
+        fs0 = self.ctx.world.ranks[0].node.vfs.resolve(self.path)
+        self._await(_create_or_open(fs0, self.path, self.mode), self._release)
+
+    def _tail(self, inode) -> None:
+        fs = self.fs = self.ctx.node.vfs.resolve(self.path)
+        if not fs.exists(self.path):
+            self._await(fs.create(self.path), self._opened)
+            return
+        self._opened(inode)
+
+    def _opened(self, inode) -> None:
+        self._finish(MPIFile(self.ctx, self.path, inode, self.fs))
+
+
+class _OpenSelf(FlatOp):
+    """MPI_File_open on COMM_SELF (unique file per process)."""
+
+    __slots__ = ("ctx", "path", "mode", "fs")
+
+    def __init__(self, ctx: RankContext, path: str, mode: str):
+        self.ctx = ctx
+        self.path = path
+        self.mode = mode
+        super().__init__(ctx.env)
+
+    def _start(self, _v) -> None:
+        fs = self.fs = self.ctx.node.vfs.resolve(self.path)
+        self._await(_create_or_open(fs, self.path, self.mode), self._opened)
+
+    def _opened(self, inode) -> None:
+        self._finish(MPIFile(self.ctx, self.path, inode, self.fs, self_comm=True))
 
 
 def open_collective(ctx: RankContext, path: str, mode: str = "r") -> Event:
     """MPI_File_open on COMM_WORLD."""
-
-    def _op():
-        world = ctx.world
-        hints = IOHints.from_dict(world.io_hints)
-        point, last = world.rendezvous.arrive(f"fopen:{path}", ctx.rank, mode)
-        if last:
-            yield point.all_arrived
-            # one rank performs the create/truncate
-            fs0 = world.ranks[0].node.vfs.resolve(path)
-            if "w" in mode or not fs0.exists(path):
-                inode = yield fs0.create(path)
-            else:
-                inode = yield fs0.open(path)
-            point.done.succeed(inode)
-        else:
-            inode = yield point.done
-        fs = ctx.node.vfs.resolve(path)
-        if not fs.exists(path):
-            # distinct per-node local filesystems: materialise the file
-            inode = yield fs.create(path)
-        return MPIFile(ctx, path, inode, fs, hints)
-
-    return ctx.env.process(_op(), name=f"mpiio.r{ctx.rank}.open")
+    return _OpenAll(ctx, path, mode).result
 
 
 def open_self(ctx: RankContext, path: str, mode: str = "r") -> Event:
     """MPI_File_open on COMM_SELF (unique file per process)."""
-
-    def _op():
-        hints = IOHints.from_dict(ctx.world.io_hints)
-        fs = ctx.node.vfs.resolve(path)
-        if "w" in mode or not fs.exists(path):
-            inode = yield fs.create(path)
-        else:
-            inode = yield fs.open(path)
-        return MPIFile(ctx, path, inode, fs, hints, self_comm=True)
-
-    return ctx.env.process(_op(), name=f"mpiio.r{ctx.rank}.open_self")
+    return _OpenSelf(ctx, path, mode).result

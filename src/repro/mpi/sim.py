@@ -3,23 +3,27 @@
 A *program* is a generator function ``prog(mpi)`` executed once per
 rank as a DES process; ``mpi`` is that rank's :class:`RankContext`,
 exposing a deliberately mpi4py-flavoured API (``send``/``recv``/
-``barrier``/``bcast``/... and :meth:`RankContext.file_open` for
-MPI-IO).  Messages move over the cluster's *communication* network;
-file data moves over its *data* network (or the same one, when the
-cluster is configured with a single shared fabric — one of the
-paper's configurable factors).  A send or receive is a flat callback
-state machine (:class:`~repro.simengine.FlatOp`) on the calendar, not a
-generator process.
+``barrier`` and :meth:`RankContext.file_open` for MPI-IO).  Messages
+move over the cluster's *communication* network; file data moves over
+its *data* network (or the same one, when the cluster is configured
+with a single shared fabric — one of the paper's configurable
+factors).  Every MPI call is a flat callback state machine
+(:class:`~repro.simengine.FlatOp`) on the calendar, not a generator
+process.
 
 Collective calls synchronise through a per-communicator
 :class:`Rendezvous`: SPMD programs reach collective call sites in the
-same order, so each site gets a sequence number; the last rank to
-arrive executes the cost model and releases everyone.
+same order, so each site gets a sequence number.  Each rank's part in
+a call site is one :class:`_Collective` step: the last rank to arrive
+runs the call's shared step (the barrier's message rounds, a two-phase
+collective access, the create of a collective open or the flush of a
+collective close) and releases everyone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil, log2
 from typing import Any, Callable, Generator, Optional
 
 from ..simengine import Environment, Event, FlatOp, Store
@@ -71,9 +75,87 @@ class Rendezvous:
             del self._points[key]
         return point, last
 
-    def count(self, kind: str, rank: int) -> int:
-        """How many ``kind`` call sites ``rank`` has reached so far."""
-        return self._counters.get((kind, rank), 0)
+
+class _Collective(FlatOp):
+    """One rank's part in a collective call site.
+
+    The rank arrives at the site.  A rank that is not last waits on
+    ``point.done``; the last rank waits on ``point.all_arrived``, runs
+    :meth:`_last` — the call's shared step, which ends in
+    :meth:`_release` — and so succeeds ``done``.  Every rank then runs
+    its own :meth:`_tail`, which by default finishes with ``None``.
+    """
+
+    __slots__ = ("ctx", "kind", "data", "_point")
+
+    def __init__(self, ctx: "RankContext", kind: str, data: Any = None):
+        self.ctx = ctx
+        self.kind = kind
+        self.data = data
+        super().__init__(ctx.env)
+
+    def _start(self, _v: None) -> None:
+        point, last = self.ctx.world.rendezvous.arrive(self.kind, self.ctx.rank, self.data)
+        if last:
+            self._point = point
+            self._await(point.all_arrived, self._last)
+        else:
+            self._await(point.done, self._tail)
+
+    def _last(self, data_by_rank: dict[int, Any]) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _release(self, value: Any = None) -> None:
+        self._point.done.succeed(value)
+        self._tail(value)
+
+    def _tail(self, _value: Any) -> None:
+        self._finish(None)
+
+
+class _BarrierCall(_Collective):
+    """``MPI_Barrier``: the last rank runs the dissemination rounds."""
+
+    __slots__ = ()
+
+    def _last(self, _data: dict) -> None:
+        self._await(_Dissemination(self.ctx.world).result, self._release)
+
+
+class _Dissemination(FlatOp):
+    """Dissemination barrier: ⌈log₂p⌉ rounds; in round ``k`` every rank
+    ``r`` sends an envelope-sized message to rank ``r + 2^k`` (mod p)
+    over the communication network, so the rounds contend with
+    everything else on that fabric."""
+
+    __slots__ = ("world", "k", "rounds")
+
+    def __init__(self, world: "MPIWorld"):
+        self.world = world
+        self.k = 0
+        self.rounds = max(1, ceil(log2(max(world.nprocs, 2))))
+        super().__init__(world.env)
+
+    def _round(self, _v: None = None) -> None:
+        k = self.k
+        if k == self.rounds:
+            self._finish(None)
+            return
+        self.k = k + 1
+        world = self.world
+        p = world.nprocs
+        net = world.cluster.comm_network
+        self._await(
+            world.env.all_of([
+                net.transfer(
+                    world.node_of(r).name, world.node_of((r + (1 << k)) % p).name, _ENVELOPE
+                )
+                for r in range(p)
+            ]),
+            self._round,
+        )
+
+    _start = _round
 
 
 class _Send(FlatOp):
@@ -166,7 +248,7 @@ class RankContext:
         return self.env.timeout(t)
 
     # -- phase replay -------------------------------------------------------
-    def replay_region(self, key: tuple, body) -> Generator:
+    def replay_region(self, key: tuple, body) -> Generator:  # simlint: ignore[generator-serve]
         """Run ``body`` (a generator) as a repetitive *region* of the
         program — e.g. one time step's boundary exchanges — letting the
         phase-replay accelerator extrapolate it once verified steady.
@@ -221,58 +303,11 @@ class RankContext:
             raise ValueError(f"bad source rank src={src}")
         return _Recv(self.env, self._mailbox(src, tag)).result
 
-    # -- collectives (cost models live in collectives.py) ---------------------
+    # -- collectives ------------------------------------------------------------
     def barrier(self) -> Event:
-        from .collectives import barrier
-
+        """``MPI_Barrier``; also opens the next phase epoch."""
         self.phase_epoch += 1
-        return self._collective("barrier", None, barrier)
-
-    def bcast(self, root: int, nbytes: int, payload: Any = None) -> Event:
-        from .collectives import bcast
-
-        data = payload if self.rank == root else None
-        return self._collective("bcast", (root, nbytes, data), bcast)
-
-    def reduce(self, root: int, nbytes: int) -> Event:
-        from .collectives import reduce as _reduce
-
-        return self._collective("reduce", (root, nbytes), _reduce)
-
-    def allreduce(self, nbytes: int) -> Event:
-        from .collectives import allreduce
-
-        return self._collective("allreduce", nbytes, allreduce)
-
-    def gather(self, root: int, nbytes: int) -> Event:
-        from .collectives import gather
-
-        return self._collective("gather", (root, nbytes), gather)
-
-    def allgather(self, nbytes: int) -> Event:
-        from .collectives import allgather
-
-        return self._collective("allgather", nbytes, allgather)
-
-    def alltoall(self, nbytes_per_pair: int) -> Event:
-        from .collectives import alltoall
-
-        return self._collective("alltoall", nbytes_per_pair, alltoall)
-
-    def _collective(self, kind: str, data: Any, algorithm) -> Event:
-        def _op():
-            point, last = self.world.rendezvous.arrive(kind, self.rank, data)
-            if last:
-                args = yield point.all_arrived
-                result = yield self.env.process(
-                    algorithm(self.world, args), name=f"coll.{kind}"
-                )
-                point.done.succeed(result)
-                return result
-            result = yield point.done
-            return result
-
-        return self.env.process(_op(), name=f"r{self.rank}.{kind}")
+        return _BarrierCall(self, "barrier").result
 
     # -- MPI-IO -----------------------------------------------------------------
     def file_open(self, path: str, mode: str = "r") -> Event:
@@ -313,7 +348,10 @@ class MPIWorld:
             raise ValueError("cluster has no networks attached")
         from ..core.replay import PhaseReplayAccelerator
         from ..obs.metrics import IOLibStats
+        from .io import IOHints
 
+        #: MPI-IO hints of every file opened in this world
+        self.hints = IOHints.from_dict(io_hints or {})
         self.env = env
         self.cluster = cluster
         self.nprocs = nprocs
@@ -322,7 +360,6 @@ class MPIWorld:
             # declare the world size so idle ranks (no I/O events)
             # still count in tracer.nranks / per-rank averages
             tracer.set_world_size(nprocs)
-        self.io_hints = dict(io_hints or {})
         #: per-run phase-replay accelerator (one world = one app run)
         self.replay = PhaseReplayAccelerator(replay_settings)
         #: per-run MPI-IO level counters (the iolib metrics level)
@@ -341,18 +378,9 @@ class MPIWorld:
                 raise ValueError(f"unknown placement {placement!r}")
             self.ranks.append(RankContext(self, r, node))
         self.rendezvous = Rendezvous(env, nprocs)
-        #: shared MPI-IO state (files by path)
-        self.files: dict[str, Any] = {}
 
     def node_of(self, rank: int) -> Node:
         return self.ranks[rank].node
-
-    def aggregator_ranks(self) -> list[int]:
-        """Default ROMIO ``cb_nodes``: the lowest rank on each node."""
-        seen: dict[str, int] = {}
-        for r, ctx in enumerate(self.ranks):
-            seen.setdefault(ctx.node.name, r)
-        return sorted(seen.values())
 
     def run_program(
         self, program: Callable[[RankContext], Generator], name: str = "mpi"

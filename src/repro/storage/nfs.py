@@ -400,12 +400,42 @@ class _FlatRetransmit:
         self._tick()
 
 
+class _RpcSend:
+    """The request leg of an RPC: ``count`` requests of ``payload``
+    bytes to the server, then the :class:`_FlatRetransmit` loop if the
+    server is stalled; calls ``k()``.  A sub-step with no calendar
+    footprint of its own: it borrows the parent op's
+    :meth:`FlatOp._await`."""
+
+    __slots__ = ("m", "op", "payload", "count", "k")
+
+    def __init__(self, m, op, payload_bytes, count, k):
+        self.m = m
+        self.op = op
+        self.payload = payload_bytes
+        self.count = count
+        self.k = k
+        op._await(
+            m.network.transfer(
+                m.node.name, m.server.node.name, payload_bytes + m.spec.rpc_header_bytes,
+                count=count,
+            ),
+            self._sent,
+        )
+
+    def _sent(self, _v):
+        m = self.m
+        if m.server.stalled:
+            _FlatRetransmit(m, self.op, self.payload, self.count, self.k)
+            return
+        self.k()
+
+
 class _RoundTrip:
     """One synchronous RPC round trip: ``count`` requests of ``send_b``
-    payload bytes to the server, the :class:`_FlatRetransmit` loop if
-    the server is stalled, thread-pool service of ``factory``'s backend
-    work, then ``count`` replies of ``reply_b`` payload bytes; calls
-    ``k(value)`` with the backend's value.
+    payload bytes (:class:`_RpcSend`), thread-pool service of
+    ``factory``'s backend work, then ``count`` replies of ``reply_b``
+    payload bytes; calls ``k(value)`` with the backend's value.
 
     A sub-step with no calendar footprint of its own: it borrows the
     parent op's :meth:`FlatOp._await`.  :meth:`serve` enters at the
@@ -425,25 +455,9 @@ class _RoundTrip:
         self.k = k
 
     def send(self):
-        m = self.m
-        self.op._await(
-            m.network.transfer(
-                m.node.name,
-                m.server.node.name,
-                self.send_b + m.spec.rpc_header_bytes,
-                count=self.count,
-            ),
-            self._sent,
-        )
+        _RpcSend(self.m, self.op, self.send_b, self.count, self.serve)
 
-    def _sent(self, _v):
-        m = self.m
-        if m.server.stalled:
-            _FlatRetransmit(m, self.op, self.send_b, self.count, self.serve)
-            return
-        self.serve()
-
-    def serve(self, _v=None):
+    def serve(self):
         self.op._await(
             _ServerService(self.m.server, self.factory, self.count).result, self._served
         )
@@ -502,19 +516,11 @@ class _FlatStream:
         self.done = []
         self._send_next()
 
-    def _send_next(self, _v=None):
+    def _send_next(self):
         m = self.m
         if self.sent < self.count:
-            w = self._w = min(self.window, self.count - self.sent)
-            self.op._await(
-                m.network.transfer(
-                    m.node.name,
-                    m.server.node.name,
-                    self.send_b + m.spec.rpc_header_bytes,
-                    count=w,
-                ),
-                self._sent_window,
-            )
+            self._w = min(self.window, self.count - self.sent)
+            _RpcSend(m, self.op, self.send_b, self._w, self._spawn_window)
             return
         if self.done:
             self.op._await(m.env.all_of(self.done), self._all_done)
@@ -522,14 +528,7 @@ class _FlatStream:
         m.stats.rpcs += self.count
         self.k()
 
-    def _sent_window(self, _v):
-        m = self.m
-        if m.server.stalled:
-            _FlatRetransmit(m, self.op, self.send_b, self._w, self._spawn_window)
-            return
-        self._spawn_window()
-
-    def _spawn_window(self, _v=None):
+    def _spawn_window(self):
         w = self._w
         self.done.append(
             _FlatServerWindow(self.m, w, self.sent, self.reply_b, self.factory).result

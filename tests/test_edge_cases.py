@@ -119,9 +119,9 @@ class TestMPIEdge:
 
         def prog(mpi):
             yield mpi.barrier()
-            yield mpi.allreduce(1024)
             f = yield mpi.file_open("/nfs/solo.dat", "w")
             yield f.write_at_all(0, 1 * MiB)
+            yield mpi.barrier()
             yield f.close()
             return "ok"
 

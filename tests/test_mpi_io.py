@@ -1,5 +1,7 @@
 """MPI-IO tests: opens, independent vs collective, two-phase, hints."""
 
+import pytest
+
 from repro.simengine import Environment
 from repro.storage.base import KiB, MiB
 from repro.clusters.builder import build_system
@@ -175,6 +177,41 @@ class TestCollective:
 
         values = system.env.run(w.run_program(prog))
         assert values == [MiB] * 4
+
+
+class TestHints:
+    """Bad hints fail at ``system.world(...)`` with one ``ValueError``
+    naming the field, before any rank runs."""
+
+    @pytest.mark.parametrize(
+        "hints, field",
+        [
+            ({"cb_node": 1}, "cb_node"),
+            ({"cb_nodes": 0}, "cb_nodes"),
+            ({"cb_nodes": -2}, "cb_nodes"),
+            ({"ds_buffer_bytes": 0}, "ds_buffer_bytes"),
+            ({"ds_buffer_bytes": -4096}, "ds_buffer_bytes"),
+        ],
+    )
+    def test_bad_hint_rejected_at_world(self, hints, field):
+        system = build_system(Environment(), small_config())
+        with pytest.raises(ValueError, match=field):
+            system.world(4, io_hints=hints)
+
+    def test_hints_parsed_once_per_world(self):
+        system, w = make_world(2, io_hints={"cb_nodes": 1, "ds_read": True})
+        files = []
+
+        def prog(mpi):
+            f = yield mpi.file_open("/nfs/h.dat", "w")
+            g = yield mpi.file_open_self(f"/nfs/h{mpi.rank}.dat", "w")
+            files.extend([f, g])
+            yield g.close()
+            yield f.close()
+
+        system.env.run(w.run_program(prog))
+        assert w.hints.cb_nodes == 1 and w.hints.ds_read
+        assert all(f.hints is w.hints for f in files)
 
 
 class TestDataSieving:

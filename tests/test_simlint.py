@@ -390,6 +390,18 @@ def test_generator_serve_flags_event_yield_in_storage():
     assert "generator-serve" in rules_of(fs)
 
 
+def test_generator_serve_covers_mpi():
+    fs = findings(
+        """
+        def _collective(self, kind):
+            result = yield self.env.process(self._algorithm(kind))
+            return result
+        """,
+        path="src/repro/mpi/fixture.py",
+    )
+    assert "generator-serve" in rules_of(fs)
+
+
 def test_generator_serve_flags_yield_from_delegation():
     fs = findings(
         """
@@ -439,8 +451,10 @@ def test_generator_serve_pragma_suppresses():
 
 def test_generator_serve_pragmas_are_only_the_raid_daemons():
     # every serve path has one flat implementation; the only generators
-    # left in the serve packages are daemons with no flat counterpart,
-    # so a generator twin cannot quietly return behind a pragma
+    # left in the serve packages are the two RAID daemons, which have no
+    # flat counterpart, and the replay region, which delegates to a rank
+    # program's own generator body — so a generator twin cannot quietly
+    # return behind a pragma
     import io
     import re
     import tokenize
@@ -459,6 +473,6 @@ def test_generator_serve_pragmas_are_only_the_raid_daemons():
                 marked.add((path.relative_to(root).as_posix(), name and name.group(1)))
     assert marked == {
         ("hardware/raid.py", "_rebuild"),
-        ("hardware/raid.py", "_cached_write"),
         ("hardware/raid.py", "_flusher"),
+        ("mpi/sim.py", "replay_region"),
     }
