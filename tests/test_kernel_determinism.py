@@ -12,7 +12,9 @@ Cells: the Aohyper quick characterization tables (iolib/localfs/nfs)
 for jbod, raid1 and raid5; all eight iozone workloads and IOR on each
 device; BT-IO class S; three MPI-IO programs (COMM_SELF files,
 ``cb_nodes=1`` collective buffering, data-sieved sparse reads) with
-barriers between their steps; a RAID 5 and a RAID 10 rebuild beside
+barriers between their steps; three page-cache paths (NFS-client
+writes under the client throttle, a local read whose fill evicts dirty
+segments, a phase-replay absorb that evicts one); a RAID 5 and a RAID 10 rebuild beside
 foreground reads and writes; and eight synthetic rotation scenarios —
 holders time-slicing one resource (plain rotation, a mid-window
 arrival, a pivot behind an uncontended prefix, idle suffix resources)
@@ -44,16 +46,20 @@ import pytest
 
 from repro import aohyper_config, characterize_system
 from repro.clusters.builder import build_system
+from repro.hardware import GIGABIT, Network, Node, NodeSpec
 from repro.hardware.disk import Disk, DiskSpec, READ, WRITE
 from repro.hardware.raid import RAIDArray, RAIDConfig, RAIDLevel
 from repro.simengine import Environment
 from repro.simengine.bench import _BenchHold
 from repro.simengine.core import Timeout
 from repro.simengine.resources import Resource
-from repro.storage.base import KiB, MiB
+from repro.storage.base import IORequest, KiB, MiB
+from repro.storage.cache import CacheSpec
+from repro.storage.localfs import LocalFS
+from repro.storage.nfs import NFSMount, NFSServer
 from repro.workloads import run_ior, run_iozone
 from repro.workloads.btio import BTIOConfig, run_btio
-from conftest import SMALL_DISK, small_config
+from conftest import SMALL_DISK, SMALL_NODE, small_config
 
 DEVICES = ("jbod", "raid1", "raid5")
 ALT_MODES = ("no_fasthold", "no_coalesce", "no_fsfast", "analytic")
@@ -408,6 +414,96 @@ def _golden_mpi(name: str) -> dict:
     return {"completions": times, "calendar": cal}
 
 
+def _jbod(env):
+    return RAIDArray(env, RAIDConfig(level=RAIDLevel.JBOD, ndisks=1, disk=SMALL_DISK))
+
+
+def _cache_nfs_throttle(env, done):
+    """Dense NFS-client writes with partial head and tail segments into
+    a 16 MiB client cache: past the dirty limit the writer pushes the
+    oldest quarter of the cache to the server before going on."""
+    net = Network(env, ["c0", "srv"], GIGABIT)
+    srv = Node(env, "srv", NodeSpec(ram_bytes=256 * MiB))
+    server = NFSServer(env, srv, LocalFS(env, srv, _jbod(env)), net)
+    mount = NFSMount(
+        env, Node(env, "c0", SMALL_NODE), server, cache_spec=CacheSpec(capacity_bytes=16 * MiB)
+    )
+    f = env.run(mount.create("/w"))
+    piece = 9 * MiB // 4
+    for i in range(12):
+        env.run(mount.submit(f, IORequest("write", MiB // 2 + i * piece, piece)))
+        done("write", mount)
+    env.run(mount.submit(f, IORequest("read", MiB // 2, 3 * piece)))
+    done("read", mount)
+    env.run(mount.fsync(f))
+    done("fsync", mount)
+    return mount.cache
+
+
+#: a local cache that neither throttles nor flushes in the background:
+#: only eviction writes dirty data back
+_NO_FLUSH = dict(capacity_bytes=8 * MiB, dirty_ratio=1.0, background_ratio=1.0)
+
+
+def _cache_fill_dirty_victims(env, done):
+    """A LocalFS read of a clean file into a cache full of another
+    file's partly dirty segments: each filled run evicts dirty victims,
+    written back before the fill goes on."""
+    fs = LocalFS(env, Node(env, "n", SMALL_NODE), _jbod(env), cache_spec=CacheSpec(**_NO_FLUSH))
+    b = env.run(fs.create("/b"))
+    env.run(fs.submit(b, IORequest("write", 0, 6 * MiB)))
+    env.run(fs.fsync(b))
+    done("fsync", fs)
+    a = env.run(fs.create("/a"))
+    env.run(fs.submit(a, IORequest("write", MiB // 4, 15 * MiB // 2)))
+    done("write", fs)
+    env.run(fs.submit(b, IORequest("read", 0, 6 * MiB)))
+    done("read", fs)
+    return fs.cache
+
+
+def _cache_absorb_dirty_victim(env, done):
+    """A phase-replay absorb over a range of which half is resident in a
+    full, all-dirty cache: the hits refresh, the misses land clean and
+    evict the dirty LRU head, whose write-back the replay accounts
+    analytically."""
+    fs = LocalFS(env, Node(env, "n", SMALL_NODE), _jbod(env), cache_spec=CacheSpec(**_NO_FLUSH))
+    a = env.run(fs.create("/a"))
+    env.run(fs.submit(a, IORequest("write", 0, 4 * MiB)))
+    b = env.run(fs.create("/b"))
+    env.run(fs.submit(b, IORequest("write", MiB // 2, 7 * MiB // 2)))
+    done("write", fs)
+    fs.absorb(a, IORequest("write", 2 * MiB, 4 * MiB))
+    env.run(fs.fsync(a))
+    done("fsync", fs)
+    env.run(fs.submit(b, IORequest("read", 0, 4 * MiB)))
+    done("read", fs)
+    return fs.cache
+
+
+_CACHE_CELLS = {
+    "nfs_throttle": _cache_nfs_throttle,
+    "fill_dirty_victims": _cache_fill_dirty_victims,
+    "absorb_dirty_victim": _cache_absorb_dirty_victim,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_cache(name: str) -> dict:
+    times: list = []
+
+    def done(tag, owner):
+        times.append([tag, owner.cache.dirty_bytes, owner.env.now])
+
+    with calendar_digest() as cal:
+        cache = _CACHE_CELLS[name](Environment(), done)
+    return {
+        "completions": times,
+        "stats": dataclasses.asdict(cache.stats),
+        "calendar": cal,
+    }
+
+
 def _golden_scenario(build) -> dict:
     times: list = []
     with calendar_digest() as cal:
@@ -486,6 +582,7 @@ def _golden_cells() -> dict:
         "scenarios": {n: _golden_scenario(b) for n, b in sorted(_GOLDEN_SCENARIOS.items())},
         "degraded": {n: _golden_degraded(n) for n in _DEGRADED_CELLS},
         "mpi": {n: _golden_mpi(n) for n in _MPI_CELLS},
+        "cache": {n: _golden_cache(n) for n in _CACHE_CELLS},
     }
 
 
@@ -536,6 +633,13 @@ def test_mpi_matches_golden(name):
     got = _golden_mpi(name)
     assert {c[1] for c in got["completions"]} == {0, 1, 2, 3}
     assert got == _golden()["mpi"][name]
+
+
+@pytest.mark.parametrize("name", list(_CACHE_CELLS))
+def test_cache_matches_golden(name):
+    got = _golden_cache(name)
+    assert got["stats"]["evictions"] > 0
+    assert got == _golden()["cache"][name]
 
 
 # ----------------------------------------------------------------------
