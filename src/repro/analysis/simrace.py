@@ -103,7 +103,8 @@ _SEQ_NAMES = frozenset({"_seq", "seq", "_order"})
 #: calls whose argument at the given index (or keyword) is called from
 #: the calendar: ``env._push(when, priority, fn)``, the continuation
 #: ``k`` of the flat state machines' ``_await(ev, k)`` /
-#: ``_sleep(delay, k)`` / ``_wake(at, k)``, and the ``waiter`` of
+#: ``_sleep(delay, k)`` / ``_wake(at, k)`` and of a page-cache owner's
+#: ``_throttle(op, k)``, and the ``waiter`` of
 #: ``res.request(waiter, order_key)``, which the grant calls
 _CONTINUATION_ARGS: dict[str, tuple[int, Optional[str]]] = {
     "_push": (2, None),
@@ -111,6 +112,7 @@ _CONTINUATION_ARGS: dict[str, tuple[int, Optional[str]]] = {
     "_sleep": (1, None),
     "_wake": (1, None),
     "request": (0, "waiter"),
+    "_throttle": (1, None),
 }
 
 #: flat sub-steps — helper objects with no calendar footprint of their
@@ -202,15 +204,25 @@ def _function_table(tree: ast.AST) -> dict[str, list[_FnNode]]:
     return fns
 
 
-def _reachable_callbacks(tree: ast.AST) -> list[_FnNode]:
-    """Same-file closure of functions reachable from callback roots.
+def _reachable_callbacks(*trees: ast.AST) -> list[_FnNode]:
+    """Closure of functions reachable from callback roots across modules.
 
-    From each root, calls to names defined in the file pull those
-    definitions in, and nested defs/lambdas (closures the root builds,
-    e.g. a factory's returned callback) are reachable too.
+    Roots come from every given module, and from each root, calls to
+    names defined in any of them pull those definitions in, so a
+    continuation pushed in one file (``FlatOp._start`` in the kernel)
+    reaches its overrides in another.  Nested defs/lambdas (closures
+    the root builds, e.g. a factory's returned callback) are reachable
+    too.
     """
-    names, lambdas = _callback_roots(tree)
-    fns = _function_table(tree)
+    names: set[str] = set()
+    lambdas: list[ast.Lambda] = []
+    fns: dict[str, list[_FnNode]] = {}
+    for tree in trees:
+        tree_names, tree_lambdas = _callback_roots(tree)
+        names |= tree_names
+        lambdas.extend(tree_lambdas)
+        for name, defs in _function_table(tree).items():
+            fns.setdefault(name, []).extend(defs)
     work: list[_FnNode] = [n for name in names for n in fns.get(name, [])]
     work.extend(lambdas)
     seen_ids: set[int] = set()
@@ -482,51 +494,72 @@ def lint_race_source(
     path: str = "<string>",
     rules: Optional[Sequence[str]] = None,
 ) -> list[Finding]:
-    """Run the race rules over one module's source.
+    """Run the race rules over one module's source, on its own.
 
     Scope is *callback reachability*, not package membership: only
     functions reachable from a calendar root (see
-    :func:`_callback_roots`) in the same file are checked, wherever the
+    :func:`_callback_roots`) in the module are checked, wherever the
     file lives.  Pragma suppressions (``# simlint: ignore[rule]``)
     apply as in simlint.
     """
-    pragmas = _Pragmas(source)
-    if pragmas.skip_file:
-        return []
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(path, exc.lineno or 0, exc.offset or 0, "syntax", str(exc.msg))
-        ]
-    # set-valued names, reused for unordered-callback-iter
-    from .simlint import _collect_set_names
-
-    checker = _RaceChecker(path, _collect_set_names(tree))
-    for fn in _reachable_callbacks(tree):
-        checker.check(fn)
-    wanted = frozenset(rules) if rules is not None else frozenset(RACE_RULES)
-    out = []
-    for f in sorted(checker.findings, key=lambda f: (f.line, f.col, f.rule)):
-        if f.rule != "syntax" and f.rule not in wanted:
-            continue
-        if pragmas.suppressed(f.rule, f.line):
-            continue
-        out.append(f)
-    return out
+    return _lint_modules([(path, source)], rules)
 
 
 def lint_race_paths(
     paths: Sequence[Any],
     rules: Optional[Sequence[str]] = None,
 ) -> list[Finding]:
-    """Run the race rules over every ``*.py`` under ``paths``."""
-    findings: list[Finding] = []
-    for f in _iter_files(paths):
-        findings.extend(
-            lint_race_source(f.read_text(encoding="utf-8"), str(f), rules=rules)
-        )
-    return findings
+    """Run the race rules over every ``*.py`` under ``paths`` as one
+    program: a root in one file reaches functions defined in any of
+    them, and each finding is reported in its own file."""
+    return _lint_modules(
+        [(str(f), f.read_text(encoding="utf-8")) for f in _iter_files(paths)], rules
+    )
+
+
+def _lint_modules(
+    modules: Sequence[tuple[str, str]],
+    rules: Optional[Sequence[str]],
+) -> list[Finding]:
+    """Race findings of ``(path, source)`` modules, reachability taken
+    over all of them; a ``skip-file`` module takes no part."""
+    # set-valued names, reused for unordered-callback-iter
+    from .simlint import _collect_set_names
+
+    checked: list[tuple[_Pragmas, _RaceChecker]] = []
+    trees: list[ast.AST] = []
+    owner: dict[int, _RaceChecker] = {}
+    for path, source in modules:
+        pragmas = _Pragmas(source)
+        if pragmas.skip_file:
+            continue
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            checker = _RaceChecker(path, frozenset())
+            checker.findings.append(
+                Finding(path, exc.lineno or 0, exc.offset or 0, "syntax", str(exc.msg))
+            )
+            checked.append((pragmas, checker))
+            continue
+        checker = _RaceChecker(path, _collect_set_names(tree))
+        checked.append((pragmas, checker))
+        trees.append(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                owner[id(node)] = checker
+    for fn in _reachable_callbacks(*trees):
+        owner[id(fn)].check(fn)
+    wanted = frozenset(rules) if rules is not None else frozenset(RACE_RULES)
+    out = []
+    for pragmas, checker in checked:
+        for f in sorted(checker.findings, key=lambda f: (f.line, f.col, f.rule)):
+            if f.rule != "syntax" and f.rule not in wanted:
+                continue
+            if pragmas.suppressed(f.rule, f.line):
+                continue
+            out.append(f)
+    return out
 
 
 # ----------------------------------------------------------------------

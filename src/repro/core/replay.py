@@ -244,7 +244,10 @@ class PhaseReplayAccelerator:
                 # revalidation due: force one real occurrence through
                 # the DES; observe() compares it against steady
                 return None
-            st.since_check += 1
+            # a phase key names one rank's (or one collective call
+            # site's) occurrences, which run one after another: no two
+            # same-time callbacks advance one phase's state
+            st.since_check += 1  # simlint: ignore[tie-order-rmw]
             st.occ += 1
             self.stats.extrapolated += 1
             self.stats.extrapolated_sim_s += st.steady
@@ -258,7 +261,11 @@ class PhaseReplayAccelerator:
             d = self._decide(g, scope)
             g.decisions[r] = d
             if len(g.decisions) > 256:
-                g.decisions = {i: v for i, v in g.decisions.items() if i >= r - 128}
+                # what is kept depends only on the newest round r, not
+                # on which member decided it
+                g.decisions = {  # simlint: ignore[tie-order-rmw]
+                    i: v for i, v in g.decisions.items() if i >= r - 128
+                }
         if not d:
             return None
         # honour the frozen verdict even if the member lost its steady
@@ -291,7 +298,8 @@ class PhaseReplayAccelerator:
         if self.settings.recheck and g.rounds_since_check >= self.settings.recheck:
             g.rounds_since_check = 0
             return False
-        g.rounds_since_check += 1
+        # only the member that freezes a round's verdict gets here
+        g.rounds_since_check += 1  # simlint: ignore[tie-order-rmw]
         return True
 
     def observe(
@@ -318,7 +326,8 @@ class PhaseReplayAccelerator:
         self.stats.simulated += 1
         self.stats.simulated_sim_s += duration
         st.prev, st.last = st.last, duration
-        st.seen += 1
+        # one phase's occurrences run one after another (see steady())
+        st.seen += 1  # simlint: ignore[tie-order-rmw]
         st.occ += 1
         if not self.settings.enabled or st.disabled:
             return
@@ -342,7 +351,8 @@ class PhaseReplayAccelerator:
             return
         if st.seen >= self.settings.warmup and st.prev is not None:
             if self._agree(st.prev, st.last):
-                st.streak += 1
+                # one phase's state, like st.seen above
+                st.streak += 1  # simlint: ignore[tie-order-rmw]
                 if st.streak >= self.settings.confirm:
                     # lock the mean of the verified window: occurrence
                     # wobble (flusher/slot alignment) cancels, so the

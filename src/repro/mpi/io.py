@@ -35,7 +35,8 @@ __all__ = ["MPIFile", "open_collective", "open_self", "IOHints"]
 class IOHints:
     """ROMIO-style hints controlling collective buffering and sieving.
 
-    A hint out of range raises one ``ValueError`` naming the field.
+    A hint of the wrong type or out of range raises one ``ValueError``
+    naming the field.
     """
 
     cb_nodes: Optional[int] = None  # None -> one aggregator per node
@@ -44,6 +45,15 @@ class IOHints:
     ds_buffer_bytes: int = 4 * 1024 * 1024
 
     def __post_init__(self):
+        for name, kind in (
+            ("cb_nodes", int), ("ds_buffer_bytes", int), ("collective", bool), ("ds_read", bool)
+        ):
+            value = getattr(self, name)
+            if value is None and name == "cb_nodes":
+                continue
+            # exact types: a bool is no count, and 1 or "no" is no switch
+            if type(value) is not kind:
+                raise ValueError(f"MPI-IO hint {name} must be {kind.__name__}, got {value!r}")
         if self.cb_nodes is not None and self.cb_nodes < 1:
             raise ValueError(f"MPI-IO hint cb_nodes must be >= 1, got {self.cb_nodes!r}")
         if self.ds_buffer_bytes <= 0:

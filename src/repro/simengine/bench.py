@@ -27,8 +27,9 @@ Scenario mix:
   state machines (the one scenario that touches model code, because
   the flat filesystem path is what it gates).
 * ``cache_churn`` — a full :class:`~repro.storage.cache.PageCache`
-  streaming clean runs, dirty runs (cleaned a few runs later, as the
-  flusher would) and re-reads through its batch methods, so every new
+  streaming clean runs, dirty runs under the dirty limit (cleaned a
+  few runs later, as the flusher would), re-reads and the phase-replay
+  absorb walk, all through its one insertion walk, so every new
   segment evicts the LRU one: it gates the O(1) eviction that keeps
   the characterization's export and client caches cheap.
 
@@ -198,7 +199,7 @@ def _cache_churn(runs: int) -> Environment:
     # cache and with at most 512 dirty segments, under the throttle
     flush_back = 24 * run_segs
     cache = PageCache(CacheSpec(capacity_bytes=2048 * seg, segment_bytes=seg))
-    dirty_plan = [(k, seg) for k in range(run_segs)]
+    limit = cache.spec.dirty_limit_bytes
     state = {"i": 0}
 
     def step(_ev: Event) -> None:
@@ -208,24 +209,28 @@ def _cache_churn(runs: int) -> Environment:
         # single self-rearming chain: no concurrent writer exists
         state["i"] = i + 1  # simlint: ignore[tie-order-rmw]
         first = i * run_segs
+        end = first + run_segs
         kind = i % 3
         if kind == 0:
             # stream a clean run in; the cache is full, so each new
             # segment evicts the LRU one
-            done = cache.insert_clean_run(1, first, run_segs)
-            for s in range(first + done, first + run_segs):
-                cache.insert(1, s)
+            s = first
+            while s < end:
+                s += cache.insert_run(1, s, end - s, 0, None)[0]
         elif kind == 1:
-            entries = [(first + k, d) for k, d in dirty_plan]
-            done = cache.insert_dirty_run(1, entries)
-            for s, d in entries[done:]:
-                cache.insert(1, s, d)
+            # a dirty run under the writer's limit, the rest one
+            # segment at a time as after a throttle
+            done = cache.insert_run(1, first, run_segs, seg, limit)[0]
+            for s in range(first + done, end):
+                cache.insert_run(1, s, 1, seg, None)
             cache.mark_clean_run(1, first - flush_back, run_segs)
         else:
             # re-read the previous run (hits) and stream the next
-            # range through the serve-path walk (misses + evictions)
+            # range through the replay absorb walk (misses + evictions)
             cache.touch_run(1, range(first - run_segs, first))
-            cache.touch_or_insert_clean(1, range(first, first + run_segs))
+            for s in range(first, end):
+                if not cache.touch(1, s):
+                    cache.insert_run(1, s, 1, 0, None)
         Timeout(env, 0.001).callbacks.append(step)
 
     Timeout(env, 0.001).callbacks.append(step)

@@ -9,15 +9,24 @@ random-write rate while dense streams throttle at its sequential
 rate, with no workload-specific special cases.
 
 :class:`PageCache` itself is pure bookkeeping — it advances no
-simulated time.  The cache *policy* lives in four client steps below
-it, written once for every owner:
+simulated time.  Every insertion goes through one walk,
+:meth:`PageCache.insert_run`: a run of segments gains the same dirty
+bytes each, resident ones are refreshed and new ones evict the LRU
+head; the walk stops over a dirty limit (the writer throttle) or after
+a segment that evicted dirty victims, so the caller can write those
+back at the right simulated time.  A write is planned as
+``(first, nsegs, dirty_bytes)`` runs: a dense one is at most a partial
+head, the full middle and a partial tail (:meth:`PageCache.dense_runs`).
+
+The cache *policy* lives in four client steps below it, written once
+for every owner:
 
 * :class:`FillRuns` — coalesce the misses, read each run, insert it
   clean, writing dirty victims back before going on;
 * :class:`ReadScan` — a dense read: touch the hits, fill each run of
   misses, the last one extended by the owner's readahead;
-* :class:`DirtyInsert` — a write: insert its dirty pieces, throttling
-  over the dirty limit and writing dirty victims back;
+* :class:`DirtyInsert` — a write: insert its runs, throttling over the
+  dirty limit and writing dirty victims back;
 * :class:`WriteBack` — write dirty runs back and mark them clean.
 
 An owner (:class:`CacheClient`) supplies only its transport: how a run
@@ -34,6 +43,7 @@ each node's RAM.
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
@@ -128,15 +138,30 @@ class PageCache:
             return range(0)
         return range(offset // sb, (offset + nbytes - 1) // sb + 1)
 
-    def dense_plan(self, offset: int, nbytes: int) -> list[tuple[int, int]]:
-        """``(segment, bytes)`` pieces of a dense byte range: the plan a
-        dense write hands :class:`DirtyInsert`."""
+    def dense_runs(self, offset: int, nbytes: int) -> list[tuple[int, int, int]]:
+        """``(first, nsegs, dirty_bytes)`` runs of a dense byte range: a
+        partial head segment, the full middle and a partial tail."""
         sb = self._sb
+        if nbytes <= 0:
+            return []
         end = offset + nbytes
-        return [
-            (s, min(end, (s + 1) * sb) - max(offset, s * sb))
-            for s in self.segments_of(offset, nbytes)
-        ]
+        first = offset // sb
+        last = (end - 1) // sb
+        if first == last:
+            return [(first, 1, nbytes)]
+        runs = []
+        head = (first + 1) * sb - offset
+        if head < sb:
+            runs.append((first, 1, head))
+            first += 1
+        tail = end - last * sb
+        if tail < sb:
+            last -= 1
+        if last >= first:
+            runs.append((first, last - first + 1, sb))
+        if tail < sb:
+            runs.append((last + 1, 1, tail))
+        return runs
 
     # -- state queries -----------------------------------------------------
     @property
@@ -153,9 +178,6 @@ class PageCache:
 
     def is_resident(self, fileid: int, seg: int) -> bool:
         return (fileid, seg) in self._segs
-
-    def dirty_amount(self, fileid: int, seg: int) -> int:
-        return self._segs.get((fileid, seg), 0)
 
     def file_resident_segments(self, fileid: int) -> int:
         return self._file_resident.get(fileid, 0)
@@ -181,49 +203,80 @@ class PageCache:
         self.stats.misses += 1
         return False
 
-    def insert(
-        self, fileid: int, seg: int, dirty_bytes: int = 0
-    ) -> list[tuple[int, int, int]]:
-        """Make a segment resident with ``dirty_bytes`` newly dirty.
+    def insert_run(
+        self, fileid: int, first: int, nsegs: int, dirty: int, limit: int | None
+    ) -> tuple[int, list[tuple[int, int, int]]]:
+        """Make segments ``first .. first + nsegs - 1`` resident, each
+        gaining ``dirty`` newly dirty bytes (capped at the segment size).
 
-        Returns evicted dirty victims as ``(fileid, seg, dirty_bytes)``
-        tuples; the caller must write those back to the backing store
-        (and charge the time for it).  Clean victims vanish silently.
+        A resident segment is refreshed to MRU; a new one evicts the LRU
+        head while the cache is full.  With a ``limit``, the walk stops
+        before any segment that finds more than ``limit`` bytes dirty
+        (the writer throttle).  It stops after any segment whose
+        insertion evicted dirty victims.  Returns ``(inserted,
+        victims)``: how many leading segments were inserted and the
+        evicted dirty victims as ``(fileid, seg, dirty_bytes)``, which
+        the caller must write back (and charge the time for).  Clean
+        victims vanish silently.
         """
         sb = self._sb
-        if dirty_bytes > sb:
-            dirty_bytes = sb
-        key = (fileid, seg)
+        if dirty > sb:
+            dirty = sb
+        if limit is None:
+            limit = sys.maxsize
         segs = self._segs
+        get = segs.get
+        move = segs.move_to_end
+        evict = segs.popitem
+        dirty_segs = self._dirty
+        dmove = dirty_segs.move_to_end
+        nmax = self._nsegments
+        file_resident = self._file_resident
+        stats = self.stats
+        total = self._dirty_total
         victims: list[tuple[int, int, int]] = []
-        old = segs.get(key)
-        if old is not None:
-            new = old + dirty_bytes
-            if new > sb:
-                new = sb
-            segs[key] = new
-            segs.move_to_end(key)
-            self._dirty_total += new - old
-            if new:
-                dirty = self._dirty
-                dirty[key] = new
-                dirty.move_to_end(key)
-            return victims
-        while len(segs) >= self._nsegments:
-            vkey, vdirty = segs.popitem(last=False)
-            self._file_resident[vkey[0]] -= 1
-            self.stats.evictions += 1
-            if vdirty:
-                self._dirty_total -= vdirty
-                self.stats.dirty_evictions += 1
-                del self._dirty[vkey]
-                victims.append((vkey[0], vkey[1], vdirty))
-        segs[key] = dirty_bytes
-        if dirty_bytes:
-            self._dirty[key] = dirty_bytes
-            self._dirty_total += dirty_bytes
-        self._file_resident[fileid] = self._file_resident.get(fileid, 0) + 1
-        return victims
+        # counted once after the walk; the walk may evict this file's
+        # own segments, so the entry must exist before it
+        file_resident.setdefault(fileid, 0)
+        done = added = 0
+        for s in range(first, first + nsegs):
+            if total > limit:
+                break
+            key = (fileid, s)
+            done += 1
+            old = get(key)
+            if old is not None:
+                move(key)
+                if dirty:
+                    new = old + dirty
+                    if new > sb:
+                        new = sb
+                    segs[key] = new
+                    total += new - old
+                    dirty_segs[key] = new
+                    dmove(key)
+                elif old:
+                    dmove(key)
+                continue
+            while len(segs) >= nmax:
+                vkey, vdirty = evict(last=False)
+                file_resident[vkey[0]] -= 1
+                stats.evictions += 1
+                if vdirty:
+                    total -= vdirty
+                    stats.dirty_evictions += 1
+                    del dirty_segs[vkey]
+                    victims.append((vkey[0], vkey[1], vdirty))
+            segs[key] = dirty
+            if dirty:
+                dirty_segs[key] = dirty
+                total += dirty
+            added += 1
+            if victims:
+                break
+        self._dirty_total = total
+        file_resident[fileid] += added
+        return done, victims
 
     def touch_run(self, fileid: int, seg_range: Iterable[int]) -> None:
         """Record a run of accesses; equivalent to :meth:`touch` per
@@ -243,159 +296,10 @@ class PageCache:
                 dmove(key)
             stats.hits += 1
 
-    def insert_clean_run(self, fileid: int, first: int, nsegs: int) -> int:
-        """Batch-insert a clean run, stopping before the first segment
-        whose insertion would evict a *dirty* victim.
-
-        Equivalent to ``insert(fileid, s, 0)`` for each absorbed
-        segment — same LRU order, same (clean) eviction order, same
-        statistics.  Returns how many leading segments were absorbed;
-        the caller handles the next one with per-segment :meth:`insert`
-        so its dirty victims flush at the right simulated time.
-        """
-        segs = self._segs
-        get = segs.get
-        move = segs.move_to_end
-        dmove = self._dirty.move_to_end
-        nmax = self._nsegments
-        file_resident = self._file_resident
-        stats = self.stats
-        done = 0
-        for s in range(first, first + nsegs):
-            key = (fileid, s)
-            old = get(key)
-            if old is not None:
-                move(key)
-                if old:
-                    dmove(key)
-                done += 1
-                continue
-            while len(segs) >= nmax:
-                vkey = next(iter(segs))
-                if segs[vkey]:
-                    return done  # dirty victim: leave it to insert()
-                del segs[vkey]
-                file_resident[vkey[0]] -= 1
-                stats.evictions += 1
-            segs[key] = 0
-            file_resident[fileid] = file_resident.get(fileid, 0) + 1
-            done += 1
-        return done
-
-    def insert_dirty_run(
-        self, fileid: int, entries, start: int = 0
-    ) -> int:
-        """Absorb consecutive ``(seg, dirty_bytes)`` write-plan entries,
-        stopping before the first that needs the writer throttled or
-        would evict a dirty victim.
-
-        Equivalent to the per-entry ``need_throttle`` check plus
-        :meth:`insert` for each absorbed entry; returns how many were
-        absorbed from ``entries[start:]``.  The caller resumes its
-        per-segment throttle/insert/flush machinery at the entry where
-        the batch stopped.
-        """
-        segs = self._segs
-        get = segs.get
-        move = segs.move_to_end
-        dirty = self._dirty
-        dmove = dirty.move_to_end
-        sb = self._sb
-        nmax = self._nsegments
-        limit = self.spec.dirty_limit_bytes
-        file_resident = self._file_resident
-        stats = self.stats
-        done = 0
-        for i in range(start, len(entries)):
-            if self._dirty_total > limit:
-                break
-            seg, dbytes = entries[i]
-            if dbytes > sb:
-                dbytes = sb
-            key = (fileid, seg)
-            old = get(key)
-            if old is not None:
-                new = old + dbytes
-                if new > sb:
-                    new = sb
-                segs[key] = new
-                move(key)
-                self._dirty_total += new - old
-                if new:
-                    dirty[key] = new
-                    dmove(key)
-                done += 1
-                continue
-            blocked = False
-            while len(segs) >= nmax:
-                vkey = next(iter(segs))
-                if segs[vkey]:
-                    blocked = True  # dirty victim: leave it to insert()
-                    break
-                del segs[vkey]
-                file_resident[vkey[0]] -= 1
-                stats.evictions += 1
-            if blocked:
-                break
-            segs[key] = dbytes
-            if dbytes:
-                dirty[key] = dbytes
-                self._dirty_total += dbytes
-            file_resident[fileid] = file_resident.get(fileid, 0) + 1
-            done += 1
-        return done
-
-    def touch_or_insert_clean(self, fileid: int, seg_range: Iterable[int]) -> None:
-        """Serve-path access walk: touch each segment, making misses
-        resident clean and silently dropping any dirty victims (the
-        caller accounts their write-back analytically).
-
-        Equivalent to ``touch(fileid, s) or insert(fileid, s, 0)`` per
-        segment — including LRU order, eviction order and statistics —
-        without two method calls and a victims list per segment.
-        """
-        segs = self._segs
-        get = segs.get
-        move = segs.move_to_end
-        evict = segs.popitem
-        dirty = self._dirty
-        dmove = dirty.move_to_end
-        stats = self.stats
-        nmax = self._nsegments
-        file_resident = self._file_resident
-        for s in seg_range:
-            key = (fileid, s)
-            old = get(key)
-            if old is not None:
-                move(key)
-                if old:
-                    dmove(key)
-                stats.hits += 1
-                continue
-            stats.misses += 1
-            while len(segs) >= nmax:
-                vkey, vdirty = evict(last=False)
-                file_resident[vkey[0]] -= 1
-                stats.evictions += 1
-                if vdirty:
-                    self._dirty_total -= vdirty
-                    stats.dirty_evictions += 1
-                    del dirty[vkey]
-            segs[key] = 0
-            file_resident[fileid] = file_resident.get(fileid, 0) + 1
-
-    def mark_clean(self, fileid: int, seg: int) -> None:
-        key = (fileid, seg)
-        amount = self._segs.get(key, 0)
-        if amount:
-            self._segs[key] = 0
-            self._dirty_total -= amount
-            del self._dirty[key]
-
     def mark_clean_run(self, fileid: int, first: int, nsegs: int) -> None:
-        """Mark segments ``first .. first + nsegs - 1`` of a file clean;
-        equivalent to :meth:`mark_clean` per segment.  Cleaning never
-        reorders recency, and non-resident segments are skipped."""
+        """Mark segments ``first .. first + nsegs - 1`` of a file clean.
+        Cleaning never reorders recency, and non-resident segments are
+        skipped."""
         segs = self._segs
         pop = self._dirty.pop
         freed = 0
@@ -520,8 +424,10 @@ class WriteBack:
 
 class FillRuns:
     """Read missing segments as coalesced runs (each clipped at EOF to
-    at least one segment) and make them resident clean; a dirty victim
-    is written back before the insertion goes on."""
+    at least one segment) and make each run resident clean with one
+    :meth:`PageCache.insert_run` walk; when a segment's insertion
+    evicts dirty victims, they are written back before the walk goes
+    on."""
 
     __slots__ = ("c", "op", "inode", "runs", "i", "s", "k")
 
@@ -549,18 +455,13 @@ class FillRuns:
         )
 
     def _insert_loop(self, _v=None):
-        cache = self.c.cache
         fileid, first, nsegs, _d = self.runs[self.i]
         end = first + nsegs
-        while self.s < end:
-            self.s += cache.insert_clean_run(fileid, self.s, end - self.s)
-            if self.s >= end:
-                break
-            victims = cache.insert(fileid, self.s, 0)
-            self.s += 1
-            if victims:
-                WriteBack(self.c, self.op, victims, self._insert_loop)
-                return
+        done, victims = self.c.cache.insert_run(fileid, self.s, end - self.s, 0, None)
+        self.s += done
+        if victims:
+            WriteBack(self.c, self.op, victims, self._insert_loop)
+            return
         self.i += 1
         self._next()
 
@@ -611,44 +512,51 @@ class ReadScan:
 
 
 class DirtyInsert:
-    """Insert a write's ``(seg, dirty_bytes)`` plan: absorb the
-    throttle-free, eviction-free prefix in one batch, take the owner's
-    throttle over the dirty limit, and write dirty victims back before
-    going on."""
+    """Insert a write's plan of ``(first, nsegs, dirty_bytes)`` runs with
+    :meth:`PageCache.insert_run` walks under the dirty limit.  Where a
+    walk stops over the limit, the owner's throttle holds the writer and
+    the stopped segment is then inserted without a second check; where
+    it stops on dirty victims, they are written back before going on."""
 
-    __slots__ = ("c", "op", "fileid", "plan", "i", "throttled", "k")
+    __slots__ = ("c", "op", "fileid", "runs", "i", "j", "k")
 
-    def __init__(self, c: CacheClient, op, fileid, plan, k):
+    def __init__(self, c: CacheClient, op, fileid, runs, k):
         self.c = c
         self.op = op
         self.fileid = fileid
-        self.plan = plan
-        self.i = 0
-        self.throttled = False
+        self.runs = runs
+        self.i = 0  # current run
+        self.j = 0  # segments of it inserted so far
         self.k = k
         self._step()
 
     def _step(self, _v=None):
         c = self.c
         cache = c.cache
-        plan = self.plan
-        fileid = self.fileid
-        while self.i < len(plan):
-            if not self.throttled:
-                self.i += cache.insert_dirty_run(fileid, plan, self.i)
-                if self.i >= len(plan):
-                    break
-                if cache.need_throttle:
-                    # the throttled entry is inserted once the owner lets
-                    # the writer go, without a second check
-                    self.throttled = True
-                    c._throttle(self.op, self._step)
-                    return
-            self.throttled = False
-            seg, dirty = plan[self.i]
-            self.i += 1
-            victims = cache.insert(fileid, seg, dirty)
+        limit = cache.spec.dirty_limit_bytes
+        runs = self.runs
+        while self.i < len(runs):
+            first, nsegs, dirty = runs[self.i]
+            left = nsegs - self.j
+            if not left:
+                self.i += 1
+                self.j = 0
+                continue
+            done, victims = cache.insert_run(self.fileid, first + self.j, left, dirty, limit)
+            self.j += done
             if victims:
                 WriteBack(c, self.op, victims, self._step)
                 return
+            if done < left:
+                c._throttle(self.op, self._throttled)
+                return
         self.k()
+
+    def _throttled(self, _v=None):
+        first, _nsegs, dirty = self.runs[self.i]
+        _done, victims = self.c.cache.insert_run(self.fileid, first + self.j, 1, dirty, None)
+        self.j += 1
+        if victims:
+            WriteBack(self.c, self.op, victims, self._step)
+            return
+        self._step()

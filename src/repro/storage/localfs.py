@@ -263,9 +263,13 @@ class LocalFS:
                 span = min(span, max(inode.size - req.offset, 0))
             # misses land clean; dirty victims were already flushed
             # analytically as part of the steady-state timing
-            self.cache.touch_or_insert_clean(
-                inode.fileid, self.cache.segments_of(req.offset, span)
-            )
+            cache = self.cache
+            touch = cache.touch
+            insert_run = cache.insert_run
+            fileid = inode.fileid
+            for s in cache.segments_of(req.offset, span):
+                if not touch(fileid, s):
+                    insert_run(fileid, s, 1, 0, None)
         return total
 
     def state_token(self, inode: Inode, req: IORequest) -> tuple:
@@ -304,26 +308,26 @@ class LocalFS:
         return _LocalSync(self).result
 
     # -- write -------------------------------------------------------------
-    def _dirty_plan(self, req: IORequest) -> tuple[list[tuple[int, int]], int]:
-        """(segment, dirty_bytes) contributions of a request, plus an
+    def _dirty_plan(self, req: IORequest) -> tuple[list[tuple[int, int, int]], int]:
+        """``(first, nsegs, dirty_bytes)`` runs a request dirties, plus an
         arithmetic overflow remainder in bytes for huge sparse streams."""
+        cache = self.cache
         if req.is_dense:
-            return self.cache.dense_plan(req.offset, req.span), 0
-        sb = self.cache.spec.segment_bytes
-        cap = self.OVERFLOW_FACTOR * self.cache.spec.nsegments
+            return cache.dense_runs(req.offset, req.span), 0
+        sb = cache.spec.segment_bytes
+        cap = self.OVERFLOW_FACTOR * cache.spec.nsegments
         stride = req.op_stride(self.spec.min_io_bytes)
         if stride < sb:
-            # Dirtiness spreads uniformly over the span.
-            # slice the range itself: a huge sparse stream never
-            # materialises more than ``cap`` segment numbers
-            segs = self.cache.segments_of(req.offset, req.span)
+            # Dirtiness spreads uniformly over the span: one run of at
+            # most ``cap`` segments, the rest charged arithmetically
+            segs = cache.segments_of(req.offset, req.span)
             per = max(req.total_bytes // max(len(segs), 1), 1)
-            return [(s, per) for s in segs[:cap]], max(0, len(segs) - cap) * per
+            n = min(len(segs), cap)
+            return [(segs[0], n, per)] if n else [], (len(segs) - n) * per
         # One (partial) segment per operation.
         n = min(req.count, cap)
-        segs = [(req.offset + k * stride) // sb for k in range(n)]
-        rem = (req.count - n) * req.nbytes
-        return [(s, req.nbytes) for s in segs], rem
+        runs = [((req.offset + k * stride) // sb, 1, req.nbytes) for k in range(n)]
+        return runs, (req.count - n) * req.nbytes
 
     # -- write-back machinery ------------------------------------------------
     def _journal_offset(self) -> int:

@@ -682,8 +682,8 @@ class _NFSIO(FlatOp):
         req = self.req
         m.stats.bytes_sent += self.total
         if req.is_dense:
-            plan = m.cache.dense_plan(req.offset, req.span)
-            DirtyInsert(m, self, self.inode.fileid, plan, self._written)
+            runs = m.cache.dense_runs(req.offset, req.span)
+            DirtyInsert(m, self, self.inode.fileid, runs, self._written)
             return
         self._stream(req.nbytes, 8, self._written)
 

@@ -1,11 +1,13 @@
 """Page-cache tests, including hypothesis property tests on the LRU
 bookkeeping invariants."""
 
+from collections import OrderedDict
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.storage.base import MiB
-from repro.storage.cache import CacheSpec, PageCache
+from repro.storage.cache import CacheSpec, CacheStats, PageCache
 
 SEG = 64 * 1024
 
@@ -18,7 +20,7 @@ class TestBasics:
     def test_miss_then_hit(self):
         c = make_cache()
         assert not c.touch(1, 0)
-        c.insert(1, 0)
+        c.insert_run(1, 0, 1, 0, None)
         assert c.touch(1, 0)
         assert c.stats.hits == 1 and c.stats.misses == 1
 
@@ -31,43 +33,41 @@ class TestBasics:
 
     def test_lru_eviction_order(self):
         c = make_cache(nsegs=2)
-        c.insert(1, 0)
-        c.insert(1, 1)
+        c.insert_run(1, 0, 2, 0, None)
         c.touch(1, 0)  # refresh 0; victim should be 1
-        c.insert(1, 2)
+        c.insert_run(1, 2, 1, 0, None)
         assert c.is_resident(1, 0)
         assert not c.is_resident(1, 1)
 
     def test_dirty_victims_returned(self):
         c = make_cache(nsegs=1)
-        c.insert(1, 0, dirty_bytes=100)
-        victims = c.insert(1, 1)
-        assert victims == [(1, 0, 100)]
+        c.insert_run(1, 0, 1, 100, None)
+        assert c.insert_run(1, 1, 1, 0, None) == (1, [(1, 0, 100)])
         assert c.stats.dirty_evictions == 1
 
     def test_clean_victims_silent(self):
         c = make_cache(nsegs=1)
-        c.insert(1, 0)
-        assert c.insert(1, 1) == []
+        c.insert_run(1, 0, 1, 0, None)
+        assert c.insert_run(1, 1, 1, 0, None) == (1, [])
 
     def test_dirty_accumulates_capped_at_segment(self):
         c = make_cache()
-        c.insert(1, 0, dirty_bytes=SEG - 10)
-        c.insert(1, 0, dirty_bytes=100)
-        assert c.dirty_amount(1, 0) == SEG
+        c.insert_run(1, 0, 1, SEG - 10, None)
+        c.insert_run(1, 0, 1, 100, None)
+        assert c.dirty_segments() == [(1, 0, SEG)]
         assert c.dirty_bytes == SEG
 
     def test_mark_clean(self):
         c = make_cache()
-        c.insert(1, 0, dirty_bytes=50)
-        c.mark_clean(1, 0)
+        c.insert_run(1, 0, 1, 50, None)
+        c.mark_clean_run(1, 0, 1)
         assert c.dirty_bytes == 0
         assert c.is_resident(1, 0)
 
     def test_drop_file(self):
         c = make_cache()
-        c.insert(1, 0, dirty_bytes=10)
-        c.insert(2, 0, dirty_bytes=20)
+        c.insert_run(1, 0, 1, 10, None)
+        c.insert_run(2, 0, 1, 20, None)
         dropped = c.drop_file(1)
         assert dropped == 1
         assert not c.is_resident(1, 0)
@@ -76,8 +76,7 @@ class TestBasics:
 
     def test_file_fully_resident(self):
         c = make_cache()
-        for s in range(3):
-            c.insert(7, s)
+        c.insert_run(7, 0, 3, 0, None)
         assert c.file_fully_resident(7, 3 * SEG)
         assert c.file_fully_resident(7, 3 * SEG - 1)
         assert not c.file_fully_resident(7, 3 * SEG + 1)
@@ -85,27 +84,76 @@ class TestBasics:
     def test_thresholds(self):
         c = make_cache(nsegs=10, dirty_ratio=0.4, background_ratio=0.1)
         assert not c.need_background_flush
-        c.insert(1, 0, dirty_bytes=SEG)
-        c.insert(1, 1, dirty_bytes=SEG)
+        c.insert_run(1, 0, 2, SEG, None)
         assert c.need_background_flush  # 2/10 > 0.1
         assert not c.need_throttle
-        for s in range(2, 6):
-            c.insert(1, s, dirty_bytes=SEG)
+        c.insert_run(1, 2, 4, SEG, None)
         assert c.need_throttle  # 6/10 > 0.4
 
     def test_dirty_segments_oldest_first(self):
         c = make_cache()
-        c.insert(1, 5, dirty_bytes=10)
-        c.insert(1, 2, dirty_bytes=10)
-        c.insert(1, 9, dirty_bytes=10)
+        for s in (5, 2, 9):
+            c.insert_run(1, s, 1, 10, None)
         assert [s for _f, s, _d in c.dirty_segments()] == [5, 2, 9]
         assert len(c.dirty_segments(limit=2)) == 2
 
     def test_dirty_segments_filter_by_file(self):
         c = make_cache()
-        c.insert(1, 0, dirty_bytes=10)
-        c.insert(2, 0, dirty_bytes=10)
+        c.insert_run(1, 0, 1, 10, None)
+        c.insert_run(2, 0, 1, 10, None)
         assert c.dirty_segments(fileid=2) == [(2, 0, 10)]
+
+
+    def test_insert_run_stops_over_the_limit(self):
+        c = make_cache(nsegs=8)
+        # the third segment finds 2 * SEG dirty, over the limit
+        assert c.insert_run(1, 0, 5, SEG, SEG + 1) == (2, [])
+        assert c.dirty_bytes == 2 * SEG
+        assert c.insert_run(1, 2, 3, SEG, None) == (3, [])
+
+    def test_insert_run_stops_after_dirty_victims(self):
+        c = make_cache(nsegs=3)
+        c.insert_run(1, 0, 1, 0, None)
+        c.insert_run(1, 1, 1, 7, None)
+        c.insert_run(1, 2, 1, 0, None)
+        # segment 3 evicts clean 0, segment 4 evicts dirty 1 and stops
+        assert c.insert_run(2, 3, 4, 0, None) == (2, [(1, 1, 7)])
+        assert c.stats.evictions == 2 and c.stats.dirty_evictions == 1
+        assert list(c._segs) == [(1, 2), (2, 3), (2, 4)]
+
+    def test_insert_run_refreshes_resident_segments(self):
+        c = make_cache(nsegs=3)
+        c.insert_run(1, 0, 3, 0, None)
+        assert c.insert_run(1, 0, 2, 5, None) == (2, [])
+        assert list(c._segs) == [(1, 2), (1, 0), (1, 1)]
+        assert c.stats.evictions == 0 and c.dirty_bytes == 10
+
+
+class TestDenseRuns:
+    @pytest.mark.parametrize(
+        "offset, nbytes, runs",
+        [
+            (0, 3 * SEG, [(0, 3, SEG)]),
+            (10, 20, [(0, 1, 20)]),
+            (SEG - 10, 20, [(0, 1, 10), (1, 1, 10)]),
+            (SEG // 2, 3 * SEG, [(0, 1, SEG // 2), (1, 2, SEG), (3, 1, SEG // 2)]),
+            (SEG, 2 * SEG + 5, [(1, 2, SEG), (3, 1, 5)]),
+            (SEG - 5, SEG + 5, [(0, 1, 5), (1, 1, SEG)]),
+            (0, 0, []),
+        ],
+    )
+    def test_head_middle_tail(self, offset, nbytes, runs):
+        assert make_cache().dense_runs(offset, nbytes) == runs
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5 * SEG), st.integers(1, 6 * SEG))
+    def test_runs_cover_the_range(self, offset, nbytes):
+        c = make_cache()
+        runs = c.dense_runs(offset, nbytes)
+        assert len(runs) <= 3
+        segs = [s for first, n, _d in runs for s in range(first, first + n)]
+        assert segs == list(c.segments_of(offset, nbytes))
+        assert sum(n * d for _f, n, d in runs) == nbytes
 
 
 class TestCoalesce:
@@ -157,13 +205,13 @@ def test_cache_invariants(ops, nsegs):
     c = make_cache(nsegs=nsegs)
     for kind, f, s in ops:
         if kind == "insert_clean":
-            c.insert(f, s)
+            c.insert_run(f, s, 3, 0, None)
         elif kind == "insert_dirty":
-            c.insert(f, s, dirty_bytes=SEG // 2)
+            c.insert_run(f, s, 3, SEG // 2, c.spec.dirty_limit_bytes)
         elif kind == "touch":
             c.touch(f, s)
         elif kind == "clean":
-            c.mark_clean(f, s)
+            c.mark_clean_run(f, s, 2)
         elif kind == "drop":
             c.drop_file(f)
         # invariants after every step
@@ -195,30 +243,151 @@ def test_coalesce_partition_property(entries):
 
 
 # ----------------------------------------------------------------------
-# differential: each batch method against the per-segment loop it
-# claims to equal
+# differential: the run-walking cache against a per-segment reference
 # ----------------------------------------------------------------------
-prefix_op = st.tuples(
-    st.sampled_from(["insert", "touch", "clean", "drop"]),
-    st.integers(min_value=1, max_value=3),  # fileid
-    st.integers(min_value=0, max_value=20),  # segment
-    st.integers(min_value=0, max_value=SEG),  # dirty bytes for insert
+class RefCache:
+    """The page cache one segment at a time: ``touch``, ``insert``
+    returning its dirty victims, ``mark_clean`` and the writer's
+    dirty-limit check, each in its plainest form, over the same state
+    as :class:`PageCache`.  The walks of :class:`PageCache` must leave
+    the same state as these loops."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self._segs = OrderedDict()  # key -> dirty bytes; order == recency
+        self._dirty = OrderedDict()  # dirty keys in the same relative order
+        self._dirty_total = 0
+        self._file_resident = {}
+        self.stats = CacheStats()
+
+    @property
+    def dirty_bytes(self):
+        return self._dirty_total
+
+    @property
+    def need_throttle(self):
+        return self.over(self.spec.dirty_limit_bytes)
+
+    def file_resident_segments(self, fileid):
+        return self._file_resident.get(fileid, 0)
+
+    def touch(self, fileid, seg):
+        key = (fileid, seg)
+        if key not in self._segs:
+            self.stats.misses += 1
+            return False
+        self._segs.move_to_end(key)
+        if self._segs[key]:
+            self._dirty.move_to_end(key)
+        self.stats.hits += 1
+        return True
+
+    def insert(self, fileid, seg, dirty_bytes):
+        sb = self.spec.segment_bytes
+        dirty_bytes = min(dirty_bytes, sb)
+        key = (fileid, seg)
+        victims = []
+        if key in self._segs:
+            old = self._segs[key]
+            new = min(old + dirty_bytes, sb)
+            self._segs[key] = new
+            self._segs.move_to_end(key)
+            self._dirty_total += new - old
+            if new:
+                self._dirty[key] = new
+                self._dirty.move_to_end(key)
+            return victims
+        while len(self._segs) >= self.spec.nsegments:
+            vkey, vdirty = self._segs.popitem(last=False)
+            self._file_resident[vkey[0]] -= 1
+            self.stats.evictions += 1
+            if vdirty:
+                self._dirty_total -= vdirty
+                self.stats.dirty_evictions += 1
+                del self._dirty[vkey]
+                victims.append((vkey[0], vkey[1], vdirty))
+        self._segs[key] = dirty_bytes
+        if dirty_bytes:
+            self._dirty[key] = dirty_bytes
+            self._dirty_total += dirty_bytes
+        self._file_resident[fileid] = self._file_resident.get(fileid, 0) + 1
+        return victims
+
+    def over(self, limit):
+        """The writer throttle's check: more than ``limit`` bytes dirty."""
+        return limit is not None and self._dirty_total > limit
+
+    def mark_clean(self, fileid, seg):
+        key = (fileid, seg)
+        amount = self._segs.get(key, 0)
+        if amount:
+            self._segs[key] = 0
+            self._dirty_total -= amount
+            del self._dirty[key]
+
+    def drop_file(self, fileid):
+        keys = [k for k in self._segs if k[0] == fileid]
+        for k in keys:
+            self._dirty_total -= self._segs.pop(k)
+            self._dirty.pop(k, None)
+        if fileid in self._file_resident:
+            self._file_resident[fileid] = 0
+        return len(keys)
+
+    # the operations under test, as per-segment loops
+    def insert_run(self, fileid, first, nsegs, dirty, limit):
+        done, victims = 0, []
+        for s in range(first, first + nsegs):
+            if self.over(limit):
+                break
+            victims = self.insert(fileid, s, dirty)
+            done += 1
+            if victims:
+                break
+        return done, victims
+
+    def touch_run(self, fileid, seg_range):
+        for s in seg_range:
+            self.touch(fileid, s)
+
+    def mark_clean_run(self, fileid, first, nsegs):
+        for s in range(first, first + nsegs):
+            self.mark_clean(fileid, s)
+
+
+FILES = (1, 2, 3)
+# a small key space, so walks often meet resident and dirty segments
+fileid = st.integers(min_value=1, max_value=2)
+seg = st.integers(min_value=0, max_value=6)
+length = st.integers(min_value=1, max_value=6)
+insert_op = st.tuples(
+    st.just("insert_run"), fileid, seg, length,
+    st.sampled_from([0, 0, 1, 4096, SEG // 2, SEG, SEG + 100]),
+    st.sampled_from([None, None, "throttle", 0, SEG, 3 * SEG]),
+)
+diff_op = st.one_of(
+    insert_op,
+    insert_op,
+    insert_op,
+    st.tuples(st.just("touch"), fileid, seg),
+    st.tuples(st.just("touch_run"), fileid, seg, length),
+    st.tuples(st.just("mark_clean_run"), fileid, seg, length),
+    st.tuples(st.just("drop_file"), fileid),
 )
 
 
-def _cache_after(prefix, nsegs):
-    """A cache driven into an arbitrary mixed clean/dirty LRU state."""
-    c = make_cache(nsegs=nsegs)
-    for kind, f, s, d in prefix:
-        if kind == "insert":
-            c.insert(f, s, dirty_bytes=d)
-        elif kind == "touch":
-            c.touch(f, s)
-        elif kind == "clean":
-            c.mark_clean(f, s)
-        else:
-            c.drop_file(f)
-    return c
+def _apply(c, op):
+    """Run one generated op on a cache (or the reference); its result."""
+    kind, *args = op
+    if kind == "insert_run":
+        f, first, n, dirty, limit = args
+        if limit == "throttle":
+            limit = c.spec.dirty_limit_bytes
+        return c.insert_run(f, first, n, dirty, limit)
+    if kind == "touch_run":
+        f, first, n = args
+        return c.touch_run(f, range(first, first + n))
+    return getattr(c, kind)(*args)
 
 
 def _state(c):
@@ -226,88 +395,54 @@ def _state(c):
         list(c._segs.items()),
         list(c._dirty.items()),
         c.dirty_bytes,
-        [c.file_resident_segments(f) for f in (1, 2, 3)],
+        [c.file_resident_segments(f) for f in FILES],
         c.stats,
+        c.need_throttle,
     )
 
 
-def _evicts_dirty(c, fileid, seg):
-    """Would ``insert(fileid, seg)`` evict a dirty victim right now?"""
-    if c.is_resident(fileid, seg) or len(c._segs) < c.spec.nsegments:
-        return False
-    return next(iter(c._segs.values())) > 0
+def _spec(nsegs, dirty_ratio=0.4):
+    return CacheSpec(
+        capacity_bytes=nsegs * SEG, segment_bytes=SEG,
+        dirty_ratio=dirty_ratio, background_ratio=0.1,
+    )
 
 
-batch_case = dict(
-    prefix=st.lists(prefix_op, max_size=50),
+@settings(max_examples=1000, deadline=None)
+@given(
+    ops=st.lists(diff_op, max_size=60),
     nsegs=st.integers(min_value=1, max_value=8),
-    fileid=st.integers(min_value=1, max_value=3),
-    first=st.integers(min_value=0, max_value=20),
-    n=st.integers(min_value=0, max_value=12),
+    dirty_ratio=st.sampled_from([0.25, 0.5, 1.0]),
 )
-
-
-@settings(max_examples=200, deadline=None)
-@given(**batch_case)
-def test_touch_run_equals_touch_loop(prefix, nsegs, fileid, first, n):
-    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
-    batch.touch_run(fileid, range(first, first + n))
-    for s in range(first, first + n):
-        ref.touch(fileid, s)
-    assert _state(batch) == _state(ref)
-
-
-@settings(max_examples=200, deadline=None)
-@given(**batch_case)
-def test_touch_or_insert_clean_equals_loop(prefix, nsegs, fileid, first, n):
-    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
-    batch.touch_or_insert_clean(fileid, range(first, first + n))
-    for s in range(first, first + n):
-        ref.touch(fileid, s) or ref.insert(fileid, s, 0)
-    assert _state(batch) == _state(ref)
-
-
-@settings(max_examples=200, deadline=None)
-@given(**batch_case)
-def test_insert_clean_run_equals_insert_loop(prefix, nsegs, fileid, first, n):
-    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
-    done = batch.insert_clean_run(fileid, first, n)
-    expected = 0
-    for s in range(first, first + n):
-        if _evicts_dirty(ref, fileid, s):
-            break
-        assert ref.insert(fileid, s, 0) == []
-        expected += 1
-    assert done == expected
-    assert _state(batch) == _state(ref)
+# a clean insertion that refreshes a dirty segment moves it in the
+# flusher's oldest-first order too; random sequences rarely reach it
+@example(
+    ops=[("insert_run", 1, 0, 2, 5, None), ("insert_run", 1, 0, 1, 0, None)],
+    nsegs=3,
+    dirty_ratio=1.0,
+)
+def test_matches_per_segment_reference(ops, nsegs, dirty_ratio):
+    spec = _spec(nsegs, dirty_ratio)
+    cache, ref = PageCache(spec), RefCache(spec)
+    for op in ops:
+        assert _apply(cache, op) == _apply(ref, op)
+        assert _state(cache) == _state(ref)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    entries=st.lists(
-        st.tuples(st.integers(0, 20), st.integers(0, SEG + 100)), max_size=12
-    ),
-    start=st.integers(min_value=0, max_value=4),
-    **{k: v for k, v in batch_case.items() if k not in ("first", "n")},
+    prefix=st.lists(diff_op, max_size=40),
+    nsegs=st.integers(min_value=1, max_value=8),
+    fileid=fileid,
+    first=seg,
+    n=length,
 )
-def test_insert_dirty_run_equals_insert_loop(prefix, nsegs, fileid, entries, start):
-    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
-    done = batch.insert_dirty_run(fileid, entries, start)
-    expected = 0
-    for seg, dbytes in entries[start:]:
-        if ref.need_throttle or _evicts_dirty(ref, fileid, seg):
-            break
-        assert ref.insert(fileid, seg, dbytes) == []
-        expected += 1
-    assert done == expected
-    assert _state(batch) == _state(ref)
-
-
-@settings(max_examples=200, deadline=None)
-@given(**batch_case)
-def test_mark_clean_run_equals_mark_clean_loop(prefix, nsegs, fileid, first, n):
-    batch, ref = _cache_after(prefix, nsegs), _cache_after(prefix, nsegs)
-    batch.mark_clean_run(fileid, first, n)
+def test_touch_run_equals_touch_loop(prefix, nsegs, fileid, first, n):
+    batch, loop = PageCache(_spec(nsegs)), PageCache(_spec(nsegs))
+    for op in prefix:
+        _apply(batch, op)
+        _apply(loop, op)
+    batch.touch_run(fileid, range(first, first + n))
     for s in range(first, first + n):
-        ref.mark_clean(fileid, s)
-    assert _state(batch) == _state(ref)
+        loop.touch(fileid, s)
+    assert _state(batch) == _state(loop)

@@ -104,7 +104,7 @@ def test_dense_read_fetches_exactly_the_miss_runs(name, read_segs, expect):
     env, owner, log = OWNERS[name](CacheSpec(capacity_bytes=32 * MiB))
     inode = clean_file(env, owner, "/f", 12 * MiB)
     for seg in (2, 3, 6, 8):
-        owner.cache.insert(inode.fileid, seg, 0)
+        owner.cache.insert_run(inode.fileid, seg, 1, 0, None)
     del log[:]
     env.run(owner.submit(inode, IORequest("read", 0, read_segs * MiB)))
     assert runs(log, "read") == expect

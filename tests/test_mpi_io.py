@@ -191,6 +191,15 @@ class TestHints:
             ({"cb_nodes": -2}, "cb_nodes"),
             ({"ds_buffer_bytes": 0}, "ds_buffer_bytes"),
             ({"ds_buffer_bytes": -4096}, "ds_buffer_bytes"),
+            ({"cb_nodes": "2"}, "cb_nodes"),
+            ({"cb_nodes": True}, "cb_nodes"),
+            ({"cb_nodes": 2.0}, "cb_nodes"),
+            ({"ds_buffer_bytes": 1.5}, "ds_buffer_bytes"),
+            ({"ds_buffer_bytes": None}, "ds_buffer_bytes"),
+            ({"collective": "no"}, "collective"),
+            ({"collective": 1}, "collective"),
+            ({"ds_read": "yes"}, "ds_read"),
+            ({"ds_read": None}, "ds_read"),
         ],
     )
     def test_bad_hint_rejected_at_world(self, hints, field):

@@ -228,6 +228,72 @@ def test_fasthold_grant_steps_are_reachable():
     assert {"_on_grant", "_on_regrant", "_acquire_next", "_granted"} <= reachable
 
 
+def _method_qualnames(tree):
+    """``id(def) -> "Class.method"`` for the methods of top-level classes,
+    plus the names of the FlatOp subclasses among those classes."""
+    names, flat_ops = {}, set()
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any(isinstance(b, ast.Name) and b.id == "FlatOp" for b in cls.bases):
+            flat_ops.add(cls.name)
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef):
+                names[id(fn)] = f"{cls.name}.{fn.name}"
+    return names, flat_ops
+
+
+def test_roots_reach_definitions_in_other_files():
+    # FlatOp._start is pushed by the kernel (simengine/core.py) and the
+    # _Collective hooks are called from mpi/sim.py: their overrides in
+    # other files are calendar callbacks too
+    src = Path(resources_mod.__file__).parents[1]
+    trees = {f: ast.parse(f.read_text()) for f in sorted(src.rglob("*.py"))}
+    qualnames, starts = {}, set()
+    for f, tree in trees.items():
+        names, flat_ops = _method_qualnames(tree)
+        rel = f.relative_to(src).as_posix()
+        qualnames.update((k, f"{rel}:{v}") for k, v in names.items())
+        starts |= {f"{rel}:{c}._start" for c in flat_ops if f"{c}._start" in names.values()}
+    reachable = {
+        qualnames[id(fn)] for fn in _reachable_callbacks(*trees.values()) if id(fn) in qualnames
+    }
+    hooks = {
+        "mpi/io.py:_CollectiveIO._last",
+        "mpi/io.py:_CollectiveIO._tail",
+        "mpi/io.py:_OpenAll._last",
+        "mpi/io.py:_OpenAll._tail",
+    }
+    assert len(starts) > 10
+    assert starts | hooks <= reachable, sorted((starts | hooks) - reachable)
+
+
+def test_finding_reported_in_the_file_that_holds_it(tmp_path):
+    (tmp_path / "kernel.py").write_text(
+        textwrap.dedent(
+            """
+            class Op:
+                def __init__(self, env):
+                    env._push(0.0, 0, self._start)
+            """
+        )
+    )
+    (tmp_path / "model.py").write_text(
+        textwrap.dedent(
+            """
+            class Double(Op):
+                def _start(self, _v):
+                    s = self.shared
+                    s["v"] = s["v"] * 2
+            """
+        )
+    )
+    # alone, model.py has no calendar root
+    assert lint_race_source((tmp_path / "model.py").read_text()) == []
+    fs = lint_race_paths([tmp_path])
+    assert [(Path(f.path).name, f.rule) for f in fs] == [("model.py", "tie-order-rmw")]
+
+
 MAX_UPDATE = """
     class Op:
         def _start(self, _v):
