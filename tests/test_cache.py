@@ -446,3 +446,76 @@ def test_touch_run_equals_touch_loop(prefix, nsegs, fileid, first, n):
     for s in range(first, first + n):
         loop.touch(fileid, s)
     assert _state(batch) == _state(loop)
+
+
+batch_case = dict(
+    prefix=st.lists(diff_op, max_size=40),
+    nsegs=st.integers(min_value=1, max_value=8),
+    fileid=fileid,
+    first=seg,
+    n=length,
+)
+
+
+def _after(prefix, nsegs):
+    """The cache and the reference, each driven through ``prefix``."""
+    cache, ref = PageCache(_spec(nsegs)), RefCache(_spec(nsegs))
+    for op in prefix:
+        _apply(cache, op)
+        _apply(ref, op)
+    return cache, ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(**batch_case)
+def test_touch_or_insert_clean_equals_loop(prefix, nsegs, fileid, first, n):
+    """The replay absorb walk: touch each segment, insert each miss clean."""
+    batch, ref = _after(prefix, nsegs)
+    for s in range(first, first + n):
+        if not batch.touch(fileid, s):
+            batch.insert_run(fileid, s, 1, 0, None)
+        ref.touch(fileid, s) or ref.insert(fileid, s, 0)
+    assert _state(batch) == _state(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**batch_case)
+def test_insert_clean_run_equals_insert_loop(prefix, nsegs, fileid, first, n):
+    batch, ref = _after(prefix, nsegs)
+    done, victims = batch.insert_run(fileid, first, n, 0, None)
+    expected, expected_victims = 0, []
+    for s in range(first, first + n):
+        expected_victims = ref.insert(fileid, s, 0)
+        expected += 1
+        if expected_victims:
+            break
+    assert (done, victims) == (expected, expected_victims)
+    assert _state(batch) == _state(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dirty=st.integers(min_value=0, max_value=SEG + 100), **batch_case)
+def test_insert_dirty_run_equals_insert_loop(prefix, nsegs, fileid, first, n, dirty):
+    batch, ref = _after(prefix, nsegs)
+    limit = batch.spec.dirty_limit_bytes
+    done, victims = batch.insert_run(fileid, first, n, dirty, limit)
+    expected, expected_victims = 0, []
+    for s in range(first, first + n):
+        if ref.need_throttle:
+            break
+        expected_victims = ref.insert(fileid, s, dirty)
+        expected += 1
+        if expected_victims:
+            break
+    assert (done, victims) == (expected, expected_victims)
+    assert _state(batch) == _state(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**batch_case)
+def test_mark_clean_run_equals_mark_clean_loop(prefix, nsegs, fileid, first, n):
+    batch, ref = _after(prefix, nsegs)
+    batch.mark_clean_run(fileid, first, n)
+    for s in range(first, first + n):
+        ref.mark_clean(fileid, s)
+    assert _state(batch) == _state(ref)
