@@ -58,7 +58,8 @@ checks the failure classes this codebase has actually met:
 
 The first three rules apply only inside the simulation packages
 (:data:`SIM_PACKAGES`, which includes the workload-grammar and
-trace-ingestion layers — their outputs feed the DES and its caches);
+trace-ingestion layers — their outputs feed the DES and its caches —
+and the MPI-IO library, observers and sanitizer, which it calls);
 ``generator-serve`` only inside the storage, hardware and MPI layers;
 ``unit-mix`` applies everywhere.  Intentional
 exceptions are allowlisted with ``# simlint: ignore[rule]`` (or a bare
@@ -103,10 +104,13 @@ SERVE_PACKAGES: frozenset[str] = frozenset({"storage", "hardware", "mpi"})
 #: the determinism rules.  ``workloads`` and ``tracing`` are in scope
 #: since the grammar/ingest layers: compiled specs and replayed traces
 #: feed the simulation, so nondeterminism there corrupts fingerprint-
-#: keyed caches just as surely as in the kernel itself
+#: keyed caches just as surely as in the kernel itself.  ``iolib``,
+#: ``obs`` and ``analysis`` hold functions the calendar calls (the
+#: MPI-IO library's steps, the run observers, the sanitizer's hooks),
+#: so a set iteration there fires effects in hash order mid-run
 SIM_PACKAGES: frozenset[str] = frozenset(
     {"simengine", "mpi", "storage", "hardware", "core", "faults",
-     "workloads", "tracing"}
+     "workloads", "tracing", "iolib", "obs", "analysis"}
 )
 
 _TIME_FUNCS = frozenset(
@@ -680,16 +684,7 @@ def lint_paths(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point of ``repro lint``.
-
-    The schedule-race rules (:data:`repro.analysis.simrace.RACE_RULES`)
-    run alongside the simlint ones: one invocation, one merged finding
-    list, one shared pragma syntax.
-    """
-    # simrace imports the framework pieces from this module, so pull
-    # its rules in lazily here rather than at import time
-    from .simrace import RACE_RULES, lint_race_paths
-
+    """CLI entry point of ``repro lint``."""
     parser = argparse.ArgumentParser(
         prog="simlint",
         description="simulation-correctness static checks (see repro.analysis.simlint)",
@@ -700,26 +695,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--rules",
         nargs="+",
-        choices=RULES + RACE_RULES,
+        choices=RULES,
         default=None,
-        help="restrict to these rules (default: all, including the "
-             "schedule-race rules)",
+        help="restrict to these rules (default: all)",
     )
     parser.add_argument(
         "--format", choices=["text", "json"], default="text", dest="fmt"
     )
     args = parser.parse_args(argv)
-    lint_rules = race_rules = None
-    if args.rules is not None:
-        lint_rules = [r for r in args.rules if r in RULES]
-        race_rules = [r for r in args.rules if r in RACE_RULES]
-    found: set[Finding] = set()
-    if args.rules is None or lint_rules:
-        found.update(lint_paths(args.paths, rules=lint_rules))
-    if args.rules is None or race_rules:
-        # a syntax error is found by both passes: the set keeps one
-        found.update(lint_race_paths(args.paths, rules=race_rules))
-    findings = sorted(found, key=lambda f: (f.path, f.line, f.col, f.rule))
+    findings = lint_paths(args.paths, rules=args.rules)
     if args.fmt == "json":
         print(json.dumps([f.as_dict() for f in findings], indent=2))
     else:

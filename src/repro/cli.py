@@ -17,8 +17,7 @@ Subcommands mirror the methodology's phases:
   (the JSON/YAML grammar; see :mod:`repro.workloads.grammar`), or
   ``workload fuzz`` seeded random-walk specs over it.
 * ``lint`` — run the simlint static checks (determinism, units,
-  serve-path shape, schedule-race rules; see
-  :mod:`repro.analysis.simlint` and :mod:`repro.analysis.simrace`).
+  serve-path shape; see :mod:`repro.analysis.simlint`).
 * ``race`` — the differential schedule-race matrix: sanitizer x
   seeded tie-break perturbations over one workload,
   byte-comparing conserved results (see
@@ -1135,14 +1134,12 @@ def build_parser() -> argparse.ArgumentParser:
     wf.set_defaults(func=cmd_workload)
 
     ln = sub.add_parser("lint", help="simlint static checks (determinism, "
-                                     "units, serve-path shape, "
-                                     "schedule races)")
+                                     "units, serve-path shape)")
     ln.add_argument("paths", nargs="*", default=["src"],
                     help="files or directories to lint (default: src)")
     ln.add_argument("--format", choices=["text", "json"], default="text")
     ln.add_argument("--rules", nargs="+", default=None, metavar="RULE",
-                    help="restrict to these rules (simlint and/or "
-                         "schedule-race rule names)")
+                    help="restrict to these simlint rules")
     ln.set_defaults(func=cmd_lint)
 
     rc = sub.add_parser(

@@ -247,7 +247,7 @@ class PhaseReplayAccelerator:
             # a phase key names one rank's (or one collective call
             # site's) occurrences, which run one after another: no two
             # same-time callbacks advance one phase's state
-            st.since_check += 1  # simlint: ignore[tie-order-rmw]
+            st.since_check += 1
             st.occ += 1
             self.stats.extrapolated += 1
             self.stats.extrapolated_sim_s += st.steady
@@ -263,7 +263,7 @@ class PhaseReplayAccelerator:
             if len(g.decisions) > 256:
                 # what is kept depends only on the newest round r, not
                 # on which member decided it
-                g.decisions = {  # simlint: ignore[tie-order-rmw]
+                g.decisions = {
                     i: v for i, v in g.decisions.items() if i >= r - 128
                 }
         if not d:
@@ -299,7 +299,7 @@ class PhaseReplayAccelerator:
             g.rounds_since_check = 0
             return False
         # only the member that freezes a round's verdict gets here
-        g.rounds_since_check += 1  # simlint: ignore[tie-order-rmw]
+        g.rounds_since_check += 1
         return True
 
     def observe(
@@ -327,7 +327,7 @@ class PhaseReplayAccelerator:
         self.stats.simulated_sim_s += duration
         st.prev, st.last = st.last, duration
         # one phase's occurrences run one after another (see steady())
-        st.seen += 1  # simlint: ignore[tie-order-rmw]
+        st.seen += 1
         st.occ += 1
         if not self.settings.enabled or st.disabled:
             return
@@ -352,7 +352,7 @@ class PhaseReplayAccelerator:
         if st.seen >= self.settings.warmup and st.prev is not None:
             if self._agree(st.prev, st.last):
                 # one phase's state, like st.seen above
-                st.streak += 1  # simlint: ignore[tie-order-rmw]
+                st.streak += 1
                 if st.streak >= self.settings.confirm:
                     # lock the mean of the verified window: occurrence
                     # wobble (flusher/slot alignment) cancels, so the

@@ -75,7 +75,7 @@ def _timeout_chain(n: int) -> Environment:
     def rearm(ev: Event) -> None:
         if state["left"] > 0:
             # single self-rearming chain: no concurrent writer exists
-            state["left"] -= 1  # simlint: ignore[tie-order-rmw]
+            state["left"] -= 1
             Timeout(env, 0.001).callbacks.append(rearm)
 
     Timeout(env, 0.001).callbacks.append(rearm)
@@ -97,7 +97,7 @@ class _Cycler:
         if state["left"] > 0:
             # benchmark driver: all waiters are interchangeable, so the
             # grant order cannot change what is measured
-            state["left"] -= 1  # simlint: ignore[tie-order-rmw]
+            state["left"] -= 1
             # churn: queue this holder's next request, then hand the
             # slot to the head of the queue, until the budget runs out
             held = self.req
@@ -207,7 +207,7 @@ def _cache_churn(runs: int) -> Environment:
         if i >= runs:
             return
         # single self-rearming chain: no concurrent writer exists
-        state["i"] = i + 1  # simlint: ignore[tie-order-rmw]
+        state["i"] = i + 1
         first = i * run_segs
         end = first + run_segs
         kind = i % 3

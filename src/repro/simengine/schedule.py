@@ -4,9 +4,13 @@ The calendar orders events by ``(when, priority, seq)``; ``seq`` is the
 insertion counter, so events scheduled for the same instant at the same
 priority fire in *push order*.  That order is an implementation
 accident, not a modelled quantity — correct simulation results must not
-depend on it.  This module makes the accident adjustable so the race
-detector (:mod:`repro.analysis.simrace`) can prove, run by run, that
-results are invariant under every admissible tie-break order:
+depend on it.  This module makes the accident adjustable, so that a
+run can be repeated under other admissible tie-break orders and its
+results compared.  It is the whole of the race detector: ``repro
+race`` (:func:`repro.analysis.simrace.run_race_matrix`) perturbs one
+workload's evaluation, and the tier-1 tie-order gate
+(``tests/test_tie_order.py``) perturbs every golden cell of the kernel
+determinism suite:
 
 * :class:`TieGroupRecorder` — interposes ``Environment._push`` and
   ``step`` on every environment created while attached, recording for

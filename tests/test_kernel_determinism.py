@@ -284,8 +284,9 @@ def calendar_digest():
     out.update(pushes=pushes, sha256=h.hexdigest())
 
 
-@functools.lru_cache(maxsize=None)
-def _golden_characterization(device: str) -> dict:
+def _characterization_run(device: str) -> tuple:
+    """The quick characterization tables of ``device`` and the digest of
+    the calendar that built them."""
     with calendar_digest() as cal:
         tables = characterize_system(
             aohyper_config(device),
@@ -294,6 +295,12 @@ def _golden_characterization(device: str) -> dict:
             ior_nprocs=4,
             ior_file_bytes=64 * MiB,
         )
+    return tables, cal
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_characterization(device: str) -> dict:
+    tables, cal = _characterization_run(device)
     return {
         "tables": {
             level: hashlib.sha256(tables[level].to_csv().encode()).hexdigest()
