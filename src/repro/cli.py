@@ -1178,6 +1178,11 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # an unwritable --out/--cache/--trace-out path: the message
+        # names the path, a traceback would add nothing
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
     return status
 
 

@@ -17,11 +17,9 @@ from .evaluation import (
 )
 from .factors import (
     ConfigurableFactors,
-    diff_factors,
     extract_factors,
     rank_configurations,
 )
-from .latency import characterize_latency, LatencyProfile, measure_latency_iops
 from .methodology import Application, AppRun, Methodology
 from .tablecache import default_cache_root, TableCache
 from .prediction import (
@@ -45,7 +43,6 @@ from .report import (
     format_perf_table,
     format_run_metrics,
     format_used_matrix,
-    format_used_table,
 )
 
 __all__ = [
@@ -61,7 +58,6 @@ __all__ = [
     "UsedPercentageTable",
     "UsedRow",
     "ConfigurableFactors",
-    "diff_factors",
     "extract_factors",
     "rank_configurations",
     "Application",
@@ -69,9 +65,6 @@ __all__ = [
     "Methodology",
     "default_cache_root",
     "TableCache",
-    "characterize_latency",
-    "LatencyProfile",
-    "measure_latency_iops",
     "IOPrediction",
     "MeasurePrediction",
     "meets_requirement",
@@ -83,7 +76,6 @@ __all__ = [
     "format_perf_table",
     "format_run_metrics",
     "format_used_matrix",
-    "format_used_table",
     "ResourceUsage",
     "snapshot_utilization",
     "capture_utilization",

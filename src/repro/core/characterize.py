@@ -166,21 +166,6 @@ class AppProfile:
         ops = sum(m.n_ops for m in self.measures)
         return ops / self.io_time_s if self.io_time_s > 0 else 0.0
 
-    def requirement_summary(self) -> dict:
-        """The characterization numbers the paper tabulates (Tables II/V/VIII)."""
-        by_op: dict[str, dict[int, int]] = {}
-        for m in self.measures:
-            by_op.setdefault(m.op, {})[m.block_bytes] = (
-                by_op.get(m.op, {}).get(m.block_bytes, 0) + m.n_ops
-            )
-        return {
-            "numio_write": sum(by_op.get("write", {}).values()),
-            "numio_read": sum(by_op.get("read", {}).values()),
-            "block_bytes_write": sorted(by_op.get("write", {})),
-            "block_bytes_read": sorted(by_op.get("read", {})),
-            "nprocs": self.nprocs,
-        }
-
 
 def characterize_app(
     tracer: IOTracer, access: AccessType = AccessType.GLOBAL

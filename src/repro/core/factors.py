@@ -21,7 +21,7 @@ from ..clusters.builder import SystemConfig
 from .characterize import AppProfile
 from .perftable import PerformanceTable
 
-__all__ = ["ConfigurableFactors", "extract_factors", "diff_factors", "rank_configurations"]
+__all__ = ["ConfigurableFactors", "extract_factors", "rank_configurations"]
 
 
 @dataclass(frozen=True)
@@ -71,18 +71,6 @@ def extract_factors(config: SystemConfig) -> ConfigurableFactors:
         service_redundancy=False,  # the paper notes neither cluster has it
         data_redundancy=config.server_device.level.value in _REDUNDANT,
     )
-
-
-def diff_factors(a: ConfigurableFactors, b: ConfigurableFactors) -> dict[str, tuple]:
-    """Factor-by-factor differences between two configurations."""
-    out: dict[str, tuple] = {}
-    for k in a.__dataclass_fields__:
-        if k == "name":
-            continue
-        va, vb = getattr(a, k), getattr(b, k)
-        if va != vb:
-            out[k] = (va, vb)
-    return out
 
 
 @dataclass

@@ -48,15 +48,6 @@ class PerfRow:
         if self.rate_Bps < 0:
             raise ValueError("rate must be >= 0")
 
-    # paper encodes operation/access as integers
-    @property
-    def op_code(self) -> int:
-        return 0 if self.op == "read" else 1
-
-    @property
-    def access_code(self) -> int:
-        return 0 if self.access is AccessType.LOCAL else 1
-
 
 class PerformanceTable:
     """Characterized rates for one I/O path level."""

@@ -35,9 +35,7 @@ from .perftable import PerformanceTable
 __all__ = [
     "MeasurePrediction",
     "IOPrediction",
-    "PhasePrediction",
     "predict_io_time",
-    "predict_phase_times",
     "meets_requirement",
     "rank_predicted",
 ]
@@ -70,9 +68,6 @@ class IOPrediction:
     @property
     def io_time_s(self) -> float:
         return sum(p.predicted_time_s for p in self.per_measure)
-
-    def time_for(self, op: str) -> float:
-        return sum(p.predicted_time_s for p in self.per_measure if p.measure.op == op)
 
     def limiting_levels(self) -> dict[str, int]:
         """How many measures each level constrains."""
@@ -111,73 +106,6 @@ def predict_io_time(
                 best_level, best_rate = level, rate
         pred.per_measure.append(MeasurePrediction(m, best_level, best_rate))
     return pred
-
-
-@dataclass(frozen=True)
-class PhasePrediction:
-    """Predicted cost of one detected application phase."""
-
-    phase_id: int
-    op: str
-    occurrences: int
-    total_bytes: int
-    limiting_level: Optional[str]
-    limiting_rate_Bps: Optional[float]
-
-    @property
-    def predicted_time_s(self) -> float:
-        if not self.limiting_rate_Bps:
-            return 0.0
-        return self.total_bytes / self.limiting_rate_Bps
-
-
-def predict_phase_times(
-    config_name: str,
-    phases,
-    tables: dict[str, PerformanceTable],
-    levels: Sequence[str] = _LEVEL_ORDER,
-) -> list[PhasePrediction]:
-    """Predict per-phase I/O time from detected phases and the tables.
-
-    The phase-granular analogue of :func:`predict_io_time`, and the
-    offline counterpart of the online replay accelerator: where the
-    accelerator simulates one occurrence per phase and extrapolates
-    the remaining ``occurrences - K`` at the *observed* steady cost,
-    this predicts every occurrence at the *characterized* rate of the
-    phase's limiting level — no run needed at all.
-
-    ``phases`` is a list of
-    :class:`~repro.tracing.events.PhaseEvent` (signature layout
-    ``(op, nbytes, count, mode_value, path)``).
-    """
-    from ..storage.base import AccessMode, AccessType
-
-    out: list[PhasePrediction] = []
-    for p in phases:
-        op, nbytes, count, mode_value, _path = p.signature
-        mode = AccessMode(mode_value)
-        best_level: Optional[str] = None
-        best_rate: Optional[float] = None
-        for level in levels:
-            table = tables.get(level)
-            if table is None:
-                continue
-            rate = table.lookup(op, nbytes, AccessType.GLOBAL, mode)
-            if rate is None or rate <= 0:
-                continue
-            if best_rate is None or rate < best_rate:
-                best_level, best_rate = level, rate
-        out.append(
-            PhasePrediction(
-                phase_id=p.phase_id,
-                op=op,
-                occurrences=p.occurrences,
-                total_bytes=p.total_bytes,
-                limiting_level=best_level,
-                limiting_rate_Bps=best_rate,
-            )
-        )
-    return out
 
 
 def meets_requirement(

@@ -12,12 +12,11 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..storage.base import MiB
-from .evaluation import EvaluationReport, UsedPercentageTable
+from .evaluation import EvaluationReport
 from .perftable import PerformanceTable
 
 __all__ = [
     "format_perf_table",
-    "format_used_table",
     "format_used_matrix",
     "format_characterization",
     "format_run_metrics",
@@ -43,21 +42,6 @@ def format_perf_table(table: PerformanceTable, unit: float = MiB) -> str:
             f"{r.op:<10}{_fmt_block(r.block_bytes):>10}{r.access.value:>8}"
             f"{r.mode.value:>12}{r.rate_Bps / unit:>10.1f}"
         )
-    return "\n".join(lines)
-
-
-def format_used_table(used: UsedPercentageTable, levels: Sequence[str] = ("iolib", "nfs", "localfs")) -> str:
-    """Render one configuration's used-percentage summary per op."""
-    lines = [
-        f"Used percentage of I/O system — configuration: {used.config_name}",
-        f"{'op':<8}" + "".join(f"{lv:>10}" for lv in levels),
-    ]
-    for op in ("write", "read"):
-        cells = []
-        for lv in levels:
-            pct = used.cell(lv, op)
-            cells.append(f"{pct:>9.1f}%" if pct is not None else f"{'-':>10}")
-        lines.append(f"{op:<8}" + "".join(cells))
     return "\n".join(lines)
 
 

@@ -126,10 +126,6 @@ class UtilizationReport:
             return hot[0]
         return None
 
-    def window_bottlenecks(self, threshold: float = 0.85) -> list:
-        """Per-window attribution: ``[(window, name-or-None)]``."""
-        return [(w, w.bottleneck(threshold)) for w in self.windows]
-
     def render(self, top: int = 10) -> str:
         lines = [f"resource utilization over {self.interval_s:.1f}s (top {top}):"]
         for r in self.hottest(n=top):

@@ -177,20 +177,12 @@ class Network:
         self.env = env
         self.spec = spec
         self.name = name
-        self._ep_index = {n: i for i, n in enumerate(endpoints)}
         self.uplinks = {n: Link(env, spec, f"{name}.{n}.up") for n in endpoints}
         self.downlinks = {n: Link(env, spec, f"{name}.{n}.down") for n in endpoints}
 
     @property
     def endpoints(self) -> list[str]:
         return list(self.uplinks)
-
-    def add_endpoint(self, node: str) -> None:
-        if node in self.uplinks:
-            raise ValueError(f"endpoint {node!r} already attached")
-        self._ep_index[node] = len(self._ep_index)
-        self.uplinks[node] = Link(self.env, self.spec, f"{self.name}.{node}.up")
-        self.downlinks[node] = Link(self.env, self.spec, f"{self.name}.{node}.down")
 
     def transfer(
         self,
@@ -241,11 +233,3 @@ class Network:
         until = self.env.now + duration_s
         self.uplinks[endpoint].spike_latency_until(factor, until)
         self.downlinks[endpoint].spike_latency_until(factor, until)
-
-    def estimate_point_to_point(self, nbytes: int) -> float:
-        """Uncontended one-message A→B time (for cost-model callers)."""
-        return (
-            self.spec.latency_s
-            + self.spec.per_message_cpu_s
-            + nbytes / self.spec.bandwidth_Bps
-        )

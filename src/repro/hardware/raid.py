@@ -185,10 +185,6 @@ class RAIDArray:
             self._drained.succeed()
 
     @property
-    def failed_disks(self) -> frozenset[int]:
-        return frozenset(self._failed)
-
-    @property
     def degraded(self) -> bool:
         return bool(self._failed)
 

@@ -29,7 +29,6 @@ __all__ = [
     "read_events_jsonl",
     "chrome_trace",
     "write_chrome_trace",
-    "read_chrome_trace",
 ]
 
 TRACE_SCHEMA = "repro.trace/1"
@@ -161,7 +160,3 @@ def write_chrome_trace(path, runs: dict, app: Optional[str] = None) -> dict:
     doc = chrome_trace(runs, app=app)
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
     return doc
-
-
-def read_chrome_trace(path) -> dict:
-    return json.loads(Path(path).read_text())

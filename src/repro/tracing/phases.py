@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
 
 from .events import IOEvent, PhaseEvent
 
@@ -91,48 +90,6 @@ class PhaseDetector:
                 )
             )
         return phases
-
-    def occurrence_spans(
-        self, events: list[IOEvent]
-    ) -> dict[tuple, list[tuple[float, float]]]:
-        """Per-signature list of occurrence time spans.
-
-        Each span is the ``(t_start, t_end)`` envelope of one
-        occurrence, split by the same rules as :meth:`detect` (rank
-        stream, signature change, ``gap_tolerance_s``).  Spans from
-        different ranks stay separate occurrences; the list is ordered
-        by span start.  This is what the replay accelerator
-        extrapolates over — the per-occurrence envelope is exactly the
-        duration it verifies for steadiness — and what the edge-case
-        tests inspect.
-        """
-        if not events:
-            return {}
-        ordered = sorted(events, key=lambda e: (e.t_start, e.rank))
-        per_rank: dict[int, list[IOEvent]] = defaultdict(list)
-        for e in ordered:
-            per_rank[e.rank].append(e)
-        spans: dict[tuple, list[tuple[float, float]]] = defaultdict(list)
-        for rank, evs in per_rank.items():
-            prev_sig = None
-            prev_end = None
-            cur: Optional[list[float]] = None
-            for e in evs:
-                sig = e.signature()
-                new_occurrence = (
-                    sig != prev_sig
-                    or (prev_end is not None and e.t_start - prev_end > self.gap_tolerance_s)
-                )
-                if new_occurrence:
-                    if cur is not None:
-                        spans[prev_sig].append((cur[0], cur[1]))
-                    cur = [e.t_start, e.t_end]
-                else:
-                    cur[1] = max(cur[1], e.t_end)
-                prev_sig, prev_end = sig, e.t_end
-            if cur is not None:
-                spans[prev_sig].append((cur[0], cur[1]))
-        return {sig: sorted(sp) for sig, sp in spans.items()}
 
     @staticmethod
     def weights(phases: list[PhaseEvent]) -> dict[int, float]:

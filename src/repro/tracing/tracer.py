@@ -36,13 +36,6 @@ class TraceSummary:
     def bandwidth(self) -> float:
         return self.total_bytes / self.total_time if self.total_time > 0 else 0.0
 
-    @property
-    def dominant_block(self) -> int:
-        """The block size carrying the most operations."""
-        if not self.block_sizes:
-            return 0
-        return max(self.block_sizes, key=lambda k: self.block_sizes[k])
-
 
 class IOTracer:
     """Per-rank event capture with aggregate queries.
@@ -86,9 +79,6 @@ class IOTracer:
             return self.world_size
         return len(self._by_rank)
 
-    def rank_events(self, rank: int) -> list[IOEvent]:
-        return list(self._by_rank.get(rank, []))
-
     def ops(self, op: Optional[str] = None, rank: Optional[int] = None) -> list[IOEvent]:
         evs: Iterable[IOEvent] = self.events if rank is None else self._by_rank.get(rank, [])
         return [e for e in evs if op is None or e.op == op]
@@ -124,18 +114,3 @@ class IOTracer:
         return sum(
             sum(e.duration for e in evs) for evs in self._by_rank.values()
         ) / self.nranks
-
-    def wall_io_span(self) -> float:
-        """Wall-clock span from first I/O start to last I/O end."""
-        if not self.events:
-            return 0.0
-        return max(e.t_end for e in self.events) - min(e.t_start for e in self.events)
-
-    def transfer_rate(self, op: Optional[str] = None) -> float:
-        """Aggregate achieved rate (bytes moved / wall span of those events)."""
-        evs = [e for e in self.events if op is None or e.op == op]
-        if not evs:
-            return 0.0
-        span = max(e.t_end for e in evs) - min(e.t_start for e in evs)
-        total = sum(e.total_bytes for e in evs)
-        return total / span if span > 0 else 0.0

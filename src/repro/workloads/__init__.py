@@ -1,4 +1,9 @@
-"""Workload generators: benchmarks and application models."""
+"""Workload generators: benchmarks and application models.
+
+IOzone and IOR characterize the file-system and I/O-library levels
+(paper Figs. 5/6 and 13/14); BT-IO and MADbench2 are the evaluated
+applications; the synthetic generator runs grammar-described patterns.
+"""
 
 from .apps import BTIOApplication, MadBenchApplication, SyntheticApplication
 from .btio import (
@@ -10,8 +15,6 @@ from .btio import (
     characterize_btio,
     run_btio,
 )
-from .beffio import BeffIOResult, PATTERNS, run_beffio
-from .bonnie import BonnieResult, run_bonnie
 from .iozone import DEFAULT_BLOCKS, IOzoneResult, IOzoneRow, run_iozone
 from .ior import IORResult, IORRow, run_ior
 from .madbench import (
@@ -56,11 +59,6 @@ __all__ = [
     "MadBenchConfig",
     "MadBenchResult",
     "run_madbench",
-    "BeffIOResult",
-    "PATTERNS",
-    "run_beffio",
-    "BonnieResult",
-    "run_bonnie",
     "run_synthetic",
     "SyntheticPhase",
     "SyntheticResult",

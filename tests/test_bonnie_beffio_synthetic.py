@@ -1,55 +1,12 @@
-"""Tests for the bonnie++, b_eff_io and synthetic workload generators."""
+"""Tests for the synthetic workload generator."""
 
 import pytest
 
 from repro.simengine import Environment
 from repro.clusters.builder import build_system
-from repro.storage.base import KiB, MiB
-from repro.workloads.beffio import PATTERNS, run_beffio
-from repro.workloads.bonnie import run_bonnie
+from repro.storage.base import KiB
 from repro.workloads.synthetic import SyntheticPhase, SyntheticSpec, run_synthetic
 from conftest import small_config
-
-
-class TestBonnie:
-    def test_all_metrics_reported(self, system):
-        res = run_bonnie(system, "n0", "/local/b.tmp", file_bytes=32 * MiB, seek_count=200)
-        d = res.as_dict()
-        assert set(d) == {"putc", "write", "rewrite", "getc", "read", "seeks"}
-        assert all(v > 0 for v in d.values())
-
-    def test_block_write_at_least_as_fast_as_putc(self, system):
-        res = run_bonnie(system, "n0", "/local/b.tmp", file_bytes=32 * MiB, seek_count=100)
-        assert res.write_Bps >= 0.8 * res.putc_Bps
-
-    def test_seeks_are_iops_scale(self, system):
-        res = run_bonnie(system, "n0", "/local/b.tmp", file_bytes=64 * MiB, seek_count=300)
-        assert 10 < res.seeks_per_s < 100000
-
-    def test_cleans_up_file(self, system):
-        run_bonnie(system, "n0", "/local/b.tmp", file_bytes=16 * MiB, seek_count=50)
-        assert not system.node("n0").vfs.exists("/local/b.tmp")
-
-
-class TestBeffIO:
-    def test_pattern_matrix_complete(self):
-        system = build_system(Environment(), small_config(n_compute=2))
-        res = run_beffio(system, 2, chunk_sizes=(64 * KiB,), chunks_per_pattern=4)
-        assert set(res.write_Bps) == set(PATTERNS)
-        for pattern in PATTERNS:
-            assert res.write_Bps[pattern][64 * KiB] > 0
-            assert res.read_Bps[pattern][64 * KiB] > 0
-
-    def test_effective_bandwidth_positive(self):
-        system = build_system(Environment(), small_config(n_compute=2))
-        res = run_beffio(system, 2, chunk_sizes=(64 * KiB,), chunks_per_pattern=4)
-        assert res.effective_bandwidth("write") > 0
-        assert res.effective_bandwidth("read") > 0
-
-    def test_empty_result_zero(self):
-        from repro.workloads.beffio import BeffIOResult
-
-        assert BeffIOResult(nprocs=2).effective_bandwidth() == 0.0
 
 
 class TestSynthetic:

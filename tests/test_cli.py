@@ -44,6 +44,28 @@ def test_characterize_writes_csv(tmp_path, capsys):
     assert "Performance table" in out
 
 
+_QUICK = ["--configs", "jbod", "--block-step", "9", "--ior-gib", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["characterize", *_QUICK, "--out", "{bad}"],
+    ["characterize", *_QUICK, "--cache", "{bad}"],
+    ["report", "btio", "--class", "S", "--nprocs", "4", *_QUICK, "--trace-out", "{bad}/t.json"],
+], ids=["out", "cache", "trace-out"])
+def test_unwritable_output_path_fails_without_traceback(argv, tmp_path, capsys):
+    # a path under a regular file cannot be created: the command fails
+    # with a ``repro:`` line naming the path, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = str(blocker / "x")
+    rc = main([a.format(bad=bad) for a in argv])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("repro: ") and bad in last
+
+
 def test_predict_command(capsys):
     rc = main([
         "predict", "btio", "--class", "S", "--nprocs", "4",

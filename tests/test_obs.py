@@ -88,7 +88,8 @@ def test_registry_utilization_report_windows():
         if r.busy_s > 0:
             assert total_by_resource.get(r.name, 0.0) == pytest.approx(r.busy_s)
     # bottleneck attribution is well-formed
-    for w, name in report.window_bottlenecks():
+    for w in report.windows:
+        name = w.bottleneck(0.85)
         assert name is None or name in w.busy
 
 

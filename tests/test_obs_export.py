@@ -7,7 +7,6 @@ from repro.obs.export import (
     TRACE_SCHEMA,
     chrome_trace,
     event_record,
-    read_chrome_trace,
     read_events_jsonl,
     write_chrome_trace,
     write_events_jsonl,
@@ -59,7 +58,7 @@ def test_chrome_trace_schema(tmp_path):
         "raid5": {"events": _events()},
     }
     write_chrome_trace(path, runs, app="btio")
-    doc = read_chrome_trace(path)
+    doc = json.loads(path.read_text())
     assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
     assert doc["otherData"]["schema"] == TRACE_SCHEMA
     assert doc["otherData"]["app"] == "btio"

@@ -16,12 +16,6 @@ def table_with(blocks_rates, op="write", access=AccessType.GLOBAL, mode=AccessMo
 
 
 class TestRow:
-    def test_codes_match_paper_encoding(self):
-        r = PerfRow("read", 1024, AccessType.LOCAL, AccessMode.SEQUENTIAL, 1.0)
-        assert r.op_code == 0 and r.access_code == 0
-        w = PerfRow("write", 1024, AccessType.GLOBAL, AccessMode.SEQUENTIAL, 1.0)
-        assert w.op_code == 1 and w.access_code == 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PerfRow("append", 1024, AccessType.LOCAL, AccessMode.SEQUENTIAL, 1.0)

@@ -50,8 +50,9 @@ class TestPredict:
         for t in tables(op="read").values():
             tbls[t.level].rows.extend(t.rows)
         pred = predict_io_time("cfg", prof, tbls)
-        assert pred.io_time_s == pytest.approx(pred.time_for("write") + pred.time_for("read"))
-        assert pred.time_for("read") > 0
+        per_op = {p.measure.op: p.predicted_time_s for p in pred.per_measure}
+        assert pred.io_time_s == pytest.approx(per_op["write"] + per_op["read"])
+        assert per_op["read"] == pytest.approx(50 * MiB / 80e6)
 
     def test_missing_level_skipped(self):
         tbls = tables()

@@ -108,8 +108,10 @@ class TestDegradedPerformance:
 
     def test_failed_disks_reported(self):
         env, arr = make(RAIDLevel.RAID5, 5)
+        assert not arr.degraded
         arr.fail_disk(3)
-        assert arr.failed_disks == frozenset({3})
+        assert arr.degraded
+        assert arr._alive() == [d for i, d in enumerate(arr.disks) if i != 3]
 
 class TestRebuild:
     def test_raid5_rebuild_completes_and_repairs(self):

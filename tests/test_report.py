@@ -8,7 +8,6 @@ from repro.core.report import (
     format_perf_table,
     format_run_metrics,
     format_used_matrix,
-    format_used_table,
 )
 from repro.storage.base import AccessMode, AccessType, MiB
 
@@ -39,10 +38,9 @@ def test_perf_table_renders_rows_and_units():
 
 def test_used_table_shows_percentages():
     rep = make_report()
-    text = format_used_table(rep.used, levels=("nfs",))
+    text = format_used_matrix({"cfg": rep}, "write", levels=("nfs",))
     assert "cfg" in text
-    assert "%" in text
-    assert "write" in text
+    assert f"{rep.used.cell('nfs', 'write'):.1f}%" in text
 
 
 def test_used_matrix_one_row_per_config():

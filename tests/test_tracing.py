@@ -33,7 +33,7 @@ class TestTracer:
         assert t.count_ops("write") == 3
         assert t.count_ops("read") == 1
         assert t.nranks == 2
-        assert len(t.rank_events(0)) == 1
+        assert len(t.ops(rank=0)) == 1
 
     def test_summary(self):
         t = IOTracer()
@@ -44,7 +44,6 @@ class TestTracer:
         assert s.total_bytes == 2000
         assert s.total_time == 3.0
         assert s.block_sizes == {100: 10, 200: 5}
-        assert s.dominant_block == 100
         assert s.iops == pytest.approx(5.0)
 
     def test_io_time_is_per_rank_mean(self):
@@ -53,18 +52,6 @@ class TestTracer:
         t.record(1, ev(rank=1, t0=0, t1=2))
         assert t.io_time() == 3.0
         assert t.io_time(rank=0) == 4.0
-
-    def test_wall_io_span(self):
-        t = IOTracer()
-        t.record(0, ev(t0=1, t1=2))
-        t.record(1, ev(rank=1, t0=5, t1=7))
-        assert t.wall_io_span() == 6.0
-
-    def test_transfer_rate(self):
-        t = IOTracer()
-        t.record(0, ev(op="write", nbytes=1000, t0=0, t1=1))
-        t.record(1, ev(rank=1, op="write", nbytes=1000, t0=0, t1=1))
-        assert t.transfer_rate("write") == 2000.0
 
     def test_clear(self):
         t = IOTracer()
@@ -75,8 +62,8 @@ class TestTracer:
     def test_empty_queries(self):
         t = IOTracer()
         assert t.io_time() == 0.0
-        assert t.transfer_rate() == 0.0
-        assert t.wall_io_span() == 0.0
+        assert t.ops() == []
+        assert t.summary("write").bandwidth == 0.0
 
 
 class TestPhases:
