@@ -188,6 +188,15 @@ class PageCache:
         nsegs = (file_bytes + sb - 1) // sb
         return nsegs > 0 and self.file_resident_segments(fileid) >= nsegs
 
+    def contents(self) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+        """Every resident segment as ``(fileid, seg, dirty_bytes)`` in
+        LRU order (oldest first), and the dirty ones in the flusher's
+        oldest-first order."""
+        return (
+            [(f, s, d) for (f, s), d in self._segs.items()],
+            [(f, s, d) for (f, s), d in self._dirty.items()],
+        )
+
     # -- mutation -----------------------------------------------------------
     def touch(self, fileid: int, seg: int) -> bool:
         """Record an access; returns True on hit (and refreshes LRU)."""

@@ -119,13 +119,13 @@ class TestBasics:
         # segment 3 evicts clean 0, segment 4 evicts dirty 1 and stops
         assert c.insert_run(2, 3, 4, 0, None) == (2, [(1, 1, 7)])
         assert c.stats.evictions == 2 and c.stats.dirty_evictions == 1
-        assert list(c._segs) == [(1, 2), (2, 3), (2, 4)]
+        assert c.contents()[0] == [(1, 2, 0), (2, 3, 0), (2, 4, 0)]
 
     def test_insert_run_refreshes_resident_segments(self):
         c = make_cache(nsegs=3)
         c.insert_run(1, 0, 3, 0, None)
         assert c.insert_run(1, 0, 2, 5, None) == (2, [])
-        assert list(c._segs) == [(1, 2), (1, 0), (1, 1)]
+        assert c.contents()[0] == [(1, 2, 0), (1, 0, 5), (1, 1, 5)]
         assert c.stats.evictions == 0 and c.dirty_bytes == 10
 
 
@@ -215,11 +215,13 @@ def test_cache_invariants(ops, nsegs):
         elif kind == "drop":
             c.drop_file(f)
         # invariants after every step
-        assert len(c._segs) <= nsegs
-        assert c.dirty_bytes == sum(c._segs.values())
+        resident, dirty = c.contents()
+        assert len(resident) <= nsegs
+        assert c.dirty_bytes == sum(d for _f, _s, d in resident)
+        assert dirty == [e for e in resident if e[2]]
         assert c.dirty_bytes >= 0
         for fid in (1, 2, 3):
-            actual = sum(1 for k in c._segs if k[0] == fid)
+            actual = sum(1 for f, _s, _d in resident if f == fid)
             assert c.file_resident_segments(fid) == actual
 
 
@@ -334,6 +336,16 @@ class RefCache:
             self._file_resident[fileid] = 0
         return len(keys)
 
+    def contents(self):
+        return (
+            [(f, s, d) for (f, s), d in self._segs.items()],
+            [(f, s, d) for (f, s), d in self._dirty.items()],
+        )
+
+    def dirty_segments(self, limit=None, fileid=None):
+        out = [(f, s, d) for (f, s), d in self._dirty.items() if fileid in (None, f)]
+        return out if limit is None else out[:limit]
+
     # the operations under test, as per-segment loops
     def insert_run(self, fileid, first, nsegs, dirty, limit):
         done, victims = 0, []
@@ -373,6 +385,10 @@ diff_op = st.one_of(
     st.tuples(st.just("touch_run"), fileid, seg, length),
     st.tuples(st.just("mark_clean_run"), fileid, seg, length),
     st.tuples(st.just("drop_file"), fileid),
+    st.tuples(
+        st.just("dirty_segments"), st.sampled_from([None, 1, 2, 5]),
+        st.sampled_from([None, 1, 2]),
+    ),
 )
 
 
@@ -391,9 +407,10 @@ def _apply(c, op):
 
 
 def _state(c):
+    resident, dirty = c.contents()
     return (
-        list(c._segs.items()),
-        list(c._dirty.items()),
+        resident,
+        dirty,
         c.dirty_bytes,
         [c.file_resident_segments(f) for f in FILES],
         c.stats,
@@ -419,6 +436,82 @@ def _spec(nsegs, dirty_ratio=0.4):
 @example(
     ops=[("insert_run", 1, 0, 2, 5, None), ("insert_run", 1, 0, 1, 0, None)],
     nsegs=3,
+    dirty_ratio=1.0,
+)
+# the edges of a run of segments that sits together in LRU order:
+# a walk longer than the cache evicts its own head
+@example(
+    ops=[("insert_run", 2, 0, 2, 0, None), ("insert_run", 1, 0, 6, 0, None)],
+    nsegs=3,
+    dirty_ratio=1.0,
+)
+# the resident segment 2 at the LRU head is evicted by the walk's own
+# misses before the walk reaches it, so it is a miss too
+@example(
+    ops=[
+        ("insert_run", 1, 2, 1, 0, None),
+        ("insert_run", 2, 0, 2, 0, None),
+        ("insert_run", 1, 0, 3, 0, None),
+    ],
+    nsegs=3,
+    dirty_ratio=1.0,
+)
+# the dirty limit stops a walk inside a resident run, and inside a
+# missing one
+@example(
+    ops=[
+        ("insert_run", 1, 0, 6, 4096, None),
+        ("insert_run", 1, 0, 6, SEG, 3 * SEG),
+        ("insert_run", 2, 0, 6, SEG, "throttle"),
+    ],
+    nsegs=8,
+    dirty_ratio=1.0,
+)
+# touch and mark_clean_run split a run in the middle
+@example(
+    ops=[
+        ("insert_run", 1, 0, 5, 4096, None),
+        ("touch", 1, 2),
+        ("mark_clean_run", 1, 1, 1),
+        ("touch_run", 1, 0, 2),
+        ("mark_clean_run", 1, 3, 2),
+    ],
+    nsegs=8,
+    dirty_ratio=1.0,
+)
+# appends that continue the MRU run, then one with another dirty count
+@example(
+    ops=[
+        ("insert_run", 1, 0, 2, 4096, None),
+        ("insert_run", 1, 2, 3, 4096, None),
+        ("insert_run", 1, 5, 1, 0, None),
+        ("dirty_segments", None, None),
+    ],
+    nsegs=8,
+    dirty_ratio=1.0,
+)
+# a dirty_segments limit that cuts a run, with and without a file
+@example(
+    ops=[
+        ("insert_run", 1, 0, 4, 4096, None),
+        ("insert_run", 2, 0, 2, SEG, None),
+        ("dirty_segments", 2, None),
+        ("dirty_segments", 5, 1),
+        ("dirty_segments", 1, 2),
+    ],
+    nsegs=8,
+    dirty_ratio=1.0,
+)
+# drop_file of a file whose segments sit in several runs
+@example(
+    ops=[
+        ("insert_run", 1, 0, 2, 0, None),
+        ("insert_run", 2, 0, 1, 0, None),
+        ("insert_run", 1, 4, 2, 4096, None),
+        ("touch", 1, 0),
+        ("drop_file", 1),
+    ],
+    nsegs=8,
     dirty_ratio=1.0,
 )
 def test_matches_per_segment_reference(ops, nsegs, dirty_ratio):
