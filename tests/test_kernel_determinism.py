@@ -55,7 +55,7 @@ from repro.simengine.core import Timeout
 from repro.simengine.resources import Resource
 from repro.storage.base import IORequest, KiB, MiB
 from repro.storage.cache import CacheSpec
-from repro.storage.localfs import LocalFS
+from repro.storage.localfs import LocalFS, LocalFSSpec
 from repro.storage.nfs import NFSMount, NFSServer
 from repro.workloads import run_ior, run_iozone
 from repro.workloads.btio import BTIOConfig, run_btio
@@ -488,7 +488,58 @@ def _cache_absorb_dirty_victim(env, done):
     return fs.cache
 
 
+def _cache_fragmented_readahead(env, done):
+    """A LocalFS dense read over a range of which every other segment
+    is resident: each hit ends a run of misses, which is filled before
+    the scan goes on, and the last run's readahead is clipped at the
+    file's end.  The fills evict another file's dirty segments."""
+    fs = LocalFS(
+        env, Node(env, "n", SMALL_NODE), _jbod(env),
+        spec=LocalFSSpec(readahead_bytes=4 * MiB),
+        cache_spec=CacheSpec(**{**_NO_FLUSH, "capacity_bytes": 12 * MiB}),
+    )
+    a = env.run(fs.create("/a"))
+    env.run(fs.submit(a, IORequest("write", 0, 7 * MiB)))
+    env.run(fs.fsync(a))
+    for seg in (1, 3):
+        env.run(fs.submit(a, IORequest("read", seg * MiB, MiB)))
+    b = env.run(fs.create("/b"))
+    env.run(fs.submit(b, IORequest("write", 0, 8 * MiB)))
+    done("write", fs)
+    env.run(fs.submit(a, IORequest("read", MiB // 2, 4 * MiB)))
+    done("read", fs)
+    return fs.cache
+
+
+def _cache_fsync_one_of_three(env, done):
+    """An fsync of one file while three files hold interleaved dirty
+    segments: only that file's segments are written back; a later
+    write evicts the others' dirty segments and the last fsync writes
+    back what is left."""
+    fs = LocalFS(
+        env, Node(env, "n", SMALL_NODE), _jbod(env),
+        cache_spec=CacheSpec(**{**_NO_FLUSH, "capacity_bytes": 12 * MiB}),
+    )
+    a, b, c = (env.run(fs.create(p)) for p in ("/a", "/b", "/c"))
+    for f, off, nbytes in (
+        (a, 0, 2 * MiB), (b, 0, 5 * MiB // 2), (c, 0, MiB),
+        (a, 2 * MiB, 2 * MiB), (b, MiB // 2, MiB), (c, 3 * MiB, 2 * MiB),
+    ):
+        env.run(fs.submit(f, IORequest("write", off, nbytes)))
+    done("write", fs)
+    env.run(fs.fsync(b))
+    done("fsync", fs)
+    d = env.run(fs.create("/d"))
+    env.run(fs.submit(d, IORequest("write", 0, 6 * MiB)))
+    done("write", fs)
+    env.run(fs.fsync(a))
+    done("fsync", fs)
+    return fs.cache
+
+
 _CACHE_CELLS = {
+    "fragmented_readahead": _cache_fragmented_readahead,
+    "fsync_one_of_three": _cache_fsync_one_of_three,
     "nfs_throttle": _cache_nfs_throttle,
     "fill_dirty_victims": _cache_fill_dirty_victims,
     "absorb_dirty_victim": _cache_absorb_dirty_victim,
