@@ -14,7 +14,7 @@ with more weight for the application", §V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..clusters.builder import SystemConfig
@@ -79,7 +79,6 @@ class ConfigurationScore:
 
     name: str
     expected_rate_Bps: float
-    per_op_rate: dict[str, float] = field(default_factory=dict)
     redundancy: bool = False
 
     def __lt__(self, other: "ConfigurationScore") -> bool:  # pragma: no cover
@@ -113,13 +112,11 @@ def rank_configurations(
         if require_redundancy and not redundant:
             continue
         weighted = 0.0
-        per_op: dict[str, float] = {}
         for m in profile.measures:
             rate = table.lookup(m.op, m.block_bytes, m.access, m.mode)
             if rate is None:
                 continue
             weighted += rate * (m.total_bytes / total_bytes)
-            per_op[m.op] = max(per_op.get(m.op, 0.0), rate)
-        scores.append(ConfigurationScore(name, weighted, per_op, redundant))
+        scores.append(ConfigurationScore(name, weighted, redundant))
     scores.sort(key=lambda s: s.expected_rate_Bps, reverse=True)
     return scores

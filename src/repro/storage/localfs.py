@@ -65,7 +65,6 @@ class Inode:
     fileid: int
     path: str
     size: int = 0
-    nlink: int = 1
     # extents: (file_offset, device_offset, length) — appended in file
     # order, so file offsets are contiguous from 0 and sorted
     extents: list[tuple[int, int, int]] = field(default_factory=list)

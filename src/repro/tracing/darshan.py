@@ -32,8 +32,6 @@ class FileRecord:
     writes: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    read_time_s: float = 0.0
-    write_time_s: float = 0.0
     max_offset: int = 0
     collective_ops: int = 0
     independent_ops: int = 0
@@ -55,11 +53,9 @@ class FileRecord:
         if e.op == "read":
             self.reads += e.count
             self.bytes_read += e.total_bytes
-            self.read_time_s += e.duration
         elif e.op == "write":
             self.writes += e.count
             self.bytes_written += e.total_bytes
-            self.write_time_s += e.duration
         # extent of a strided bulk op: the last of `count` transfers
         # starts at offset + (count-1)*stride and covers nbytes — using
         # count*stride would overstate the file extent whenever

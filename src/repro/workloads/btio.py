@@ -174,7 +174,6 @@ class BTIOResult:
     bytes_read: int = 0
     n_writes: int = 0
     n_reads: int = 0
-    n_opens: int = 0
     tracer: object = None
     #: phase-replay accelerator statistics of the run (ReplayStats)
     replay: object = None
@@ -338,7 +337,6 @@ def run_btio(system: System, config: BTIOConfig, tracer: IOTracer | None = None)
 
     def program(mpi):
         f = yield mpi.file_open(config.path, "w")
-        result.n_opens += 1
         for step in range(clazz.steps):
             # the solver step is one repetitive non-I/O region: the
             # replay accelerator may extrapolate it once verified
