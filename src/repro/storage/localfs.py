@@ -263,12 +263,17 @@ class LocalFS:
             # misses land clean; dirty victims were already flushed
             # analytically as part of the steady-state timing
             cache = self.cache
-            touch = cache.touch
-            insert_run = cache.insert_run
             fileid = inode.fileid
-            for s in cache.segments_of(req.offset, span):
-                if not touch(fileid, s):
-                    insert_run(fileid, s, 1, 0, None)
+            segs = cache.segments_of(req.offset, span)
+            s, end = segs.start, segs.stop
+            while s < end:
+                hit, n = cache.span(fileid, s, end)
+                if hit:
+                    cache.touch_run(fileid, range(s, s + n))
+                else:
+                    n = cache.insert_run(fileid, s, n, 0, None)[0]
+                    cache.stats.misses += n
+                s += n
         return total
 
     def state_token(self, inode: Inode, req: IORequest) -> tuple:

@@ -54,7 +54,7 @@ class TestBasics:
         c = make_cache()
         c.insert_run(1, 0, 1, SEG - 10, None)
         c.insert_run(1, 0, 1, 100, None)
-        assert c.dirty_segments() == [(1, 0, SEG)]
+        assert c.dirty_segments() == [(1, 0, 1, SEG)]
         assert c.dirty_bytes == SEG
 
     def test_mark_clean(self):
@@ -94,14 +94,14 @@ class TestBasics:
         c = make_cache()
         for s in (5, 2, 9):
             c.insert_run(1, s, 1, 10, None)
-        assert [s for _f, s, _d in c.dirty_segments()] == [5, 2, 9]
+        assert [s for _f, s, _n, _d in c.dirty_segments()] == [5, 2, 9]
         assert len(c.dirty_segments(limit=2)) == 2
 
     def test_dirty_segments_filter_by_file(self):
         c = make_cache()
         c.insert_run(1, 0, 1, 10, None)
         c.insert_run(2, 0, 1, 10, None)
-        assert c.dirty_segments(fileid=2) == [(2, 0, 10)]
+        assert c.dirty_segments(fileid=2) == [(2, 0, 1, 10)]
 
 
     def test_insert_run_stops_over_the_limit(self):
@@ -158,19 +158,19 @@ class TestDenseRuns:
 
 class TestCoalesce:
     def test_adjacent_merge(self):
-        runs = list(PageCache.coalesce([(1, 0, 5), (1, 1, 5), (1, 2, 5)]))
-        assert runs == [(1, 0, 3, 15)]
+        runs = list(PageCache.coalesce([(1, 0, 1, 5), (1, 1, 2, 10), (1, 3, 1, 5)]))
+        assert runs == [(1, 0, 4, 20)]
 
     def test_gap_splits(self):
-        runs = list(PageCache.coalesce([(1, 0, 5), (1, 2, 5)]))
+        runs = list(PageCache.coalesce([(1, 0, 1, 5), (1, 2, 1, 5)]))
         assert runs == [(1, 0, 1, 5), (1, 2, 1, 5)]
 
     def test_files_never_merge(self):
-        runs = list(PageCache.coalesce([(1, 0, 5), (2, 1, 5)]))
+        runs = list(PageCache.coalesce([(1, 0, 1, 5), (2, 1, 1, 5)]))
         assert len(runs) == 2
 
     def test_unsorted_input_handled(self):
-        runs = list(PageCache.coalesce([(1, 2, 1), (1, 0, 1), (1, 1, 1)]))
+        runs = list(PageCache.coalesce([(1, 2, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)]))
         assert runs == [(1, 0, 3, 3)]
 
     def test_empty(self):
@@ -233,7 +233,7 @@ def test_coalesce_partition_property(entries):
     uniq = {}
     for seg, dirty in entries:
         uniq[(1, seg)] = dirty
-    items = [(f, s, d) for (f, s), d in uniq.items()]
+    items = [(f, s, 1, d) for (f, s), d in uniq.items()]
     runs = list(PageCache.coalesce(items))
     covered = []
     total_dirty = 0
@@ -403,7 +403,20 @@ def _apply(c, op):
     if kind == "touch_run":
         f, first, n = args
         return c.touch_run(f, range(first, first + n))
+    if kind == "dirty_segments":
+        limit, f = args
+        out = c.dirty_segments(limit, f)
+        if isinstance(c, PageCache):
+            out = _segments(out)
+        # a file's complete list comes in segment order, not oldest first
+        return sorted(out) if f is not None and limit is None else out
     return getattr(c, kind)(*args)
+
+
+def _segments(runs):
+    """Dirty runs ``(fileid, first, nsegs, dirty_bytes)`` as per-segment
+    ``(fileid, seg, dirty_bytes)`` entries."""
+    return [(f, s, d // n) for f, first, n, d in runs for s in range(first, first + n)]
 
 
 def _state(c):
@@ -520,6 +533,7 @@ def test_matches_per_segment_reference(ops, nsegs, dirty_ratio):
     for op in ops:
         assert _apply(cache, op) == _apply(ref, op)
         assert _state(cache) == _state(ref)
+        assert cache.audit() == []
 
 
 @settings(max_examples=200, deadline=None)
