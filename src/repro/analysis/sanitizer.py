@@ -29,7 +29,12 @@ simulation runs and at teardown:
   of the requests (overlap gap) and data sieving over-fetches;
 * **resource-leak detection** — once the calendar is empty at run
   end, no disk head, link channel, NFS server thread or inode lock may
-  still be held or queued.
+  still be held or queued;
+* **page-cache consistency** — at run end, every page cache (the NFS
+  export's, each local filesystem's and each NFS mount's) has an LRU
+  list and per-file indexes that hold the same non-overlapping runs,
+  a dirty list that is the LRU order of the dirty runs, and dirty and
+  resident counters that match them, within its capacity.
 
 Violations are *recorded* (and surfaced through the run report, see
 :mod:`repro.obs.runreport`) rather than raised mid-run — except
@@ -65,6 +70,7 @@ CHECKS: tuple[str, ...] = (
     "conservation",
     "leak",
     "resource",
+    "cache",
 )
 
 #: slack for utilization float comparisons (busy times are sums of
@@ -361,6 +367,17 @@ class SimSanitizer:
                     "interval (utilization > 1)",
                 )
 
+    def check_caches(self) -> None:
+        """Every page cache's runs, lists and counters agree
+        (:meth:`~repro.storage.cache.PageCache.audit`)."""
+        system = self.system
+        owners = [system.export]
+        owners += [system.local_fs[n] for n in sorted(system.local_fs)]
+        owners += [system.nfs_mounts[n] for n in sorted(system.nfs_mounts)]
+        for owner in owners:
+            for problem in owner.cache.audit():
+                self._record("cache", f"{owner.cache.name}: {problem}")
+
     def check_conservation(self) -> None:
         """Bytes leaving MPI-IO must arrive at the filesystem boundary.
 
@@ -388,6 +405,7 @@ class SimSanitizer:
         self.check_leaks()
         self.check_utilization()
         self.check_conservation()
+        self.check_caches()
         return self.report()
 
     def report(self) -> dict[str, Any]:

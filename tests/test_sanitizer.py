@@ -235,6 +235,20 @@ def test_conservation_imbalance_detected(sanitized):
     assert "4096" in san.violations[0].message
 
 
+def test_corrupted_page_cache_detected(sanitized):
+    system, san = sanitized
+    mount = next(iter(system.nfs_mounts.values()))
+    mount.cache.insert_run(1, 0, 4, 4096, None)
+    san.check_caches()
+    assert checks_of(san) == []
+    mount.cache._dirty_total += 1  # a counter that no run accounts for
+    run = mount.cache._head.next
+    run.n += 1  # the index still counts the run's old length
+    san.check_caches()
+    assert checks_of(san) == ["cache"] * 3
+    assert all(v.message.startswith(mount.cache.name) for v in san.violations)
+
+
 def test_conservation_balances_with_corrections(sanitized):
     system, san = sanitized
     mount = next(iter(system.nfs_mounts.values()))
