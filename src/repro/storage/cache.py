@@ -376,23 +376,8 @@ class PageCache:
         head = self._head
         end = seg + k
         rend = run.first + run.n
-        if end == rend and run is head.prev:
-            # a suffix of the MRU run stays where it is
-            if dirty == run.dirty:
-                return
-            if seg > run.first:
-                run = self._split(fr, i, run, seg)
-            if run.dirty:
-                self._unlink(run)
-                run.dirty = dirty
-                self._link(run)
-            else:
-                run.dirty = dirty
-                dtail = head.dprev
-                run.dprev = dtail
-                run.dnext = head
-                dtail.dnext = head.dprev = run
-            return
+        if end == rend and run is head.prev and dirty == run.dirty:
+            return  # a suffix of the MRU run already sits there
         if seg > run.first:
             run = self._split(fr, i, run, seg)
             i += 1
@@ -561,8 +546,7 @@ class PageCache:
 
     def mark_clean_run(self, fileid: int, first: int, nsegs: int) -> None:
         """Mark segments ``first .. first + nsegs - 1`` of a file clean.
-        Cleaning never reorders recency: a run is split in place, and a
-        cleaned piece joins a clean neighbour that continues it.
+        Cleaning never reorders recency: a run is split in place.
         Non-resident segments are skipped."""
         fr = self._files.get(fileid)
         if fr is None:
@@ -588,30 +572,8 @@ class PageCache:
                 prev.dnext = nxt
                 nxt.dprev = prev
                 run.dirty = 0
-                prev = run.prev
-                if (
-                    prev.fileid == fileid and prev.first + prev.n == run.first
-                    and not prev.dirty
-                ):
-                    self._absorb_next(fr, i - 1, prev)
-                    i -= 1
-                    run = prev
-                self._absorb_next(fr, i, run)
             i += 1
         self._dirty_total -= freed
-
-    @staticmethod
-    def _absorb_next(fr: _FileRuns, i: int, run: _Run) -> None:
-        """Merge the LRU successor of clean ``run`` (``fr.runs[i]``) into
-        it when it is the clean run of the file's next segments."""
-        nxt = run.next
-        if nxt.fileid == run.fileid and nxt.first == run.first + run.n and not nxt.dirty:
-            run.n += nxt.n
-            nxt2 = nxt.next
-            run.next = nxt2
-            nxt2.prev = run
-            del fr.starts[i + 1]
-            del fr.runs[i + 1]
 
     def dirty_segments(
         self, limit: int | None = None, fileid: int | None = None
