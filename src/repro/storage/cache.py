@@ -601,7 +601,7 @@ class PageCache:
 
     def drop_file(self, fileid: int) -> int:
         """Invalidate every segment of a file (unlink); returns count dropped."""
-        fr = self._files.get(fileid)
+        fr = self._files.pop(fileid, None)
         if fr is None:
             return 0
         count = freed = 0
@@ -609,9 +609,6 @@ class PageCache:
             self._unlink(run)
             count += run.n
             freed += run.n * run.dirty
-        fr.starts.clear()
-        fr.runs.clear()
-        fr.resident = 0
         self._len -= count
         self._dirty_total -= freed
         return count
