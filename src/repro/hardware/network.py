@@ -91,11 +91,16 @@ class _FastRoute(FastHold):
 
     def _done(self) -> None:
         env = self.env
-        env._push(
-            env._now + max(self.up.effective_latency_s, self.down.effective_latency_s),
-            1,
-            self._latency_done,
-        )
+        now = env._now
+        # each link's latency, spiked while a fault-injected spike lasts
+        up, down = self.up, self.down
+        lat_up = up.spec.latency_s
+        if now < up._latency_until:
+            lat_up = lat_up * up._latency_factor
+        lat_down = down.spec.latency_s
+        if now < down._latency_until:
+            lat_down = lat_down * down._latency_factor
+        env._push(now + max(lat_up, lat_down), 1, self._latency_done)
 
     def _latency_done(self, _v) -> None:
         self.result.succeed(self.nbytes * self.count)
@@ -142,12 +147,6 @@ class Link:
     @property
     def down(self) -> bool:
         return self.env.now < self._down_until
-
-    @property
-    def effective_latency_s(self) -> float:
-        if self.env.now < self._latency_until:
-            return self.spec.latency_s * self._latency_factor
-        return self.spec.latency_s
 
     def hold_time(self, nbytes: int, count: int = 1) -> float:
         """Serialisation time for ``count`` back-to-back messages."""

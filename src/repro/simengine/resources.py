@@ -20,7 +20,7 @@ from __future__ import annotations
 from numbers import Integral
 from typing import Any, Callable
 
-from .core import Environment, Event, SimulationError, Wake
+from .core import Environment, Event, SimulationError
 
 __all__ = [
     "Request",
@@ -35,16 +35,18 @@ class Request:
     A plain record, not an event: the holder learns of the grant only
     through the ``waiter`` it passed to :meth:`Resource.request`, which
     the grant pushes as a direct calendar entry and then drops.  Must
-    be released exactly once via :meth:`Resource.release`.
+    be released exactly once per claim via :meth:`Resource.release`.
 
-    Requests are made only by :meth:`Resource.request`, which fills
-    every slot.  ``order_key`` is a semantic tie-break among waiters
-    that arrived at the *same* sim-time: requests carrying a key are
-    ordered by it instead of by incidental insertion order (e.g. the
-    disk head queues by starting offset, like command queueing in a
-    real drive), so grant order — and therefore every downstream
-    timestamp — is invariant under permutations of same-time
-    scheduling order.
+    :meth:`Resource.request` allocates a request and claims it; a
+    :class:`FastHold` re-claims its own released requests at each
+    quantum boundary through the same ``Resource._claim``, which fills
+    every other slot.  ``order_key`` is a semantic tie-break among
+    waiters that arrived at the *same* sim-time: requests carrying a
+    key are ordered by it instead of by incidental insertion order
+    (e.g. the disk head queues by starting offset, like command
+    queueing in a real drive), so grant order — and therefore every
+    downstream timestamp — is invariant under permutations of
+    same-time scheduling order.
     """
 
     __slots__ = ("resource", "_order", "_released", "t_arrival", "order_key", "_waiter")
@@ -88,7 +90,8 @@ class Resource:
         self.users: list[Request] = []
         self.queue: list[Request] = []
         self._order = 0
-        self._arrival_watchers: list[Event] = []
+        # coalesced holds told of the next arrival that queues here
+        self._sleepers: list[_Sleep] = []
 
     @property
     def count(self) -> int:
@@ -111,12 +114,18 @@ class Resource:
         """
         req = _new(Request)
         req.resource = self
+        req.order_key = order_key
+        self._claim(req, waiter)
+        return req
+
+    def _claim(self, req: Request, waiter: Callable[[None], None]) -> None:
+        # the one grant step, for a new request and for a released one
+        # its holder claims again: an arrival with a fresh order stamp
         self._order += 1
         req._order = self._order
         req._released = False
         env = self.env
         now = req.t_arrival = env._now
-        req.order_key = order_key
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(req)
             req._waiter = None
@@ -125,7 +134,6 @@ class Resource:
             # taken off again by the grant (see _grant_next)
             req._waiter = waiter
             self._enqueue(req)
-        return req
 
     def _enqueue(self, req: Request) -> None:
         # keep the queue in grant order: arrivals are in sim-time order,
@@ -141,27 +149,14 @@ class Resource:
             while i and queue[i - 1].t_arrival == t and rank < _tie_rank(queue[i - 1]):
                 i -= 1
             queue.insert(i, req)
-        if self._arrival_watchers:
-            watchers, self._arrival_watchers = self._arrival_watchers, []
-            for ev in watchers:
-                ev.succeed(self)
-
-    # -- arrival notification (coalesced holds) -------------------------
-    def watch_arrival(self) -> Event:
-        """A pending event fired the next time a request *queues* on
-        this resource (i.e. contention appears).  Holders sleeping
-        through an uncontended stretch watch this instead of waking
-        every quantum."""
-        ev = Event(self.env)
-        self._arrival_watchers.append(ev)
-        return ev
-
-    def unwatch_arrival(self, ev: Event) -> None:
-        """Deregister a watcher obtained from :meth:`watch_arrival`."""
-        try:
-            self._arrival_watchers.remove(ev)
-        except ValueError:
-            pass
+        if self._sleepers:
+            # contention appeared: one priority-1 entry per sleeping
+            # hold, each at the key a triggered event would take
+            sleepers, self._sleepers = self._sleepers, []
+            env = self.env
+            now = env._now
+            for token in sleepers:
+                env._push(now, 1, token._arrived)
 
     def release(self, req: Request) -> None:
         """Give the slot back and wake the next waiter.
@@ -212,6 +207,29 @@ class Resource:
         )
 
 
+class _Sleep:
+    """One coalesced sleep of a :class:`FastHold`.
+
+    The sleep's wake entry calls :meth:`_woke`, and an arrival that
+    queues on any held resource calls :meth:`_arrived`; whichever comes
+    first resumes the hold and drops the link to it, so the
+    hold <-> token cycle is gone once the token has fired.
+    """
+
+    __slots__ = ("hold", "woke")
+
+    def _arrived(self, _v: None) -> None:
+        hold = self.hold
+        if hold is not None:
+            self.hold = None
+            env = hold.env
+            env._push(env._now, 1, hold._after_coalesce)
+
+    def _woke(self, _v: None) -> None:
+        self.woke = True
+        self._arrived(None)
+
+
 class FastHold:
     """A flat state machine that acquires resources, holds them for a
     service time in quanta, releases them and triggers :attr:`result`.
@@ -220,27 +238,28 @@ class FastHold:
     head, a link, an uplink/downlink pair) is one of these — a chain of
     bound-method callbacks instead of a generator process, so a request
     costs no :class:`~repro.simengine.core.Process`, frame or ``send()``
-    round trip.
+    round trip, and a quantum step allocates nothing.
 
     **Calendar protocol**: construction pushes one priority-0 direct
     entry (a bound method on the calendar, see
     :meth:`~repro.simengine.core.Environment._push`) that runs
-    :meth:`_start`.  Resources are then requested in list order, one
+    :meth:`_start`.  Resources are then claimed in list order, one
     grant at a time; each grant is a priority-1 direct entry that calls
-    ``_on_grant`` (``_on_regrant`` after a quantum boundary), passed as
-    the ``waiter`` of :meth:`Resource.request`.  The hold sleeps one
-    quantum at a time (each sleep a priority-1 direct entry) while any
-    held resource has waiters, and at each boundary with waiters it
-    releases every slot (reverse list order) and re-requests them (list
-    order), so competitors interleave at quantum granularity.  An
-    uncontended stretch is covered by a single :class:`Wake` at the time the
-    per-quantum additions would reach (so timestamps equal the sliced
-    ones), raced against arrival watchers; whichever fires first
-    resumes the hold through one priority-1 direct entry, and an
-    arrival rejoins the quantum grid at the first boundary after it.
-    Completion releases the slots and ``_done`` triggers the result at
-    priority 1.  The golden calendar digests of the kernel determinism
-    suite pin this sequence entry for entry.
+    ``_on_grant``, passed as the ``waiter`` of the claim.  The hold
+    sleeps one quantum at a time (each sleep a priority-1 direct entry)
+    while any held resource has waiters, and at each boundary with
+    waiters it releases every slot (reverse list order) and re-claims
+    the same :class:`Request` records (list order), so competitors
+    interleave at quantum granularity.  An uncontended stretch is
+    covered by one :class:`_Sleep` token: its wake is a priority-1
+    direct entry at the time the per-quantum additions would reach (so
+    timestamps equal the sliced ones), and an arrival that queues on a
+    held resource pushes the token's other entry at once; whichever
+    pops first resumes the hold through one priority-1 direct entry,
+    and an arrival rejoins the quantum grid at the first boundary after
+    it.  Completion releases the slots and ``_done`` triggers the
+    result at priority 1.  The golden calendar digests of the kernel
+    determinism suite pin this sequence entry for entry.
 
     Subclasses implement:
 
@@ -261,8 +280,7 @@ class FastHold:
         "remaining",
         "result",
         "_hold_start",
-        "_wake",
-        "_watchers",
+        "_sleep",
         "_acq_i",
         "order_key",
     )
@@ -272,6 +290,9 @@ class FastHold:
         self.resources = resources
         self.order_key = order_key
         self.reqs: list[Request] = []
+        # None until _begin_hold: tells _on_grant a first acquisition
+        # from a re-claim
+        self.remaining: float | None = None
         self.result = Event(env)
         env._push(env._now, 0, self._start)
 
@@ -288,22 +309,28 @@ class FastHold:
     # -- acquisition -----------------------------------------------------
     def _acquire(self) -> None:
         """Acquire ``resources`` in list order, one grant at a time."""
-        self._acq_i = 0
-        self.reqs = []
-        self._acquire_next()
-
-    def _acquire_next(self) -> None:
-        i = self._acq_i
-        resources = self.resources
-        if i == len(resources):
-            self._granted()
-            return
-        req = resources[i].request(self._on_grant, self.order_key)
-        self.reqs.append(req)
+        key = self.order_key
+        reqs = self.reqs = []
+        for r in self.resources:
+            req = _new(Request)
+            req.resource = r
+            req.order_key = key
+            reqs.append(req)
+        self._acq_i = -1
+        self._on_grant(None)
 
     def _on_grant(self, _v: None) -> None:
-        self._acq_i += 1
-        self._acquire_next()
+        # one continuation for the first acquisition and for the
+        # re-claim at each quantum boundary: claim the next resource,
+        # or go on once the last is granted
+        i = self._acq_i = self._acq_i + 1
+        resources = self.resources
+        if i < len(resources):
+            resources[i]._claim(self.reqs[i], self._on_grant)
+        elif self.remaining is None:
+            self._granted()
+        else:
+            self._hold_step()
 
     # -- the quantum hold loop --------------------------------------------
     def _begin_hold(self, total: float, quantum: float) -> None:
@@ -324,15 +351,11 @@ class FastHold:
             env._push(env._now + remaining, 1, self._final_sleep_done)
             return
         resources = self.resources
-        contended = False
         for r in resources:
             if r.queue:
-                contended = True
-                break
-        if contended:
-            self.remaining = remaining - quantum
-            env._push(env._now + quantum, 1, self._after_sleep)
-            return
+                self.remaining = remaining - quantum
+                env._push(env._now + quantum, 1, self._after_sleep)
+                return
         # Replay the per-quantum addition chain to the exact time the
         # sliced loop would finish, then sleep there in one go.
         start = env._now
@@ -343,41 +366,22 @@ class FastHold:
             end += step
             rem -= step
         self._hold_start = start
-        watchers = self._watchers = [r.watch_arrival() for r in resources]
-        wake = self._wake = Wake(env, end)
-        cb = self._coalesce_fired
-        wake.callbacks.append(cb)
-        for w in watchers:
-            w.callbacks.append(cb)
-
-    def _coalesce_fired(self, ev: Event) -> None:
-        # the first of wake/watchers to fire schedules the resume (one
-        # priority-1 direct entry), then the shared callback is pruned
-        # from the others
-        env = self.env
-        env._push(env._now, 1, self._after_coalesce)
-        cb = self._coalesce_fired
-        wake = self._wake
-        if wake is not ev and wake.callbacks is not None:
-            try:
-                wake.callbacks.remove(cb)
-            except ValueError:
-                pass
-        for w in self._watchers:
-            if w is not ev and w.callbacks is not None:
-                try:
-                    w.callbacks.remove(cb)
-                except ValueError:
-                    pass
+        token = self._sleep = _new(_Sleep)
+        token.hold = self
+        token.woke = False
+        for r in resources:
+            r._sleepers.append(token)
+        env._push(end, 1, token._woke)
 
     def _after_coalesce(self, _v: None) -> None:
         env = self.env
-        wake = self._wake
-        for r, w in zip(self.resources, self._watchers):
-            r.unwatch_arrival(w)
-        self._watchers = None
-        self._wake = None
-        if wake.callbacks is None:  # processed: hold ran to completion
+        token = self._sleep
+        self._sleep = None
+        for r in self.resources:
+            sleepers = r._sleepers
+            if token in sleepers:
+                sleepers.remove(token)
+        if token.woke:  # the wake popped: hold ran to completion
             self._release_and_done()
             return
         # Contention arrived mid-sleep: rejoin the quantum grid at the
@@ -396,7 +400,8 @@ class FastHold:
         env._push(b, 1, self._after_sleep)
 
     def _after_sleep(self, _v: None) -> None:
-        # quantum boundary: yield slots to queued competitors
+        # quantum boundary: yield slots to queued competitors, then
+        # re-claim the same requests
         if self.remaining > 0:
             resources = self.resources
             for r in resources:
@@ -405,34 +410,22 @@ class FastHold:
                     for i in range(len(resources) - 1, -1, -1):
                         resources[i].release(reqs[i])
                     self._acq_i = 0
-                    self._reacquire_next()
+                    resources[0]._claim(reqs[0], self._on_grant)
                     return
         self._hold_step()
-
-    def _reacquire_next(self) -> None:
-        i = self._acq_i
-        resources = self.resources
-        if i == len(resources):
-            self._hold_step()
-            return
-        req = resources[i].request(self._on_regrant, self.order_key)
-        self.reqs[i] = req
-
-    def _on_regrant(self, _v: None) -> None:
-        self._acq_i += 1
-        self._reacquire_next()
 
     def _final_sleep_done(self, _v: None) -> None:
         self._release_and_done()
 
     def _release_and_done(self) -> None:
-        # release in reverse list order, guarded against a slot already
-        # gone (teardown mid-hold)
+        # release in reverse list order, skipping a slot already given
+        # back (teardown mid-hold)
         resources = self.resources
         reqs = self.reqs
         for i in range(len(resources) - 1, -1, -1):
-            if reqs[i] in resources[i].users:
-                resources[i].release(reqs[i])
+            req = reqs[i]
+            if not req._released:
+                resources[i].release(req)
         self._done()
 
 

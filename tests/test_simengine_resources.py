@@ -1,5 +1,6 @@
 """Unit tests for Resource / Store."""
 
+import gc
 from types import MethodType
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simengine import Environment, FlatOp, Resource, SimulationError, Store
 from repro.simengine.core import Event
-from repro.simengine.resources import Request, _tie_rank
+from repro.simengine.bench import _BenchHold
+from repro.simengine.resources import FastHold, Request, _Sleep, _tie_rank
 
 
 class _Waiter:
@@ -253,6 +255,91 @@ _batches = st.lists(st.lists(_op, max_size=8), min_size=1, max_size=4)
 @given(_batches, st.sampled_from([1, 2]))
 def test_cohort_insertion_grants_in_scan_order(batches, capacity):
     assert _grant_log(Resource, capacity, batches) == _grant_log(_ScanResource, capacity, batches)
+
+
+# ---------------------------------------------------------------------------
+# FastHold: re-claimed requests and coalesced-sleep tokens
+
+
+def _cyclic_garbage(scenario):
+    """Run ``scenario`` and return the names of the hold-protocol
+    objects it left for the cyclic collector (reference cycles that
+    plain reference counting cannot free)."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        scenario()
+        gc.collect()
+        return [
+            type(o).__name__ for o in gc.garbage if isinstance(o, (_Sleep, Request, FastHold))
+        ]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def _coalesced(res, hold):
+    """The token ``hold`` sleeps on: exactly one, registered on ``res``."""
+    assert hold.remaining is not None and res._sleepers == [hold._sleep]
+    assert hold._sleep.hold is hold
+    return hold._sleep
+
+
+def test_coalesced_hold_woken_leaves_no_cycles():
+    def woken():
+        env = Environment()
+        res = Resource(env, capacity=1)
+        hold = _BenchHold(env, [res], 0.1, 0.01)
+        env.run(until=0.05)
+        token = _coalesced(res, hold)
+        env.run()
+        assert token.woke and token.hold is None and hold._sleep is None
+        assert hold.result.processed and env.now == pytest.approx(0.1)
+        assert res._sleepers == [] and not res.users
+
+    assert _cyclic_garbage(woken) == []
+
+
+def test_coalesced_hold_interrupted_leaves_no_cycles():
+    def interrupted():
+        env = Environment()
+        res = Resource(env, capacity=1)
+        first = _BenchHold(env, [res], 0.1, 0.01)
+        env.run(until=0.035)
+        token = _coalesced(res, first)
+        # an arrival queues: the sleep rejoins the grid at 0.04, and the
+        # two holds then rotate, re-claiming their requests
+        second = _BenchHold(env, [res], 0.05, 0.01)
+        env.run(until=0.036)
+        assert not token.woke and token.hold is None and first._sleep is None
+        env.run()
+        assert first.result.processed and second.result.processed
+        assert env.now == pytest.approx(0.15)
+        assert res._sleepers == [] and not res.users and not res.queue
+
+    assert _cyclic_garbage(interrupted) == []
+
+
+def test_reclaimed_request_still_refuses_misuse():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    first = _BenchHold(env, [res], 0.1, 0.01)
+    second = _BenchHold(env, [res], 0.1, 0.01)
+    env.run(until=0)
+    req = first.reqs[0]
+    # the holds rotate every quantum: ``first`` gives its slot up and
+    # re-claims the same record at 0.01, 0.03 and 0.05
+    env.run(until=0.055)
+    assert first.reqs[0] is req and req._order == 7
+    assert res.queue == [req] and res.users == [second.reqs[0]]
+    with pytest.raises(SimulationError, match="queued request .* never granted"):
+        res.release(req)
+    env.run(until=0.065)  # granted again at 0.06
+    assert res.users == [req]
+    res.release(req)
+    with pytest.raises(SimulationError, match="double release"):
+        res.release(req)
 
 
 def test_store_fifo():
