@@ -165,6 +165,9 @@ class PageCache:
         self._dirty_total = 0
         self._sb = spec.segment_bytes
         self._nsegments = spec.nsegments
+        # the spec's limits, computed once: the write path reads them per call
+        self._dirty_limit = spec.dirty_limit_bytes
+        self._background_limit = spec.background_limit_bytes
         self.stats = CacheStats()
 
     # -- geometry helpers -------------------------------------------------
@@ -207,11 +210,11 @@ class PageCache:
 
     @property
     def need_throttle(self) -> bool:
-        return self._dirty_total > self.spec.dirty_limit_bytes
+        return self._dirty_total > self._dirty_limit
 
     @property
     def need_background_flush(self) -> bool:
-        return self._dirty_total > self.spec.background_limit_bytes
+        return self._dirty_total > self._background_limit
 
     def is_resident(self, fileid: int, seg: int) -> bool:
         return self.span(fileid, seg, seg + 1)[0]
@@ -826,7 +829,7 @@ class DirtyInsert:
     def _step(self, _v=None):
         c = self.c
         cache = c.cache
-        limit = cache.spec.dirty_limit_bytes
+        limit = cache._dirty_limit
         runs = self.runs
         while self.i < len(runs):
             first, nsegs, dirty = runs[self.i]
