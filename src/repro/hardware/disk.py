@@ -309,9 +309,11 @@ class Disk:
                 if bool(((self._ra_start < ends) & (offs < self._ra_end)).any()):
                     self._ra_start = self._ra_end = -1
         self._head_pos = int(offs[-1]) + nbytes
-        for x in t_ops.tolist():
-            t += x
-        return t
+        # the scalar path's sum ((t + x0) + x1) + ...: accumulate adds
+        # strictly left to right, unlike np.sum, math.fsum and (from
+        # Python 3.12) builtin sum of floats
+        t_ops[0] += t
+        return float(_np.add.accumulate(t_ops)[-1])
 
     # -- DES interface -----------------------------------------------------
     def submit(

@@ -228,6 +228,38 @@ def test_scatter_vectorization_bit_identical():
     assert overlap_cases > 200, "random parameters barely drew overlapping strides"
 
 
+@pytest.mark.parametrize("count", [204, 208, 512, 1024])
+def test_scatter_vectorization_bit_identical_at_btio_sizes(count):
+    """The scatter sizes BT-IO simple issues (204 to 1,024 ops per
+    call): the vector path's sum matches the per-op loop bit for bit,
+    for reads and writes, holed and overlapping strides, from a cold
+    head and from inside a readahead window."""
+    rng = random.Random(count)
+    strides = [
+        (2560, 2560 + 4096),  # holed
+        (65536, 65536 + 100_000),  # holed, past the short-skip reach
+        (4096, 2560),  # overlapping: page-rounded 2,560 B records
+        (65536, 32768),  # overlapping
+    ]
+    for op in (READ, WRITE):
+        for nbytes, stride in strides:
+            for warm in (False, True):
+                env = Environment()
+                d1 = Disk(env, DiskSpec())
+                d2 = Disk(env, DiskSpec())
+                offset = rng.randrange(0, 10**9)
+                if warm:
+                    # a prior read leaves the head and a readahead
+                    # window where the scatter starts
+                    d1.service_time(READ, offset, 4096)
+                    d2.service_time(READ, offset, 4096)
+                    offset += rng.randrange(0, 1 << 20)
+                case = (op, nbytes, stride, warm, count)
+                t_scalar = d1._scatter_time(op, offset, nbytes, count, stride)
+                t_vector = d2._scatter_time_vec(op, offset, nbytes, count, stride)
+                _assert_disk_twins(d1, d2, t_scalar, t_vector, case)
+
+
 def test_overlapping_stride_takes_vector_path(monkeypatch):
     """BT-IO simple's page-rounded records: 4 KiB reads every 2,560 B
     are served by the vector path, bit-identical to the per-op loop."""
