@@ -128,9 +128,9 @@ class System:
         server_vfs.mount("/local", self.export)
         self.server_node.vfs = server_vfs
 
-        #: replay settings applied to worlds built over this system
-        #: (None = the :class:`ReplaySettings` defaults)
-        self.replay_settings = None
+        #: phase-replay extrapolation in worlds built over this system
+        #: (False = full replay)
+        self.phase_fastpath = True
         #: accelerator of the most recent world (its stats outlive the run)
         self.last_replay = None
         #: MPI-IO layer counters of the most recent world
@@ -143,7 +143,7 @@ class System:
 
         w = MPIWorld(
             self.env, self.cluster, nprocs, placement=placement, tracer=tracer,
-            io_hints=io_hints, replay_settings=self.replay_settings,
+            io_hints=io_hints, phase_fastpath=self.phase_fastpath,
         )
         self.last_replay = w.replay
         self.last_iostats = w.iostats

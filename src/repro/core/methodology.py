@@ -74,8 +74,6 @@ def _evaluate_unit(task) -> EvaluationReport:
 
     (name, config, app, access, tables, phase_fastpath,
      instrument, keep_events, window_s, sanitize, faults) = task
-    from .replay import ReplaySettings
-
     if faults is not None:
         from ..faults import FaultSchedule
 
@@ -90,15 +88,13 @@ def _evaluate_unit(task) -> EvaluationReport:
         # each fault window against the same simulated-time span of
         # this baseline, cancelling the workload's own phase mix
         ref_system = build_system(Environment(), config)
-        ref_system.replay_settings = ReplaySettings(enabled=False)
+        ref_system.phase_fastpath = False
         ref_run = app.run(ref_system)
         reference = (list(ref_run.tracer.events), ref_system.env.now)
     system = build_system(Environment(), config)
     # with faults, the accelerator would extrapolate repeated phases
     # from healthy occurrences and paper over mid-run degradation
-    system.replay_settings = ReplaySettings(
-        enabled=phase_fastpath and faults is None
-    )
+    system.phase_fastpath = phase_fastpath and faults is None
     registry = None
     if instrument:
         from ..obs.metrics import MetricsRegistry

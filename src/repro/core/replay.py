@@ -8,30 +8,38 @@ occurrence — BT-IO class C issues the same collective write 40 times,
 MADbench2 the same 162 MB read/write 8 times per function.
 
 :class:`PhaseReplayAccelerator` exploits that repetition *online*
-while the application model runs: the MPI-IO layer asks it before
-every operation.  Each distinct phase key — the event signature used
-by :class:`~repro.tracing.phases.PhaseDetector` plus the rank's
-barrier epoch, so MADbench2's S-writes and W-writes stay separate
-phases exactly like the paper's S_w/W_w columns — goes through three
-states:
+while the application model runs.  Three callers ask it before every
+repeated step — independent and collective MPI-IO
+(:mod:`repro.mpi.io`) and :meth:`~repro.mpi.sim.RankContext.replay_region`
+— each naming the step's phase *key*, the *group* of sibling phases on
+other ranks, and the *scope* of groups that contend on the same
+resources.  A key — the event signature used by
+:class:`~repro.tracing.phases.PhaseDetector` plus the rank's barrier
+epoch, so MADbench2's S-writes and W-writes stay separate phases
+exactly like the paper's S_w/W_w columns — goes through three states:
 
 1. **warm-up** — the first occurrences run through the full DES
    (cache warm-up, allocation, contention all simulated);
-2. **verified** — once at least ``warmup`` occurrences ran *and* the
-   last two agree within ``rel_tol``, the phase is steady: its
-   per-occurrence cost is known;
+2. **verified** — once at least :data:`WARMUP` occurrences ran *and*
+   :data:`CONFIRM` consecutive pairs agree within :data:`REL_TOL`, the
+   phase is steady: its per-occurrence cost is known;
 3. **extrapolated** — remaining occurrences are closed analytically:
    the caller charges the steady duration with a single calendar
    entry and applies the state side effects (file growth, cache
    residency) without simulating the transfer.
 
-Phases whose occurrences keep disagreeing past ``max_warmup``
-(contention drift, throttling oscillation) fall back to full replay —
-correctness degrades to speed, never the other way around.
+Extrapolation is decided per group *round* and frozen, so sibling
+ranks take the same action for the same occurrence, and one round in
+every :data:`RECHECK` is simulated to revalidate.  Phases whose
+occurrences keep disagreeing past :data:`MAX_WARMUP` (contention
+drift, throttling oscillation), or drift at a revalidation, fall back
+to full replay — correctness degrades to speed, never the other way
+around.
 
-``ReplaySettings(enabled=False)`` (``phase_fastpath=False`` on
+The one switch is ``enabled``: ``System.phase_fastpath`` on a built
+system, ``phase_fastpath=False`` on
 :meth:`~repro.core.methodology.Methodology.evaluate`,
-``--no-phase-fastpath`` on the CLI) disables extrapolation.
+``--no-phase-fastpath`` on the CLI.
 """
 
 from __future__ import annotations
@@ -40,39 +48,30 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
-    "ReplaySettings",
     "ReplayStats",
     "PhaseReplayAccelerator",
 ]
 
-
-@dataclass(frozen=True)
-class ReplaySettings:
-    """Knobs of the phase-replay accelerator."""
-
-    #: extrapolate at all (full replay when off)
-    enabled: bool = True
-    #: minimum fully simulated occurrences per phase (the paper's K)
-    warmup: int = 2
-    #: keep simulating past ``warmup`` until the phase verifies, up to
-    #: this many occurrences; then give up on the phase
-    max_warmup: int = 8
-    #: consecutive agreeing occurrence *pairs* required before the
-    #: phase counts as steady — one lucky pair early in a drifting
-    #: phase (cache still filling, flusher ramping) must not lock in
-    #: a wrong steady value
-    confirm: int = 2
-    #: re-simulate one occurrence after this many extrapolated ones
-    #: and verify it still agrees with the steady value; on
-    #: disagreement the phase falls back to full replay (0 = never)
-    recheck: int = 8
-    #: relative tolerance for "two occurrences agree".  Occurrence
-    #: timings of a steady phase are not bit-identical in a contended
-    #: DES — background flusher scheduling and network slot alignment
-    #: wobble them at the sub-percent level — so the default admits
-    #: that wobble; the locked steady value is the *mean* of the
-    #: verification window, cancelling it.
-    rel_tol: float = 0.02
+#: minimum fully simulated occurrences per phase (the paper's K)
+WARMUP = 2
+#: keep simulating past ``WARMUP`` until the phase verifies, up to this
+#: many occurrences; then give up on the phase
+MAX_WARMUP = 8
+#: consecutive agreeing occurrence *pairs* required before the phase
+#: counts as steady — one lucky pair early in a drifting phase (cache
+#: still filling, flusher ramping) must not lock in a wrong steady value
+CONFIRM = 2
+#: simulate one round after this many extrapolated ones and verify it
+#: still agrees with the steady value; on disagreement the phase's
+#: group falls back to full replay
+RECHECK = 8
+#: relative tolerance for "two occurrences agree".  Occurrence timings
+#: of a steady phase are not bit-identical in a contended DES —
+#: background flusher scheduling and network slot alignment wobble
+#: them at the sub-percent level — so the tolerance admits that
+#: wobble; the locked steady value is the *mean* of the verification
+#: window, cancelling it.
+REL_TOL = 0.02
 
 
 @dataclass
@@ -132,7 +131,6 @@ class _PhaseState:
         "steady",
         "disabled",
         "streak",
-        "since_check",
         "occ",
         "window",
     )
@@ -145,8 +143,6 @@ class _PhaseState:
         self.disabled = False
         #: consecutive agreeing occurrence pairs so far
         self.streak = 0
-        #: extrapolations since the last revalidation
-        self.since_check = 0
         #: total occurrences of this key (simulated + extrapolated) —
         #: the member's *round* index inside its group
         self.occ = 0
@@ -177,16 +173,15 @@ class _GroupState:
     back and poisons the group for all future rounds.
     """
 
-    __slots__ = ("members", "disabled", "rounds_since_check", "decisions")
+    __slots__ = ("members", "rounds_extrapolated", "decisions")
 
     def __init__(self):
         # insertion-ordered dict used as an ordered set: membership is
         # iterated when deciding rounds, and that decision order must
         # not depend on tuple hashing
         self.members: dict = {}
-        self.disabled = False
         #: extrapolated rounds since the last synchronized revalidation
-        self.rounds_since_check = 0
+        self.rounds_extrapolated = 0
         #: frozen per-round verdicts: round index -> extrapolate?
         self.decisions: dict = {}
 
@@ -196,13 +191,14 @@ class PhaseReplayAccelerator:
 
     One accelerator serves one application run (one
     :class:`~repro.mpi.sim.MPIWorld`); state never leaks across runs.
-    Keys are opaque hashable tuples built by the MPI-IO layer from the
-    :meth:`~repro.tracing.events.IOEvent.signature` geometry plus the
-    rank's barrier epoch.
+    Keys, groups and scopes are opaque hashable tuples built by the
+    callers from the :meth:`~repro.tracing.events.IOEvent.signature`
+    geometry plus the rank's barrier epoch.  With ``enabled=False``
+    every occurrence is simulated (full replay) and only counted.
     """
 
-    def __init__(self, settings: Optional[ReplaySettings] = None):
-        self.settings = settings or ReplaySettings()
+    def __init__(self, enabled: bool = True):
+        self.enabled = enabled
         self._phases: dict[tuple, _PhaseState] = {}
         self._groups: dict[tuple, _GroupState] = {}
         #: scope key -> groups whose phases run concurrently (same
@@ -216,12 +212,7 @@ class PhaseReplayAccelerator:
         self.stats = ReplayStats()
 
     # ------------------------------------------------------------------
-    def steady(
-        self,
-        key: tuple,
-        group: Optional[tuple] = None,
-        scope: Optional[tuple] = None,
-    ) -> Optional[float]:
+    def steady(self, key: tuple, group: tuple, scope: tuple) -> Optional[float]:
         """The steady per-occurrence duration, or ``None`` while the
         phase still needs full simulation.  Counts the occurrence.
 
@@ -232,26 +223,11 @@ class PhaseReplayAccelerator:
         contend on the same resources: no group in a scope
         extrapolates while any of them is unsteady.
         """
-        if not self.settings.enabled:
+        if not self.enabled:
             return None
         st = self._phases.get(key)
         if st is None:
             return None
-        if group is None:
-            if st.steady is None:
-                return None
-            if self.settings.recheck and st.since_check >= self.settings.recheck:
-                # revalidation due: force one real occurrence through
-                # the DES; observe() compares it against steady
-                return None
-            # a phase key names one rank's (or one collective call
-            # site's) occurrences, which run one after another: no two
-            # same-time callbacks advance one phase's state
-            st.since_check += 1
-            st.occ += 1
-            self.stats.extrapolated += 1
-            self.stats.extrapolated_sim_s += st.steady
-            return st.steady
         g = self._groups.get(group)
         if g is None:
             return None
@@ -276,50 +252,41 @@ class PhaseReplayAccelerator:
         val = st.steady if st.steady is not None else st.last
         if val is None:  # pragma: no cover - members always simulated once
             return None
+        # a phase key names one rank's (or one collective call site's)
+        # occurrences, which run one after another: no two same-time
+        # callbacks advance one phase's state
         st.occ += 1
         self.stats.extrapolated += 1
         self.stats.extrapolated_sim_s += val
         return val
 
-    def _decide(self, g: _GroupState, scope: Optional[tuple]) -> bool:
+    def _decide(self, g: _GroupState, scope: tuple) -> bool:
         """Freeze the extrapolate-or-simulate verdict for a new round."""
-        peers = [g]
-        if scope is not None:
-            peers = [self._groups[gk] for gk in self._scopes.get(scope, ())]
-            if g not in peers:
-                peers.append(g)
+        peers = [self._groups[gk] for gk in self._scopes.get(scope, ())]
+        if g not in peers:
+            peers.append(g)
+        # a member that fell back never has a steady value again, so it
+        # keeps its group — and every group of its scope — simulating.
+        # (observe() creates a group together with its first member.)
         for p in peers:
-            if p.disabled:
-                return False
-            if not p.members:
-                return False
             if any(self._phases[k].steady is None for k in p.members):
                 return False
-        if self.settings.recheck and g.rounds_since_check >= self.settings.recheck:
-            g.rounds_since_check = 0
+        if g.rounds_extrapolated >= RECHECK:
+            g.rounds_extrapolated = 0
             return False
         # only the member that freezes a round's verdict gets here
-        g.rounds_since_check += 1
+        g.rounds_extrapolated += 1
         return True
 
-    def observe(
-        self,
-        key: tuple,
-        duration: float,
-        group: Optional[tuple] = None,
-        scope: Optional[tuple] = None,
-    ) -> None:
+    def observe(self, key: tuple, duration: float, group: tuple, scope: tuple) -> None:
         """Record a fully simulated occurrence's duration and advance
         the phase's state machine."""
+        g = self._groups.get(group)
+        if g is None:
+            g = self._groups[group] = _GroupState()
+        g.members[key] = None
+        self._scopes.setdefault(scope, {})[group] = None
         st = self._phases.get(key)
-        g = None
-        if group is not None:
-            g = self._groups.get(group)
-            if g is None:
-                g = self._groups[group] = _GroupState()
-            g.members[key] = None
-            if scope is not None:
-                self._scopes.setdefault(scope, {})[group] = None
         if st is None:
             st = self._phases[key] = _PhaseState()
             self.stats.phases += 1
@@ -329,31 +296,26 @@ class PhaseReplayAccelerator:
         # one phase's occurrences run one after another (see steady())
         st.seen += 1
         st.occ += 1
-        if not self.settings.enabled or st.disabled:
+        if not self.enabled or st.disabled:
             return
         st.window.append(duration)
-        if len(st.window) > self.settings.confirm + 1:
+        if len(st.window) > CONFIRM + 1:
             del st.window[0]
         if st.steady is not None:
             # a revalidation occurrence: the phase stays steady only
             # while real occurrences keep agreeing with the locked
-            # value — a drifted phase falls back permanently
-            if self._agree(st.steady, duration):
-                if g is None:
-                    st.since_check = 0
-            else:
+            # value — a drifted phase falls back permanently and
+            # poisons its group
+            if not self._agree(st.steady, duration):
                 st.steady = None
-                st.streak = 0
                 st.disabled = True
                 self.stats.fallback_phases += 1
-                if g is not None:
-                    g.disabled = True
             return
-        if st.seen >= self.settings.warmup and st.prev is not None:
+        if st.seen >= WARMUP and st.prev is not None:
             if self._agree(st.prev, st.last):
                 # one phase's state, like st.seen above
                 st.streak += 1
-                if st.streak >= self.settings.confirm:
+                if st.streak >= CONFIRM:
                     # lock the mean of the verified window: occurrence
                     # wobble (flusher/slot alignment) cancels, so the
                     # extrapolated total tracks full replay closer than
@@ -361,54 +323,39 @@ class PhaseReplayAccelerator:
                     st.steady = sum(st.window) / len(st.window)
                 return
             st.streak = 0
-            if st.seen >= self.settings.max_warmup:
+            if st.seen >= MAX_WARMUP:
+                # a sibling that cannot verify poisons the group:
+                # extrapolating around it would strip its load from
+                # the simulated occurrences it still runs
                 st.disabled = True
                 self.stats.fallback_phases += 1
-                if g is not None:
-                    # a sibling that cannot verify poisons the group:
-                    # extrapolating around it would strip its load from
-                    # the simulated occurrences it still runs
-                    g.disabled = True
 
-    def _agree(self, a: float, b: float) -> bool:
+    @staticmethod
+    def _agree(a: float, b: float) -> bool:
         if a == b:
             return True
-        return abs(a - b) <= self.settings.rel_tol * max(abs(a), abs(b))
+        return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
 
     # ------------------------------------------------------------------
-    def phase_report(self) -> list[dict]:
-        """Per-phase summary (for debugging and the perf benchmark)."""
-        out = []
-        for key, st in self._phases.items():
-            out.append(
-                {
-                    "key": key,
-                    "simulated": st.seen,
-                    "extrapolated": st.occ - st.seen,
-                    "steady_s": st.steady,
-                    "fallback": st.disabled,
-                }
-            )
-        return out
-
     def observability(self) -> dict:
         """The replay section of a run report: aggregate stats, the
-        verification tolerance in force, and a JSON-safe per-phase
-        breakdown of fully replayed vs extrapolated occurrences."""
+        switch and verification tolerance in force, and a JSON-safe
+        per-phase breakdown of fully replayed vs extrapolated
+        occurrences."""
         detail = [
             {
-                "key": repr(p["key"]),
-                "simulated": p["simulated"],
-                "extrapolated": p["extrapolated"],
-                "steady_s": p["steady_s"],
-                "fallback": p["fallback"],
+                "key": repr(key),
+                "simulated": st.seen,
+                "extrapolated": st.occ - st.seen,
+                "steady_s": st.steady,
+                "fallback": st.disabled,
             }
-            for p in self.phase_report()
+            for key, st in self._phases.items()
         ]
         return {
             **self.stats.as_dict(),
-            "enabled": self.settings.enabled,
-            "rel_tol": self.settings.rel_tol,
+            "enabled": self.enabled,
+            "rel_tol": REL_TOL,
             "phases_fully_simulated": sum(
                 1 for p in detail if p["extrapolated"] == 0
             ),

@@ -144,10 +144,6 @@ class Link:
         self._latency_factor = factor
         self._latency_until = t_s
 
-    @property
-    def down(self) -> bool:
-        return self.env.now < self._down_until
-
     def hold_time(self, nbytes: int, count: int = 1) -> float:
         """Serialisation time for ``count`` back-to-back messages."""
         return (

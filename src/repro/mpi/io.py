@@ -115,45 +115,34 @@ class MPIFile:
             [IORequest("read", off, nb, count, stride) for off, nb, count, stride in parts]
         )
 
-    def _phase_key(self, req: IORequest) -> tuple:
-        """Replay key of an independent request: the PhaseDetector
-        signature geometry plus rank, barrier epoch and the target
-        filesystem's cache-regime token (offsets are excluded —
-        successive occurrences append at moving offsets)."""
-        return (
-            self.ctx.rank,
-            self.ctx.phase_epoch,
-            self.path,
+    def _phase(self, req: IORequest) -> tuple:
+        """Replay ``(key, group, scope)`` of an independent request.
+
+        The key is the PhaseDetector signature geometry plus rank,
+        barrier epoch and the target filesystem's cache-regime token
+        (offsets are excluded — successive occurrences append at
+        moving offsets).  The group is the key minus rank and path:
+        concurrent ranks running the same barrier-delimited pattern —
+        whether against one shared file or per-rank unique files —
+        extrapolate all-or-nothing, so no rank ever simulates an
+        occurrence with a sibling's load missing.  The scope couples
+        the epoch's I/O phases, which contend through the storage
+        stack and data network (MADbench2's W function interleaves
+        reads and writes — extrapolating one while simulating the
+        other strips its load from the simulation).
+        """
+        ctx = self.ctx
+        epoch = ctx.phase_epoch
+        sig = (
             req.op,
             req.nbytes,
             req.count,
             req.stride if req.stride is not None else 0,
             self.fs.state_token(self.inode, req),
         )
-
-    def _phase_group(self, key: tuple) -> tuple:
-        """Group tying this phase to its siblings on other ranks.
-
-        The key minus rank and path: concurrent ranks running the same
-        barrier-delimited pattern — whether against one shared file or
-        per-rank unique files — extrapolate all-or-nothing, so no rank
-        ever simulates an occurrence with a sibling's load missing.
-        """
-        return ("ind",) + key[1:2] + key[3:]
-
-    def _phase_scope(self, epoch: int) -> tuple:
-        """Consistency scope of this file's I/O phases.
-
-        I/O phases of one barrier epoch contend through the storage
-        stack and data network, so their groups extrapolate only when
-        *all* of them are steady (MADbench2's W function interleaves
-        reads and writes — extrapolating one while simulating the
-        other strips its load from the simulation).  On a single
-        shared fabric they additionally contend with message traffic
-        and join the communication regions' scope.
-        """
-        kind = "shared" if self.ctx.world.cluster.shared_network else "io"
-        return (kind, epoch)
+        key = (ctx.rank, epoch, self.path) + sig
+        group = ("ind", epoch) + sig
+        return key, group, ctx.world.phase_scope("io", epoch)
 
     def _independent(self, req: IORequest) -> Event:
         return _FlatIndependentMulti(self, [req]).result
@@ -257,9 +246,7 @@ class _FlatIndependentMulti(FlatOp):
         n = len(reqs)
         while self.i < n:
             req = reqs[self.i]
-            key = f._phase_key(req)
-            group = f._phase_group(key)
-            scope = f._phase_scope(key[1])
+            key, group, scope = f._phase(req)
             steady = replay.steady(key, group, scope)
             if steady is None:
                 self._cur = req
@@ -275,8 +262,7 @@ class _FlatIndependentMulti(FlatOp):
             run = [(req, steady)]
             self.i += 1
             while self.i < n:
-                key = f._phase_key(reqs[self.i])
-                s = replay.steady(key, f._phase_group(key), f._phase_scope(key[1]))
+                s = replay.steady(*f._phase(reqs[self.i]))
                 if s is None:
                     break
                 run.append((reqs[self.i], s))
@@ -435,7 +421,7 @@ class _CollectiveIO(_Collective):
         # globally synchronized), but grouped so the scope rule couples
         # it to concurrent phases
         group = ("cg",) + key
-        scope = f._phase_scope(f.ctx.phase_epoch)
+        scope = world.phase_scope("io", f.ctx.phase_epoch)
         steady = world.replay.steady(key, group, scope)
         if steady is not None:
             if active:

@@ -270,11 +270,8 @@ class RankContext:
         epoch = self.phase_epoch
         k = ("region", self.rank, epoch) + tuple(key)
         grp = ("region", epoch) + tuple(key)
-        # message traffic contends on the communication fabric; when
-        # the cluster shares one fabric for messages and file data the
-        # regions join the I/O phases' scope
-        kind = "shared" if self.world.cluster.shared_network else "comm"
-        scope = (kind, epoch)
+        # message traffic contends on the communication fabric
+        scope = self.world.phase_scope("comm", epoch)
         steady = rep.steady(k, grp, scope)
         if steady is not None:
             if steady > 0.0:
@@ -340,7 +337,7 @@ class MPIWorld:
         placement: str = "block",
         tracer=None,
         io_hints: Optional[dict[str, Any]] = None,
-        replay_settings=None,
+        phase_fastpath: bool = True,
     ):
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
@@ -361,7 +358,7 @@ class MPIWorld:
             # still count in tracer.nranks / per-rank averages
             tracer.set_world_size(nprocs)
         #: per-run phase-replay accelerator (one world = one app run)
-        self.replay = PhaseReplayAccelerator(replay_settings)
+        self.replay = PhaseReplayAccelerator(phase_fastpath)
         #: per-run MPI-IO level counters (the iolib metrics level)
         self.iostats = IOLibStats()
         nodes = cluster.compute_nodes()
@@ -381,6 +378,14 @@ class MPIWorld:
 
     def node_of(self, rank: int) -> Node:
         return self.ranks[rank].node
+
+    def phase_scope(self, fabric: str, epoch: int) -> tuple:
+        """Phase-replay scope of one barrier epoch's steps on ``fabric``
+        (``"io"`` or ``"comm"``).  Steps of one scope contend on the
+        same resources, so their groups extrapolate only when all of
+        them are steady.  When the cluster carries messages and file
+        data on one shared fabric, both kinds join one scope."""
+        return ("shared" if self.cluster.shared_network else fabric, epoch)
 
     def run_program(
         self, program: Callable[[RankContext], Generator], name: str = "mpi"

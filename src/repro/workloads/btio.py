@@ -175,8 +175,6 @@ class BTIOResult:
     n_writes: int = 0
     n_reads: int = 0
     tracer: object = None
-    #: phase-replay accelerator statistics of the run (ReplayStats)
-    replay: object = None
 
     @property
     def write_rate_Bps(self) -> float:
@@ -358,5 +356,4 @@ def run_btio(system: System, config: BTIOConfig, tracer: IOTracer | None = None)
     result.write_time = sum(write_time) / n
     result.read_time = sum(read_time) / n
     result.tracer = tracer
-    result.replay = world.replay.stats
     return result

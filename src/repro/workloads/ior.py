@@ -38,8 +38,6 @@ class IORResult:
     path: str
     nprocs: int
     rows: list[IORRow] = field(default_factory=list)
-    #: phase-replay accelerator statistics of the run (ReplayStats)
-    replay: object = None
 
     def rate(self, op: str, block_bytes: int) -> float:
         for r in self.rows:
@@ -128,5 +126,4 @@ def run_ior(
                        total / dt if dt > 0 else 0.0, dt, total)
             )
     result.rows.sort(key=lambda r: (r.op, r.block_bytes))
-    result.replay = world.replay.stats
     return result

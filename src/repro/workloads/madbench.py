@@ -89,8 +89,6 @@ class MadBenchResult:
     execution_time: float = 0.0
     functions: dict[str, FunctionTimes] = field(default_factory=dict)
     tracer: object = None
-    #: phase-replay accelerator statistics of the run (ReplayStats)
-    replay: object = None
 
     #: paper column names -> (function, op)
     COLUMNS = {
@@ -204,5 +202,4 @@ def run_madbench(
     result.functions["W"].bytes_written = nb * config.nbin * n
     result.functions["C"].bytes_read = nb * config.nbin * n
     result.tracer = tracer
-    result.replay = world.replay.stats
     return result
